@@ -10,12 +10,21 @@ parameter arrays, so a tape must not outlive an ``sgd_step``.
 Forward values are computed by the same functions the inference paths
 use (``nn``, ``tensor``), so a taped forward is bitwise identical to an
 untaped one.
+
+The correlation ops (conv2d, head1x1, xcorr, depthwise) share one
+backward layout: the float64 patch matrix of ``nn.im2col``, which the
+forward ``nn.conv2d_valid`` also multiplies. For a P x C x kh x kw kernel
+and output gradient g (P x Ho*Wo), the kernel adjoint is the GEMM
+``g @ patches`` and the input adjoint is ``W.T @ g`` folded back onto the
+map by kh*kw slice-adds (col2im). xcorr is the conv with kernel z[None];
+depthwise is the same pair with one kernel row per channel. Patches are
+rebuilt in backward rather than kept on the node, and a constant operand
+(an input image) gets no adjoint.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn
 from . import tensor as T
@@ -108,29 +117,37 @@ def relu(x: Node) -> Node:
     return Node(x.tape, "relu", value, (x,), backward_fn)
 
 
-def _conv_backward(x: Node, k: Node, grad) -> None:
-    kh, kw = k.value.shape[2:]
-    windows = sliding_window_view(x.value, (kh, kw), axis=(1, 2)).astype(np.float64)
-    _accum(k, np.einsum("phw,chwuv->pcuv", grad, windows))
-    out_h, out_w = grad.shape[1], grad.shape[2]
-    gx = np.zeros(x.value.shape, dtype=np.float64)
-    k64 = k.value.astype(np.float64)
+def _col2im(cols, shape, kh: int, kw: int) -> np.ndarray:
+    """Adjoint of ``nn.im2col``: add (C*kh*kw) x (Ho*Wo) columns back into a map."""
+    channels, height, width = shape
+    out_h, out_w = height - kh + 1, width - kw + 1
+    cols = cols.reshape(channels, kh, kw, out_h, out_w)
+    out = np.zeros(shape, dtype=np.float64)
     for u in range(kh):
         for v in range(kw):
-            gx[:, u : u + out_h, v : v + out_w] += np.einsum(
-                "phw,pc->chw", grad, k64[:, :, u, v]
-            )
-    _accum(x, gx)
+            out[:, u : u + out_h, v : v + out_w] += cols[:, u, v]
+    return out
+
+
+def _conv_backward(x: Node, k: Node, grad) -> None:
+    """Adjoints of conv2d_valid(x, k) as two GEMMs on the im2col patches.
+
+    A rank-3 ``k`` is taken as the single output channel ``k[None]``
+    (xcorr). Constant operands get no adjoint.
+    """
+    w = k.value.reshape((-1,) + k.value.shape[-3:]).astype(np.float64)
+    out_ch, _, kh, kw = w.shape
+    g = grad.reshape(out_ch, -1)
+    if k.op != "const":
+        _accum(k, (g @ nn.im2col(x.value, kh, kw)).reshape(k.value.shape))
+    if x.op != "const":
+        _accum(x, _col2im(w.reshape(out_ch, -1).T @ g, x.value.shape, kh, kw))
 
 
 def conv2d(x: Node, k: Node) -> Node:
     """Valid cross-correlation; kernel node is rank 4."""
     value = nn.conv2d_valid(x.value, k.value)
-
-    def backward_fn(grad):
-        _conv_backward(x, k, grad)
-
-    return Node(x.tape, "conv2d", value, (x, k), backward_fn)
+    return Node(x.tape, "conv2d", value, (x, k), lambda grad: _conv_backward(x, k, grad))
 
 
 def head1x1(x: Node, k: Node) -> Node:
@@ -140,28 +157,22 @@ def head1x1(x: Node, k: Node) -> Node:
             f"head kernel must be 1x1, got {k.value.shape[2]}x{k.value.shape[3]}"
         )
     value = nn.head1x1(x.value, k.value)
-
-    def backward_fn(grad):
-        _conv_backward(x, k, grad)
-
-    return Node(x.tape, "head1x1", value, (x, k), backward_fn)
+    return Node(x.tape, "head1x1", value, (x, k), lambda grad: _conv_backward(x, k, grad))
 
 
 def depthwise(x: Node, z: Node) -> Node:
     """Channel-wise valid cross-correlation of search x with template z."""
     value = nn.depthwise_corr(x.value, z.value)
-    kh, kw = z.value.shape[1], z.value.shape[2]
+    channels, kh, kw = z.value.shape
 
     def backward_fn(grad):
-        windows = sliding_window_view(x.value, (kh, kw), axis=(1, 2)).astype(np.float64)
-        _accum(z, np.einsum("chw,chwuv->cuv", grad, windows))
-        out_h, out_w = grad.shape[1], grad.shape[2]
-        gx = np.zeros(x.value.shape, dtype=np.float64)
-        z64 = z.value.astype(np.float64)
-        for u in range(kh):
-            for v in range(kw):
-                gx[:, u : u + out_h, v : v + out_w] += grad * z64[:, u, v, None, None]
-        _accum(x, gx)
+        g = grad.reshape(channels, -1)
+        if z.op != "const":
+            patches = nn.im2col(x.value, kh, kw).reshape(g.shape[1], channels, -1)
+            _accum(z, np.einsum("cp,pcj->cj", g, patches).reshape(z.value.shape))
+        if x.op != "const":
+            cols = z.value.reshape(channels, -1, 1).astype(np.float64) * g[:, None]
+            _accum(x, _col2im(cols, x.value.shape, kh, kw))
 
     return Node(x.tape, "depthwise", value, (x, z), backward_fn)
 
@@ -169,21 +180,7 @@ def depthwise(x: Node, z: Node) -> Node:
 def xcorr(x: Node, z: Node) -> Node:
     """All-channel valid cross-correlation, single-channel output."""
     value = nn.xcorr(x.value, z.value)
-    kh, kw = z.value.shape[1], z.value.shape[2]
-
-    def backward_fn(grad):
-        g2 = grad[0]
-        windows = sliding_window_view(x.value, (kh, kw), axis=(1, 2)).astype(np.float64)
-        _accum(z, np.einsum("hw,chwuv->cuv", g2, windows))
-        out_h, out_w = g2.shape
-        gx = np.zeros(x.value.shape, dtype=np.float64)
-        z64 = z.value.astype(np.float64)
-        for u in range(kh):
-            for v in range(kw):
-                gx[:, u : u + out_h, v : v + out_w] += g2[None] * z64[:, u, v, None, None]
-        _accum(x, gx)
-
-    return Node(x.tape, "xcorr", value, (x, z), backward_fn)
+    return Node(x.tape, "xcorr", value, (x, z), lambda grad: _conv_backward(x, z, grad))
 
 
 def affine(x: Node, w: Node, b: Node) -> Node:

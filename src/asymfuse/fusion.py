@@ -20,6 +20,7 @@ channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,8 @@ class FusionWeights:
                 f"norm describes {self.norm.channels} channels, "
                 f"kernels produce {self.out_channels}"
             )
-        if self.box_scale <= 0:
-            raise ValueError("box_scale must be positive")
+        if not (math.isfinite(self.box_scale) and self.box_scale > 0):
+            raise ValueError(f"box_scale must be positive and finite: {self.box_scale!r}")
 
     @property
     def out_channels(self) -> int:
@@ -177,7 +178,8 @@ def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCa
 
     Raises:
         MissingBoxError: weights carry a prior branch but box is None.
-        NonPositiveBoxError: box width or height is not positive.
+        ShapeMismatchError: box does not hold exactly (width, height).
+        NonPositiveBoxError: box width or height is not a positive finite number.
     """
     z = as_tensor(template)
     if z.ndim != 3:
@@ -192,9 +194,11 @@ def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCa
     if weights.prior is not None:
         if box is None:
             raise MissingBoxError("weights carry a prior branch; a box is required")
+        if len(box) != 2:
+            raise ShapeMismatchError(f"box must be (width, height), got {box!r}")
         box_w, box_h = float(box[0]), float(box[1])
-        if box_w <= 0 or box_h <= 0:
-            raise NonPositiveBoxError(f"box sides must be positive, got {box}")
+        if not all(math.isfinite(side) and side > 0 for side in (box_w, box_h)):
+            raise NonPositiveBoxError(f"box sides must be positive and finite: {box}")
         scaled = np.array(
             [box_w / weights.box_scale, box_h / weights.box_scale], dtype=DTYPE
         )

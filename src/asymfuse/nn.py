@@ -7,6 +7,12 @@ stride 1, no padding and no convolution bias:
 
 Inputs are single C x H x W maps (no batch axis). Accumulation is done
 in float64, the result is rounded to float32 once.
+
+``conv2d_valid`` (and ``head1x1``, which is a 1x1 ``conv2d_valid``) is
+one float64 GEMM on the patch matrix built by :func:`im2col`: one row per
+output position, one column per (c, u, v) kernel element. The taped
+backward in ``autograd`` rebuilds the same matrix, so forward and
+backward share a single layout.
 """
 
 from __future__ import annotations
@@ -152,9 +158,9 @@ def _kernel_weights(kernel) -> np.ndarray:
 def conv2d_valid(inputs, kernel) -> np.ndarray:
     """Valid cross-correlation of a C x H x W map with a P x C x kh x kw kernel.
 
-    Returns a P x (H-kh+1) x (W-kw+1) map. Internally an im2col layout
-    feeds one float64 matrix product, so the cost is one multiply-add
-    per (output position, kernel element) pair.
+    Returns a P x (H-kh+1) x (W-kw+1) map. Internally the :func:`im2col`
+    patch matrix feeds one float64 matrix product, so the cost is one
+    multiply-add per (output position, kernel element) pair.
 
     Raises:
         ShapeMismatchError: kernel input channels differ from the map's.
@@ -173,15 +179,26 @@ def conv2d_valid(inputs, kernel) -> np.ndarray:
             f"kernel {kh}x{kw} does not fit in map {height}x{width}"
         )
     _tick_conv_counters()
+    flat = im2col(x, kh, kw) @ w.reshape(out_ch, -1).astype(np.float64).T
+    out_h, out_w = height - kh + 1, width - kw + 1
+    return flat.T.reshape(out_ch, out_h, out_w).astype(DTYPE, order="C")
+
+
+def im2col(x, kh: int, kw: int) -> np.ndarray:
+    """The float64 patch matrix of a C x H x W map for a kh x kw kernel.
+
+    Row ``i * Wo + j`` holds the window at output position (i, j); its
+    columns run over (c, u, v) in C order, the order of a P x C x kh x kw
+    kernel reshaped to P x (C*kh*kw). Shape (Ho*Wo, C*kh*kw). The caller
+    has checked that the kernel fits.
+    """
     windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # C,Ho,Wo,kh,kw
     out_h, out_w = windows.shape[1], windows.shape[2]
-    patches = (
+    return (
         windows.transpose(1, 2, 0, 3, 4)
         .astype(np.float64, order="C")
-        .reshape(out_h * out_w, in_ch * kh * kw)
+        .reshape(out_h * out_w, x.shape[0] * kh * kw)
     )
-    flat = patches @ w.reshape(out_ch, -1).astype(np.float64).T
-    return flat.T.reshape(out_ch, out_h, out_w).astype(DTYPE, order="C")
 
 
 def depthwise_corr(search, template) -> np.ndarray:

@@ -104,8 +104,14 @@ def tensor_write(t, path) -> None:
     Layout, all little-endian: magic ``b"TSRF"``, u32 version (1), u32
     dtype code (1 = float32), u32 ndim, u32 dims[ndim], then the raw
     row-major float32 payload. No padding or trailing bytes.
+
+    Raises:
+        FormatError: ``t`` has a zero-sized dimension, which
+            :func:`tensor_read` would refuse; nothing is written.
     """
     t = as_tensor(t)
+    if t.size == 0:
+        raise FormatError(f"cannot write zero-sized tensor of shape {t.shape}")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(_HEADER.pack(_VERSION, _CODE_F32, t.ndim))

@@ -86,6 +86,85 @@ class TestBackwardRules:
         npt.assert_array_equal(node.value, expected)
 
 
+def window_loop_grads(x, w, g):
+    """float64 dK and dx of out[p,i,j] = sum_{c,u,v} w[p,c,u,v] x[c,i+u,j+v],
+    one output window at a time, for output gradient g."""
+    kh, kw = w.shape[2:]
+    dw, dx = np.zeros(w.shape), np.zeros(x.shape)
+    for i in range(g.shape[1]):
+        for j in range(g.shape[2]):
+            dw += g[:, i, j, None, None, None] * x[None, :, i : i + kh, j : j + kw]
+            dx[:, i : i + kh, j : j + kw] += np.tensordot(g[:, i, j], w, axes=1)
+    return dw, dx
+
+
+def depthwise_loop_grads(x, z, g):
+    """float64 dz and dx of out[c,i,j] = sum_{u,v} z[c,u,v] x[c,i+u,j+v]."""
+    kh, kw = z.shape[1:]
+    dz, dx = np.zeros(z.shape), np.zeros(x.shape)
+    for i in range(g.shape[1]):
+        for j in range(g.shape[2]):
+            dz += g[:, i, j, None, None] * x[:, i : i + kh, j : j + kw]
+            dx[:, i : i + kh, j : j + kw] += g[:, i, j, None, None] * z
+    return dz, dx
+
+
+# (x shape, kernel shape P x C x kh x kw); xcorr and depthwise use kernel[0].
+CONV_SHAPES = {
+    "toy-conv1": ((1, 14, 14), (8, 1, 3, 3)),
+    "toy-conv2": ((8, 12, 12), (16, 8, 3, 3)),
+    "toy-fuse": ((16, 10, 10), (16, 16, 3, 3)),
+    "one-channel": ((1, 6, 5), (3, 1, 2, 2)),
+    "1x1-kernel": ((3, 4, 5), (2, 3, 1, 1)),
+    "kernel-fills-map": ((2, 4, 3), (3, 2, 4, 3)),
+    "non-square-kernel": ((3, 7, 6), (2, 3, 2, 4)),
+}
+
+
+def taped_grads(op, x_value, k_value, proj, const_input=False):
+    """float64 adjoints reaching the input and kernel nodes of op(x, k)."""
+    tape = ag.Tape()
+    x = tape.constant(x_value) if const_input else tape.parameter(ag.Parameter(x_value, "x"))
+    k = tape.parameter(ag.Parameter(k_value, "k"))
+    ag.backward(tape, ag.weighted_sum(op(x, k), proj))
+    return k.grad, x.grad
+
+
+class TestConvBackwardTable:
+    @pytest.mark.parametrize("op", ["conv2d", "xcorr", "depthwise"])
+    @pytest.mark.parametrize("row", CONV_SHAPES)
+    def test_matches_window_loop(self, row, op):
+        x_shape, k_shape = CONV_SHAPES[row]
+        rng = np.random.default_rng(sum(map(ord, row + op)))
+        x = rand_f32(rng, x_shape)
+        k = rand_f32(rng, k_shape if op == "conv2d" else k_shape[1:])
+        out_shape = (x_shape[1] - k_shape[2] + 1, x_shape[2] - k_shape[3] + 1)
+        channels = {"conv2d": k_shape[0], "xcorr": 1, "depthwise": x_shape[0]}[op]
+        g = rng.uniform(-1, 1, size=(channels, *out_shape))
+        x64, k64 = x.astype(np.float64), k.astype(np.float64)
+        if op == "conv2d":
+            want_k, want_x = window_loop_grads(x64, k64, g)
+        elif op == "xcorr":
+            want_k, want_x = window_loop_grads(x64, k64[None], g)
+            want_k = want_k[0]
+        else:
+            want_k, want_x = depthwise_loop_grads(x64, k64, g)
+        got_k, got_x = taped_grads(getattr(ag, op), x, k, g)
+        npt.assert_allclose(got_k, want_k, rtol=0, atol=1e-10)
+        npt.assert_allclose(got_x, want_x, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("row", ["toy-conv1", "non-square-kernel"])
+    def test_constant_input_gives_same_kernel_gradient_and_no_input_adjoint(self, row):
+        x_shape, k_shape = CONV_SHAPES[row]
+        rng = np.random.default_rng(84)
+        x, k = rand_f32(rng, x_shape), rand_f32(rng, k_shape)
+        g = rng.uniform(-1, 1, size=nn.conv2d_valid(x, k).shape)
+        want_k, _ = taped_grads(ag.conv2d, x, k, g)
+        got_k, got_x = taped_grads(ag.conv2d, x, k, g, const_input=True)
+        npt.assert_array_equal(got_k, want_k)
+        assert got_x is None
+
+
 class TestSoftmaxXent:
     def test_uniform_two_way_is_log2(self):
         logits = ag.Parameter(np.zeros(2, np.float32), "logits")

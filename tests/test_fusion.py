@@ -194,10 +194,26 @@ class TestAcmForward:
     def test_non_positive_box_rejected(self):
         rng = np.random.default_rng(62)
         weights = make_weights(rng, 2, 2, 2, 3, with_prior=True)
-        for box in [(0.0, 10.0), (10.0, -1.0)]:
+        for box in [(0.0, 10.0), (10.0, -1.0), (np.nan, 5.0), (np.inf, 5.0), (5.0, -np.inf)]:
             with pytest.raises(NonPositiveBoxError):
                 fusion.acm_forward(rand_f32(rng, (2, 2, 2)), rand_f32(rng, (2, 5, 5)),
                                    weights, box)
+
+    def test_wrong_length_box_rejected(self):
+        rng = np.random.default_rng(66)
+        weights = make_weights(rng, 2, 2, 2, 3, with_prior=True)
+        template = rand_f32(rng, (2, 2, 2))
+        for box in [(10.0, 20.0, 30.0), (10.0,)]:
+            with pytest.raises(ShapeMismatchError):
+                fusion.acm_cache_template(template, weights, box)
+
+    def test_non_finite_box_scale_rejected(self):
+        rng = np.random.default_rng(67)
+        base = make_weights(rng, 1, 2, 2, 2)
+        for scale in (np.nan, np.inf, 0.0):
+            with pytest.raises(ValueError):
+                fusion.FusionWeights(theta_z=base.theta_z, theta_x=base.theta_x,
+                                     box_scale=scale)
 
     def test_box_without_prior_rejected(self):
         rng = np.random.default_rng(63)
@@ -243,14 +259,14 @@ class TestTemplateCache:
             npt.assert_array_equal(cached, uncached)
 
     def test_zero_template_zero_z_term(self):
-        rng = np.random.default_rng(67)
+        rng = np.random.default_rng(66)
         weights = make_weights(rng, 2, 2, 2, 3)
         cache = fusion.acm_cache_template(np.zeros((2, 2, 2), np.float32), weights)
         npt.assert_array_equal(cache.z_term, np.zeros((3, 1, 1), np.float32))
         assert cache.prior_term is None
 
     def test_apply_runs_exactly_one_convolution(self):
-        rng = np.random.default_rng(68)
+        rng = np.random.default_rng(67)
         template = rand_f32(rng, (2, 2, 2))
         weights = make_weights(rng, 2, 2, 2, 3, with_prior=True)
         cache = fusion.acm_cache_template(template, weights, box=(20.0, 20.0))

@@ -233,6 +233,13 @@ class TestTsrFormat:
         with pytest.raises(FormatError):
             T.tensor_read(path)
 
+    def test_zero_sized_tensor_not_written(self, tmp_path):
+        path = tmp_path / "empty.tsr"
+        for shape in [(0, 3), (0,), (2, 0, 1)]:
+            with pytest.raises(FormatError):
+                T.tensor_write(np.zeros(shape, np.float32), path)
+            assert not path.exists()
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "header.tsr"
         path.write_bytes(b"TSRF\x01")
