@@ -24,6 +24,8 @@ rebuilt in backward rather than kept on the node, and a constant operand
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from . import nn
@@ -49,12 +51,16 @@ class Parameter:
 
 
 class Node:
-    """One tape entry: value, parents, and how to push adjoints back."""
+    """One tape entry: value, parents, and how to push adjoints back.
 
-    __slots__ = ("tape", "op", "value", "parents", "grad", "backward_fn", "param")
+    A node holds its tape weakly (the tape holds its nodes), so a dropped
+    tape is freed by reference counting, not by the cycle collector.
+    """
+
+    __slots__ = ("_tape", "op", "value", "parents", "grad", "backward_fn", "param")
 
     def __init__(self, tape, op, value, parents=(), backward_fn=None, param=None):
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.op = op
         self.value = value
         self.parents = tuple(parents)
@@ -62,6 +68,13 @@ class Node:
         self.backward_fn = backward_fn
         self.param = param
         tape.nodes.append(self)
+
+    @property
+    def tape(self) -> Tape:
+        tape = self._tape()
+        if tape is None:
+            raise DisconnectedLossError(f"the tape of this {self.op} node was dropped")
+        return tape
 
 
 class Tape:
@@ -152,10 +165,6 @@ def conv2d(x: Node, k: Node) -> Node:
 
 def head1x1(x: Node, k: Node) -> Node:
     """1x1 convolution head (a conv2d with unit spatial extent)."""
-    if k.value.shape[2:] != (1, 1):
-        raise ShapeMismatchError(
-            f"head kernel must be 1x1, got {k.value.shape[2]}x{k.value.shape[3]}"
-        )
     value = nn.head1x1(x.value, k.value)
     return Node(x.tape, "head1x1", value, (x, k), lambda grad: _conv_backward(x, k, grad))
 

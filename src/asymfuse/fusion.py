@@ -123,30 +123,35 @@ class TemplateCache:
         return self.z_term.shape[0]
 
 
-def _check_pair(template, search, weights: FusionWeights):
+def _check_template(template, weights: FusionWeights) -> np.ndarray:
     z = as_tensor(template)
+    if z.ndim != 3:
+        raise ShapeMismatchError(f"template must be rank 3, got rank {z.ndim}")
+    if z.shape[0] != weights.in_channels or z.shape[1:] != weights.kernel_size:
+        raise ShapeMismatchError(
+            f"template {z.shape} does not match kernels "
+            f"{weights.theta_z.weights.shape[1:]}"
+        )
+    return z
+
+
+def _check_search(search, weights: FusionWeights) -> np.ndarray:
+    # conv2d_valid would raise RankError; fusion reports ShapeMismatchError.
     x = as_tensor(search)
-    if z.ndim != 3 or x.ndim != 3:
-        raise ShapeMismatchError("template and search must both be rank 3")
-    if z.shape[0] != x.shape[0]:
+    if x.ndim != 3:
+        raise ShapeMismatchError(f"search map must be rank 3, got rank {x.ndim}")
+    if x.shape[0] != weights.in_channels:
         raise ShapeMismatchError(
-            f"channel mismatch: template has {z.shape[0]}, search {x.shape[0]}"
+            f"search map has {x.shape[0]} channels, kernels expect "
+            f"{weights.in_channels}"
         )
-    if z.shape[0] != weights.in_channels:
-        raise ShapeMismatchError(
-            f"maps have {z.shape[0]} channels, kernels expect {weights.in_channels}"
-        )
-    if z.shape[1:] != weights.kernel_size:
-        raise ShapeMismatchError(
-            f"template is {z.shape[1]}x{z.shape[2]} but kernels are "
-            f"{weights.kernel_size[0]}x{weights.kernel_size[1]}"
-        )
-    if z.shape[1] > x.shape[1] or z.shape[2] > x.shape[2]:
+    eta, omega = weights.kernel_size
+    if eta > x.shape[1] or omega > x.shape[2]:
         raise KernelTooLargeError(
-            f"template {z.shape[1]}x{z.shape[2]} does not fit in "
-            f"search map {x.shape[1]}x{x.shape[2]}"
+            f"kernels {eta}x{omega} do not fit in search map "
+            f"{x.shape[1]}x{x.shape[2]}"
         )
-    return z, x
+    return x
 
 
 def naive_concat_corr(template, search, weights: FusionWeights) -> np.ndarray:
@@ -159,7 +164,8 @@ def naive_concat_corr(template, search, weights: FusionWeights) -> np.ndarray:
     pre-activation, prior branch ignored. Quadratic in the window count;
     exists as the oracle the decomposed path is checked against.
     """
-    z, x = _check_pair(template, search, weights)
+    z = _check_template(template, weights)
+    x = _check_search(search, weights)
     eta, omega = weights.kernel_size
     out_h = x.shape[1] - eta + 1
     out_w = x.shape[2] - omega + 1
@@ -181,15 +187,7 @@ def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCa
         ShapeMismatchError: box does not hold exactly (width, height).
         NonPositiveBoxError: box width or height is not a positive finite number.
     """
-    z = as_tensor(template)
-    if z.ndim != 3:
-        raise ShapeMismatchError("template must be rank 3")
-    if z.shape[0] != weights.in_channels or z.shape[1:] != weights.kernel_size:
-        raise ShapeMismatchError(
-            f"template {z.shape} does not match kernels "
-            f"{weights.theta_z.weights.shape[1:]}"
-        )
-    z_term = conv2d_valid(z, weights.theta_z)
+    z_term = conv2d_valid(_check_template(template, weights), weights.theta_z)
     prior_term = None
     if weights.prior is not None:
         if box is None:
@@ -216,14 +214,7 @@ def acm_apply_search(
     Runs exactly one convolution (the search side), broadcast-adds the
     cached terms, then applies the configured norm and activation.
     """
-    x = as_tensor(search)
-    if x.ndim != 3:
-        raise ShapeMismatchError("search map must be rank 3")
-    if x.shape[0] != weights.in_channels:
-        raise ShapeMismatchError(
-            f"search map has {x.shape[0]} channels, kernels expect "
-            f"{weights.in_channels}"
-        )
+    x = _check_search(search, weights)
     if cache.out_channels != weights.out_channels:
         raise ShapeMismatchError(
             f"cache holds {cache.out_channels} channels, weights produce "
@@ -231,12 +222,6 @@ def acm_apply_search(
         )
     if (cache.prior_term is None) != (weights.prior is None):
         raise ShapeMismatchError("cache and weights disagree about the prior branch")
-    eta, omega = weights.kernel_size
-    if eta > x.shape[1] or omega > x.shape[2]:
-        raise KernelTooLargeError(
-            f"kernels {eta}x{omega} do not fit in search map "
-            f"{x.shape[1]}x{x.shape[2]}"
-        )
     out = conv2d_valid(x, weights.theta_x)
     out = broadcast_add(out, cache.z_term)
     if cache.prior_term is not None:
@@ -258,6 +243,5 @@ def acm_forward(
     Matches :func:`naive_concat_corr` (with ``apply_relu=False`` and no
     prior branch) up to float32 rounding of the intermediate terms.
     """
-    _check_pair(template, search, weights)
     cache = acm_cache_template(template, weights, box)
     return acm_apply_search(cache, search, weights, apply_relu)

@@ -1,21 +1,26 @@
 """Central-difference verification of every differentiable op.
 
-Each case wires a small randomized graph twice: once through the tape
-(analytic gradients) and once through the plain forward functions with
-a float64 final reduction (the function handed to finite differences).
-Inputs feeding a ReLU are drawn, and redrawn if needed, so that no
-pre-activation sits within the kink margin; the derivative there is not
-defined by a limit and central differences would disagree by design.
+Each case is one row of a table: the shapes of its parameters and
+constants, a taped forward up to the final reduction, and that reduction
+(a constant projection, or cross-entropy over a class count). Analytic
+gradients come from ``autograd.backward`` on the taped loss. The function
+handed to finite differences runs the same taped forward again and reduces
+its value in float64; the tape computes values with the plain ``nn`` and
+``tensor`` functions, so this is the untaped forward too.
+
+Values are redrawn until every ReLU input on the tape sits at least the
+kink margin away from 0; the derivative there is not defined by a limit
+and central differences would disagree by design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import autograd as ag
-from . import nn
 from . import tensor as T
 
 
@@ -29,263 +34,109 @@ class CheckResult:
     passed: bool
 
 
+@dataclass(frozen=True)
+class _Case:
+    name: str
+    params: dict            # name -> shape; one comparison each, in this order
+    consts: dict            # name -> shape; inputs that receive no gradient
+    forward: Callable       # {name: Node} -> Node before the final reduction
+    reduce: tuple | int     # projection shape, or class count for cross-entropy
+
+
+def _mlp3(x, n, prefix):
+    return ag.mlp3(x, [(n[f"{prefix}w{i}"], n[f"{prefix}b{i}"]) for i in (1, 2, 3)])
+
+
+def _mlp3_shapes(dims, prefix=""):
+    shapes = {}
+    for i in range(3):
+        shapes[f"{prefix}w{i + 1}"] = (dims[i + 1], dims[i])
+        shapes[f"{prefix}b{i + 1}"] = (dims[i + 1],)
+    return shapes
+
+
+def _acm_block(n):
+    """Full fusion block: both kernels plus the FC prior, pooled."""
+    z_term = ag.conv2d(n["template"], n["theta_z"])
+    x_term = ag.conv2d(n["search"], n["theta_x"])
+    prior = ag.reshape(_mlp3(n["feats"], n, "prior_"), (3, 1, 1))
+    return ag.mean_pool(ag.relu(ag.add(ag.add(x_term, z_term), prior)))
+
+
+_CASES = (
+    _Case("broadcast_add", {"a": (3, 1, 1), "b": (3, 4, 4)}, {},
+          lambda n: ag.add(n["a"], n["b"]), (3, 4, 4)),
+    _Case("relu", {"x": (4, 5)}, {}, lambda n: ag.relu(n["x"]), (4, 5)),
+    _Case("conv2d", {"x": (2, 5, 5), "kernel": (3, 2, 3, 3)}, {},
+          lambda n: ag.conv2d(n["x"], n["kernel"]), (3, 3, 3)),
+    _Case("head1x1", {"x": (3, 4, 4), "kernel": (2, 3, 1, 1)}, {},
+          lambda n: ag.head1x1(n["x"], n["kernel"]), (2, 4, 4)),
+    _Case("depthwise_corr", {"search": (3, 6, 6), "template": (3, 3, 3)}, {},
+          lambda n: ag.depthwise(n["search"], n["template"]), (3, 4, 4)),
+    _Case("xcorr", {"search": (2, 5, 5), "template": (2, 2, 2)}, {},
+          lambda n: ag.xcorr(n["search"], n["template"]), (1, 4, 4)),
+    _Case("affine", {"x": (4,), "weights": (3, 4), "bias": (3,)}, {},
+          lambda n: ag.affine(n["x"], n["weights"], n["bias"]), (3,)),
+    _Case("mlp3", {"x": (3,), **_mlp3_shapes((3, 5, 4, 2))}, {},
+          lambda n: _mlp3(n["x"], n, ""), (2,)),
+    # Running statistics are affine images of the drawn constants:
+    # mean in +-0.5, variance in [0.5, 1.5].
+    _Case("batchnorm_infer", {"x": (3, 4, 4), "gamma": (3,), "beta": (3,)},
+          {"mean": (3,), "var": (3,)},
+          lambda n: ag.batchnorm(n["x"], n["gamma"], n["beta"],
+                                 0.5 * n["mean"].value, 1.0 + 0.5 * n["var"].value),
+          (3, 4, 4)),
+    _Case("softmax_xent", {"logits": (5,)}, {}, lambda n: n["logits"], 5),
+    _Case("acm_block",
+          {"theta_z": (3, 2, 2, 2), "theta_x": (3, 2, 2, 2),
+           **_mlp3_shapes((2, 4, 4, 3), "prior_")},
+          {"template": (2, 2, 2), "search": (2, 4, 4), "feats": (2,)},
+          _acm_block, 3),
+)
+
+
 def _rel_error(analytic, numeric) -> float:
     scale = max(float(np.abs(analytic).max(initial=0.0)),
                 float(np.abs(numeric).max(initial=0.0)), 1e-8)
     return float(np.abs(analytic.astype(np.float64) - numeric).max(initial=0.0) / scale)
 
 
-def _signed_uniform(rng, shape, margin=0.0):
-    """Uniform values in +-[margin, 1]; margin keeps ReLU inputs off 0."""
-    magnitude = rng.uniform(margin, 1.0, size=shape)
-    sign = np.where(rng.uniform(size=shape) < 0.5, -1.0, 1.0)
-    return (magnitude * sign).astype(T.DTYPE)
+def _uniform(rng, shape):
+    return rng.uniform(-1.0, 1.0, size=shape).astype(T.DTYPE)
 
 
-def _xent64(logits, label: int) -> float:
-    z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[int(label)])
+def _forward(case: _Case, params, consts):
+    """(tape, output node) of one taped run of the case's forward."""
+    tape = ag.Tape()
+    nodes = {name: tape.parameter(p) for name, p in params.items()}
+    nodes.update((name, tape.constant(value)) for name, value in consts.items())
+    return tape, case.forward(nodes)
 
 
-class _Case:
-    def __init__(self, name, params, build, loss_f64):
-        self.name = name
-        self.params = params          # dict name -> Parameter
-        self.build = build            # tape -> loss Node
-        self.loss_f64 = loss_f64      # () -> float
+def _loss_f64(out: ag.Node, target) -> float:
+    """The final reduction of ``out`` in float64, as finite differences see it."""
+    z = out.value.astype(np.float64)
+    if isinstance(target, int):
+        shifted = z - z.max()
+        return float(np.log(np.exp(shifted).sum()) - shifted[target])
+    return float((z * target).sum())
 
 
-def _projection(rng, shape):
-    return rng.uniform(-1.0, 1.0, size=shape)
-
-
-def _case_broadcast_add(rng):
-    a = ag.Parameter(_signed_uniform(rng, (3, 1, 1)), "a")
-    b = ag.Parameter(_signed_uniform(rng, (3, 4, 4)), "b")
-    proj = _projection(rng, (3, 4, 4))
-
-    def build(tape):
-        out = ag.add(tape.parameter(a), tape.parameter(b))
-        return ag.weighted_sum(out, proj)
-
-    def loss_f64():
-        out = T.broadcast_add(a.value, b.value)
-        return float((out.astype(np.float64) * proj).sum())
-
-    return _Case("broadcast_add", {"a": a, "b": b}, build, loss_f64)
-
-
-def _case_relu(rng, margin):
-    x = ag.Parameter(_signed_uniform(rng, (4, 5), margin), "x")
-    proj = _projection(rng, (4, 5))
-
-    def build(tape):
-        return ag.weighted_sum(ag.relu(tape.parameter(x)), proj)
-
-    def loss_f64():
-        return float((T.relu(x.value).astype(np.float64) * proj).sum())
-
-    return _Case("relu", {"x": x}, build, loss_f64)
-
-
-def _case_conv2d(rng):
-    x = ag.Parameter(_signed_uniform(rng, (2, 5, 5)), "x")
-    k = ag.Parameter(_signed_uniform(rng, (3, 2, 3, 3)), "kernel")
-    proj = _projection(rng, (3, 3, 3))
-
-    def build(tape):
-        out = ag.conv2d(tape.parameter(x), tape.parameter(k))
-        return ag.weighted_sum(out, proj)
-
-    def loss_f64():
-        out = nn.conv2d_valid(x.value, k.value)
-        return float((out.astype(np.float64) * proj).sum())
-
-    return _Case("conv2d", {"x": x, "kernel": k}, build, loss_f64)
-
-
-def _case_head1x1(rng):
-    x = ag.Parameter(_signed_uniform(rng, (3, 4, 4)), "x")
-    k = ag.Parameter(_signed_uniform(rng, (2, 3, 1, 1)), "kernel")
-    proj = _projection(rng, (2, 4, 4))
-
-    def build(tape):
-        out = ag.head1x1(tape.parameter(x), tape.parameter(k))
-        return ag.weighted_sum(out, proj)
-
-    def loss_f64():
-        out = nn.head1x1(x.value, k.value)
-        return float((out.astype(np.float64) * proj).sum())
-
-    return _Case("head1x1", {"x": x, "kernel": k}, build, loss_f64)
-
-
-def _case_depthwise(rng):
-    x = ag.Parameter(_signed_uniform(rng, (3, 6, 6)), "search")
-    z = ag.Parameter(_signed_uniform(rng, (3, 3, 3)), "template")
-    proj = _projection(rng, (3, 4, 4))
-
-    def build(tape):
-        out = ag.depthwise(tape.parameter(x), tape.parameter(z))
-        return ag.weighted_sum(out, proj)
-
-    def loss_f64():
-        out = nn.depthwise_corr(x.value, z.value)
-        return float((out.astype(np.float64) * proj).sum())
-
-    return _Case("depthwise_corr", {"search": x, "template": z}, build, loss_f64)
-
-
-def _case_xcorr(rng):
-    x = ag.Parameter(_signed_uniform(rng, (2, 5, 5)), "search")
-    z = ag.Parameter(_signed_uniform(rng, (2, 2, 2)), "template")
-    proj = _projection(rng, (1, 4, 4))
-
-    def build(tape):
-        out = ag.xcorr(tape.parameter(x), tape.parameter(z))
-        return ag.weighted_sum(out, proj)
-
-    def loss_f64():
-        out = nn.xcorr(x.value, z.value)
-        return float((out.astype(np.float64) * proj).sum())
-
-    return _Case("xcorr", {"search": x, "template": z}, build, loss_f64)
-
-
-def _case_affine(rng):
-    x = ag.Parameter(_signed_uniform(rng, (4,)), "x")
-    w = ag.Parameter(_signed_uniform(rng, (3, 4)), "weights")
-    b = ag.Parameter(_signed_uniform(rng, (3,)), "bias")
-    proj = _projection(rng, (3,))
-
-    def build(tape):
-        out = ag.affine(tape.parameter(x), tape.parameter(w), tape.parameter(b))
-        return ag.weighted_sum(out, proj)
-
-    def loss_f64():
-        out = nn.fc_forward(x.value, nn.FcLayer(w.value, b.value))
-        return float((out.astype(np.float64) * proj).sum())
-
-    return _Case("affine", {"x": x, "weights": w, "bias": b}, build, loss_f64)
-
-
-def _case_mlp3(rng, margin):
-    dims = (3, 5, 4, 2)
+def _draw(case: _Case, rng, margin: float):
+    """Inputs and reduction target with every ReLU input clear of its kink."""
     for _ in range(64):
-        x = ag.Parameter(_signed_uniform(rng, (dims[0],)), "x")
-        params = {"x": x}
-        layers = []
-        for i in range(3):
-            w = ag.Parameter(_signed_uniform(rng, (dims[i + 1], dims[i])), f"w{i + 1}")
-            b = ag.Parameter(_signed_uniform(rng, (dims[i + 1],)), f"b{i + 1}")
-            params[f"w{i + 1}"] = w
-            params[f"b{i + 1}"] = b
-            layers.append((w, b))
-        fc = [nn.FcLayer(w.value, b.value) for w, b in layers]
-        pre1 = nn.fc_forward(x.value, fc[0])
-        pre2 = nn.fc_forward(T.relu(pre1), fc[1])
-        if min(np.abs(pre1).min(), np.abs(pre2).min()) < margin:
-            continue
-        proj = _projection(rng, (dims[3],))
-
-        def build(tape):
-            nodes = [(tape.parameter(w), tape.parameter(b)) for w, b in layers]
-            return ag.weighted_sum(ag.mlp3(tape.parameter(x), nodes), proj)
-
-        def loss_f64():
-            stack = [nn.FcLayer(w.value, b.value) for w, b in layers]
-            out = nn.mlp3_forward(x.value, stack)
-            return float((out.astype(np.float64) * proj).sum())
-
-        return _Case("mlp3", params, build, loss_f64)
-    raise RuntimeError("could not draw an mlp3 instance clear of ReLU kinks")
-
-
-def _case_batchnorm(rng):
-    x = ag.Parameter(_signed_uniform(rng, (3, 4, 4)), "x")
-    gamma = ag.Parameter(_signed_uniform(rng, (3,)), "gamma")
-    beta = ag.Parameter(_signed_uniform(rng, (3,)), "beta")
-    mean = rng.uniform(-0.5, 0.5, size=3).astype(T.DTYPE)
-    var = rng.uniform(0.5, 1.5, size=3).astype(T.DTYPE)
-    proj = _projection(rng, (3, 4, 4))
-
-    def build(tape):
-        out = ag.batchnorm(tape.parameter(x), tape.parameter(gamma),
-                           tape.parameter(beta), mean, var)
-        return ag.weighted_sum(out, proj)
-
-    def loss_f64():
-        out = nn.batchnorm_infer(x.value, nn.BatchNormParams(gamma.value, beta.value, mean, var))
-        return float((out.astype(np.float64) * proj).sum())
-
-    return _Case("batchnorm_infer", {"x": x, "gamma": gamma, "beta": beta}, build, loss_f64)
-
-
-def _case_softmax_xent(rng):
-    logits = ag.Parameter(_signed_uniform(rng, (5,)), "logits")
-    label = int(rng.integers(0, 5))
-
-    def build(tape):
-        return ag.softmax_xent(tape.parameter(logits), label)
-
-    def loss_f64():
-        return _xent64(logits.value, label)
-
-    return _Case("softmax_xent", {"logits": logits}, build, loss_f64)
-
-
-def _case_acm_block(rng, margin):
-    """Full fusion block: both kernels plus the FC prior, under xent."""
-    channels, eta, omega, height, width, p_out = 2, 2, 2, 4, 4, 3
-    hidden = 4
-    template = _signed_uniform(rng, (channels, eta, omega))
-    search = _signed_uniform(rng, (channels, height, width))
-    feats = _signed_uniform(rng, (2,), margin)
-    label = int(rng.integers(0, p_out))
-    for _ in range(64):
-        theta_z = ag.Parameter(_signed_uniform(rng, (p_out, channels, eta, omega)), "theta_z")
-        theta_x = ag.Parameter(_signed_uniform(rng, (p_out, channels, eta, omega)), "theta_x")
-        params = {"theta_z": theta_z, "theta_x": theta_x}
-        dims = (2, hidden, hidden, p_out)
-        layers = []
-        for i in range(3):
-            w = ag.Parameter(_signed_uniform(rng, (dims[i + 1], dims[i])), f"prior_w{i + 1}")
-            b = ag.Parameter(_signed_uniform(rng, (dims[i + 1],)), f"prior_b{i + 1}")
-            params[f"prior_w{i + 1}"] = w
-            params[f"prior_b{i + 1}"] = b
-            layers.append((w, b))
-
-        def forward_f32():
-            fc = [nn.FcLayer(w.value, b.value) for w, b in layers]
-            z_term = nn.conv2d_valid(template, theta_z.value)
-            x_term = nn.conv2d_valid(search, theta_x.value)
-            prior = nn.mlp3_forward(feats, fc).reshape(-1, 1, 1)
-            pre = T.broadcast_add(T.broadcast_add(x_term, z_term), prior)
-            return pre, fc
-
-        pre, fc = forward_f32()
-        pre1 = nn.fc_forward(feats, fc[0])
-        pre2 = nn.fc_forward(T.relu(pre1), fc[1])
-        clear = min(np.abs(pre).min(), np.abs(pre1).min(), np.abs(pre2).min())
-        if clear < margin:
-            continue
-
-        def build(tape):
-            nodes = [(tape.parameter(w), tape.parameter(b)) for w, b in layers]
-            z_term = ag.conv2d(tape.constant(template), tape.parameter(theta_z))
-            x_term = ag.conv2d(tape.constant(search), tape.parameter(theta_x))
-            prior = ag.reshape(ag.mlp3(tape.constant(feats), nodes), (p_out, 1, 1))
-            fused = ag.relu(ag.add(ag.add(x_term, z_term), prior))
-            return ag.softmax_xent(ag.mean_pool(fused), label)
-
-        def loss_f64():
-            pre, _ = forward_f32()
-            pooled = nn.global_avg_pool(T.relu(pre))
-            return _xent64(pooled, label)
-
-        return _Case("acm_block", params, build, loss_f64)
-    raise RuntimeError("could not draw an acm block clear of ReLU kinks")
+        params = {name: ag.Parameter(_uniform(rng, shape), name)
+                  for name, shape in case.params.items()}
+        consts = {name: _uniform(rng, shape) for name, shape in case.consts.items()}
+        if isinstance(case.reduce, int):
+            target = int(rng.integers(0, case.reduce))
+        else:
+            target = rng.uniform(-1.0, 1.0, size=case.reduce)
+        tape, _ = _forward(case, params, consts)
+        if all(np.abs(node.parents[0].value).min() >= margin
+               for node in tape.nodes if node.op == "relu"):
+            return params, consts, target
+    raise RuntimeError(f"could not draw a {case.name} instance clear of ReLU kinks")
 
 
 def gradient_check_suite(seed: int = 0, eps: float = 1e-2, tol: float = 1e-2,
@@ -300,29 +151,24 @@ def gradient_check_suite(seed: int = 0, eps: float = 1e-2, tol: float = 1e-2,
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     margin = max(0.05, 4.0 * eps)
-    streams = np.random.SeedSequence(seed).spawn(11)
-    cases = [
-        _case_broadcast_add(np.random.default_rng(streams[0])),
-        _case_relu(np.random.default_rng(streams[1]), margin),
-        _case_conv2d(np.random.default_rng(streams[2])),
-        _case_head1x1(np.random.default_rng(streams[3])),
-        _case_depthwise(np.random.default_rng(streams[4])),
-        _case_xcorr(np.random.default_rng(streams[5])),
-        _case_affine(np.random.default_rng(streams[6])),
-        _case_mlp3(np.random.default_rng(streams[7]), margin),
-        _case_batchnorm(np.random.default_rng(streams[8])),
-        _case_softmax_xent(np.random.default_rng(streams[9])),
-        _case_acm_block(np.random.default_rng(streams[10]), margin),
-    ]
+    streams = np.random.SeedSequence(seed).spawn(len(_CASES))
     results = []
     corrupt = inject_error
-    for case in cases:
-        tape = ag.Tape()
-        loss = case.build(tape)
+    for case, stream in zip(_CASES, streams):
+        params, consts, target = _draw(case, np.random.default_rng(stream), margin)
+        tape, out = _forward(case, params, consts)
+        if isinstance(target, int):
+            loss = ag.softmax_xent(out, target)
+        else:
+            loss = ag.weighted_sum(out, target)
         ag.backward(tape, loss)
-        analytic = {name: p.grad.copy() for name, p in case.params.items()}
-        for name, p in case.params.items():
-            numeric = ag.finite_diff_grad(case.loss_f64, p, eps)
+        analytic = {name: p.grad.copy() for name, p in params.items()}
+
+        def loss_f64():
+            return _loss_f64(_forward(case, params, consts)[1], target)
+
+        for name, p in params.items():
+            numeric = ag.finite_diff_grad(loss_f64, p, eps)
             reference = analytic[name]
             if corrupt:
                 reference = reference + (0.25 * max(np.abs(numeric).max(), 1.0))

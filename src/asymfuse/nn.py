@@ -8,9 +8,12 @@ stride 1, no padding and no convolution bias:
 Inputs are single C x H x W maps (no batch axis). Accumulation is done
 in float64, the result is rounded to float32 once.
 
-``conv2d_valid`` (and ``head1x1``, which is a 1x1 ``conv2d_valid``) is
-one float64 GEMM on the patch matrix built by :func:`im2col`: one row per
-output position, one column per (c, u, v) kernel element. The taped
+Every correlation op runs on the float64 patch matrix built by
+:func:`im2col`: one row per output position, one column per (c, u, v)
+kernel element. ``conv2d_valid`` is one GEMM on it; ``head1x1`` is the
+1x1 case and ``xcorr`` the single-output-channel case (kernel
+``template[None]``); ``depthwise_corr`` is the grouped product, each
+channel's block of columns times that channel's kernel row. The taped
 backward in ``autograd`` rebuilds the same matrix, so forward and
 backward share a single layout.
 """
@@ -155,6 +158,18 @@ def _kernel_weights(kernel) -> np.ndarray:
     return ConvKernel(kernel).weights
 
 
+def _check_fit(x: np.ndarray, channels: int, kh: int, kw: int) -> None:
+    """A kernel of ``channels`` x kh x kw must match and fit inside map x."""
+    if channels != x.shape[0]:
+        raise ShapeMismatchError(
+            f"kernel expects {channels} input channels, map has {x.shape[0]}"
+        )
+    if kh > x.shape[1] or kw > x.shape[2]:
+        raise KernelTooLargeError(
+            f"kernel {kh}x{kw} does not fit in map {x.shape[1]}x{x.shape[2]}"
+        )
+
+
 def conv2d_valid(inputs, kernel) -> np.ndarray:
     """Valid cross-correlation of a C x H x W map with a P x C x kh x kw kernel.
 
@@ -169,18 +184,10 @@ def conv2d_valid(inputs, kernel) -> np.ndarray:
     x = _as_map(inputs, "conv input")
     w = _kernel_weights(kernel)
     out_ch, in_ch, kh, kw = w.shape
-    channels, height, width = x.shape
-    if in_ch != channels:
-        raise ShapeMismatchError(
-            f"kernel expects {in_ch} input channels, map has {channels}"
-        )
-    if kh > height or kw > width:
-        raise KernelTooLargeError(
-            f"kernel {kh}x{kw} does not fit in map {height}x{width}"
-        )
+    _check_fit(x, in_ch, kh, kw)
     _tick_conv_counters()
     flat = im2col(x, kh, kw) @ w.reshape(out_ch, -1).astype(np.float64).T
-    out_h, out_w = height - kh + 1, width - kw + 1
+    out_h, out_w = x.shape[1] - kh + 1, x.shape[2] - kw + 1
     return flat.T.reshape(out_ch, out_h, out_w).astype(DTYPE, order="C")
 
 
@@ -205,43 +212,26 @@ def depthwise_corr(search, template) -> np.ndarray:
     """Channel-wise valid cross-correlation; channel c only sees channel c.
 
     ``search`` is C x H x W, ``template`` C x kh x kw; the result keeps
-    all C channels at the slid spatial size.
+    all C channels at the slid spatial size. Computed as the grouped
+    product of the :func:`im2col` patches: channel c's block of columns
+    times that channel's kernel row.
     """
     x = _as_map(search, "search map")
     z = _as_map(template, "template")
-    if x.shape[0] != z.shape[0]:
-        raise ShapeMismatchError(
-            f"channel mismatch: search has {x.shape[0]}, template {z.shape[0]}"
-        )
-    if z.shape[1] > x.shape[1] or z.shape[2] > x.shape[2]:
-        raise KernelTooLargeError(
-            f"template {z.shape[1]}x{z.shape[2]} does not fit in "
-            f"map {x.shape[1]}x{x.shape[2]}"
-        )
-    windows = sliding_window_view(x, z.shape[1:], axis=(1, 2)).astype(np.float64)
-    out = np.einsum("cuv,chwuv->chw", z.astype(np.float64), windows)
-    return out.astype(DTYPE)
+    channels, kh, kw = z.shape
+    _check_fit(x, channels, kh, kw)
+    patches = im2col(x, kh, kw).reshape(-1, channels, kh * kw).transpose(1, 0, 2)
+    out = patches @ z.reshape(channels, kh * kw, 1).astype(np.float64)
+    return out.reshape(channels, x.shape[1] - kh + 1, x.shape[2] - kw + 1).astype(DTYPE)
 
 
 def xcorr(search, template) -> np.ndarray:
     """Single-channel valid cross-correlation summed over all channels.
 
-    Collapses C x H x W against C x kh x kw into a 1 x Ho x Wo response.
+    Collapses C x H x W against C x kh x kw into a 1 x Ho x Wo response:
+    the :func:`conv2d_valid` with kernel ``template[None]``.
     """
-    x = _as_map(search, "search map")
-    z = _as_map(template, "template")
-    if x.shape[0] != z.shape[0]:
-        raise ShapeMismatchError(
-            f"channel mismatch: search has {x.shape[0]}, template {z.shape[0]}"
-        )
-    if z.shape[1] > x.shape[1] or z.shape[2] > x.shape[2]:
-        raise KernelTooLargeError(
-            f"template {z.shape[1]}x{z.shape[2]} does not fit in "
-            f"map {x.shape[1]}x{x.shape[2]}"
-        )
-    windows = sliding_window_view(x, z.shape[1:], axis=(1, 2)).astype(np.float64)
-    out = np.einsum("cuv,chwuv->hw", z.astype(np.float64), windows)
-    return out[np.newaxis].astype(DTYPE)
+    return conv2d_valid(search, _as_map(template, "template")[np.newaxis])
 
 
 def fc_forward(x, layer: FcLayer) -> np.ndarray:

@@ -13,7 +13,7 @@ measurable.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -180,14 +180,6 @@ class ToyModel:
         ]
 
     @property
-    def backbone(self) -> tuple[nn.ConvKernel, nn.ConvKernel]:
-        return nn.ConvKernel(self.conv1.value), nn.ConvKernel(self.conv2.value)
-
-    @property
-    def fuse_kernel(self) -> nn.ConvKernel:
-        return nn.ConvKernel(self.fuse.value)
-
-    @property
     def index_branch(self) -> tuple[nn.FcLayer, nn.FcLayer, nn.FcLayer]:
         return (
             nn.FcLayer(self.idx_w1.value, self.idx_b1.value),
@@ -214,9 +206,9 @@ def fused_map(model: ToyModel, sample: GridSample, ablate_index: bool = False,
               index: int | None = None) -> np.ndarray:
     """Post-ReLU fused response (P x h x w) for one sample."""
     query = sample.index if index is None else int(index)
-    feat = T.relu(nn.conv2d_valid(sample.image, model.backbone[0]))
-    feat = T.relu(nn.conv2d_valid(feat, model.backbone[1]))
-    x_term = nn.conv2d_valid(feat, model.fuse_kernel)
+    feat = T.relu(nn.conv2d_valid(sample.image, model.conv1.value))
+    feat = T.relu(nn.conv2d_valid(feat, model.conv2.value))
+    x_term = nn.conv2d_valid(feat, model.fuse.value)
     prior = _prior_vector(model, query, ablate_index).reshape(-1, 1, 1)
     return T.relu(T.broadcast_add(x_term, prior))
 
@@ -270,19 +262,13 @@ def toy_evaluate(model: ToyModel, samples: Sequence[GridSample],
                  ablate_index: bool = False,
                  indices: Sequence[int] | None = None) -> float:
     """Test accuracy; ``indices`` substitutes the queried positions."""
-    if indices is None:
-        return prediction_accuracy(
-            lambda sample: toy_forward(model, sample, ablate_index), samples
-        )
-    if len(indices) != len(samples):
-        raise ValueError("indices must align one-to-one with samples")
-    if len(samples) == 0:
-        raise EmptyDatasetError("cannot evaluate on zero samples")
-    hits = 0
-    for sample, idx in zip(samples, indices):
-        logits = toy_forward(model, sample, ablate_index, index=int(idx))
-        hits += int(np.argmax(logits)) == sample.label
-    return hits / len(samples)
+    if indices is not None:
+        if len(indices) != len(samples):
+            raise ValueError("indices must align one-to-one with samples")
+        samples = [replace(s, index=int(i)) for s, i in zip(samples, indices)]
+    return prediction_accuracy(
+        lambda sample: toy_forward(model, sample, ablate_index), samples
+    )
 
 
 def locality_rate(model: ToyModel, samples: Sequence[GridSample]) -> float:

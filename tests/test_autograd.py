@@ -1,5 +1,8 @@
 """Tape mechanics, backward rules, SGD, and the finite-difference suite."""
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from asymfuse import autograd as ag
 from asymfuse import gradcheck
 from asymfuse import nn
+from asymfuse import tensor as T
 from asymfuse.errors import (
     DisconnectedLossError,
     LabelOutOfRangeError,
@@ -77,13 +81,42 @@ class TestBackwardRules:
         npt.assert_allclose(x.grad, expected.astype(np.float32), atol=1e-7)
 
     def test_taped_forward_matches_plain_forward_bitwise(self):
+        # Every taped op computes its value with the plain nn/tensor
+        # function; gradcheck's finite-difference reference relies on it.
         rng = np.random.default_rng(82)
-        x = ag.Parameter(rand_f32(rng, (2, 6, 6)), "x")
-        k = ag.Parameter(rand_f32(rng, (4, 2, 3, 3)), "k")
-        tape = ag.Tape()
-        node = ag.relu(ag.conv2d(tape.parameter(x), tape.parameter(k)))
-        expected = np.maximum(nn.conv2d_valid(x.value, k.value), 0)
-        npt.assert_array_equal(node.value, expected)
+        for op, (taped, plain, shapes) in TAPED_OPS.items():
+            values = [rand_f32(rng, shape) for shape in shapes]
+            tape = ag.Tape()
+            node = taped(*[tape.parameter(ag.Parameter(v, f"in{i}"))
+                           for i, v in enumerate(values)])
+            expected = plain(*values)
+            assert node.value.dtype == expected.dtype, op
+            npt.assert_array_equal(node.value, expected, err_msg=op)
+
+
+BN_MEAN = np.array([0.1, -0.2, 0.3], np.float32)
+BN_VAR = np.array([0.5, 1.0, 1.5], np.float32)
+
+# op -> (taped forward on nodes, plain forward on arrays, input shapes).
+TAPED_OPS = {
+    "add": (ag.add, T.broadcast_add, [(3, 1, 4), (3, 5, 4)]),
+    "relu": (ag.relu, T.relu, [(4, 5)]),
+    "conv2d": (ag.conv2d, nn.conv2d_valid, [(2, 6, 6), (4, 2, 3, 3)]),
+    "head1x1": (ag.head1x1, nn.head1x1, [(3, 4, 5), (2, 3, 1, 1)]),
+    "depthwise": (ag.depthwise, nn.depthwise_corr, [(3, 7, 6), (3, 3, 2)]),
+    "xcorr": (ag.xcorr, nn.xcorr, [(2, 6, 7), (2, 2, 3)]),
+    "affine": (ag.affine, lambda x, w, b: nn.fc_forward(x, nn.FcLayer(w, b)),
+               [(4,), (3, 4), (3,)]),
+    "mlp3": (lambda x, *wb: ag.mlp3(x, zip(wb[0::2], wb[1::2])),
+             lambda x, *wb: nn.mlp3_forward(x, map(nn.FcLayer, wb[0::2], wb[1::2])),
+             [(3,), (5, 3), (5,), (4, 5), (4,), (2, 4), (2,)]),
+    "batchnorm": (lambda x, g, b: ag.batchnorm(x, g, b, BN_MEAN, BN_VAR),
+                  lambda x, g, b: nn.batchnorm_infer(
+                      x, nn.BatchNormParams(g, b, BN_MEAN, BN_VAR)),
+                  [(3, 4, 4), (3,), (3,)]),
+    "mean_pool": (ag.mean_pool, nn.global_avg_pool, [(3, 4, 5)]),
+    "reshape": (lambda x: ag.reshape(x, (6, 1, 1)), lambda x: x.reshape(6, 1, 1), [(6,)]),
+}
 
 
 def window_loop_grads(x, w, g):
@@ -229,6 +262,32 @@ class TestBackwardContract:
         loss = ag.weighted_sum(ag.relu(tape_a.parameter(x)), np.ones(3))
         with pytest.raises(DisconnectedLossError):
             ag.backward(tape_b, loss)
+
+    def test_tape_and_loss_freed_without_cycle_collector(self):
+        # Nodes hold their tape weakly, so dropping the last references
+        # frees the tape and every node by reference counting alone.
+        x = ag.Parameter(np.ones(3, np.float32), "x")
+        gc.disable()
+        try:
+            tape = ag.Tape()
+            loss = ag.weighted_sum(ag.relu(tape.parameter(x)), np.ones(3))
+            ag.backward(tape, loss)
+            refs = [weakref.ref(tape), weakref.ref(loss.value)]
+            del tape, loss
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_node_of_dropped_tape_rejected(self):
+        x = ag.Parameter(np.ones(3, np.float32), "x")
+        node = ag.Tape().parameter(x)
+        with pytest.raises(DisconnectedLossError):
+            ag.relu(node)
+        tape = ag.Tape()
+        loss = ag.weighted_sum(tape.parameter(x), np.ones(3))
+        del tape
+        with pytest.raises(DisconnectedLossError):
+            ag.backward(ag.Tape(), loss)
 
     def test_grads_reset_between_backward_calls(self):
         x = ag.Parameter(np.array([2.0], np.float32), "x")

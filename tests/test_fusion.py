@@ -315,3 +315,45 @@ class TestNormPlacement:
         pre = fusion.acm_forward(template, search, plain, apply_relu=False)
         expected = nn.batchnorm_infer(np.maximum(pre, 0.0), weights.norm)
         npt.assert_allclose(out, expected, atol=1e-6)
+
+
+# The error contract of the four fusion entry points. Each row makes one
+# input bad; every entry point that takes that input raises the row's
+# class, and the others, given only good inputs, return normally.
+CONTRACT_TEMPLATE = np.zeros((2, 3, 3), np.float32)
+CONTRACT_SEARCH = np.zeros((2, 6, 6), np.float32)
+CONTRACT_ROWS = {
+    # Leading axes match the kernels' channels, so only a rank check rejects them.
+    "rank-2 template": ("template", np.zeros((2, 3), np.float32), ShapeMismatchError),
+    "rank-2 search": ("search", np.zeros((2, 6), np.float32), ShapeMismatchError),
+    "template channels != kernel": ("template", np.zeros((3, 3, 3), np.float32),
+                                    ShapeMismatchError),
+    "search channels != kernel": ("search", np.zeros((3, 6, 6), np.float32),
+                                  ShapeMismatchError),
+    "template size != kernel": ("template", np.zeros((2, 2, 2), np.float32),
+                                ShapeMismatchError),
+    "search smaller than kernel": ("search", np.zeros((2, 2, 6), np.float32),
+                                   KernelTooLargeError),
+}
+CONTRACT_ENTRY_POINTS = {
+    "naive_concat_corr": ({"template", "search"}, fusion.naive_concat_corr),
+    "acm_forward": ({"template", "search"}, fusion.acm_forward),
+    "acm_cache_template": ({"template"}, lambda z, x, w: fusion.acm_cache_template(z, w)),
+    "acm_apply_search": ({"search"}, lambda z, x, w: fusion.acm_apply_search(
+        fusion.acm_cache_template(CONTRACT_TEMPLATE, w), x, w)),
+}
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("entry", CONTRACT_ENTRY_POINTS)
+    @pytest.mark.parametrize("row", CONTRACT_ROWS)
+    def test_bad_input_raises_its_class(self, row, entry):
+        which, bad, error = CONTRACT_ROWS[row]
+        takes, call = CONTRACT_ENTRY_POINTS[entry]
+        weights = make_weights(np.random.default_rng(72), 2, 3, 3, 2)
+        inputs = {"template": CONTRACT_TEMPLATE, "search": CONTRACT_SEARCH, which: bad}
+        if which in takes:
+            with pytest.raises(error):
+                call(inputs["template"], inputs["search"], weights)
+        else:
+            call(inputs["template"], inputs["search"], weights)
