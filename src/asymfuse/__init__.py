@@ -25,6 +25,7 @@ from .bench import (
     naive_scaling_slope,
     write_csv,
 )
+from .errors import NonFiniteMapError
 from .fusion import (
     FusionWeights,
     TemplateCache,

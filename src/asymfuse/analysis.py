@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     EmptyExteriorError,
+    NonFiniteMapError,
     NonPositiveMaxError,
     RankError,
     ZeroVectorError,
@@ -51,6 +52,8 @@ def _check_map(corr) -> np.ndarray:
     corr = as_tensor(corr)
     if corr.ndim != 3:
         raise RankError(f"expected a rank-3 response map, got rank {corr.ndim}")
+    if not np.isfinite(corr).all():
+        raise NonFiniteMapError("response map holds NaN or infinite values")
     return corr
 
 

@@ -15,7 +15,7 @@ The correlation ops (conv2d, head1x1, xcorr, depthwise) share one
 backward layout: the float64 patch matrix of ``nn.im2col``, which the
 forward ``nn.conv2d_valid`` also multiplies. For a P x C x kh x kw kernel
 and output gradient g (P x Ho*Wo), the kernel adjoint is the GEMM
-``g @ patches`` and the input adjoint is ``W.T @ g`` folded back onto the
+``g @ patches.T`` and the input adjoint is ``W.T @ g`` folded back onto the
 map by kh*kw slice-adds (col2im). xcorr is the conv with kernel z[None];
 depthwise is the same pair with one kernel row per channel. Patches are
 rebuilt in backward rather than kept on the node, and a constant operand
@@ -152,7 +152,7 @@ def _conv_backward(x: Node, k: Node, grad) -> None:
     out_ch, _, kh, kw = w.shape
     g = grad.reshape(out_ch, -1)
     if k.op != "const":
-        _accum(k, (g @ nn.im2col(x.value, kh, kw)).reshape(k.value.shape))
+        _accum(k, (g @ nn.im2col(x.value, kh, kw).T).reshape(k.value.shape))
     if x.op != "const":
         _accum(x, _col2im(w.reshape(out_ch, -1).T @ g, x.value.shape, kh, kw))
 
@@ -177,8 +177,8 @@ def depthwise(x: Node, z: Node) -> Node:
     def backward_fn(grad):
         g = grad.reshape(channels, -1)
         if z.op != "const":
-            patches = nn.im2col(x.value, kh, kw).reshape(g.shape[1], channels, -1)
-            _accum(z, np.einsum("cp,pcj->cj", g, patches).reshape(z.value.shape))
+            patches = nn.im2col(x.value, kh, kw).reshape(channels, kh * kw, -1)
+            _accum(z, (patches @ g[:, :, None]).reshape(z.value.shape))
         if x.op != "const":
             cols = z.value.reshape(channels, -1, 1).astype(np.float64) * g[:, None]
             _accum(x, _col2im(cols, x.value.shape, kh, kw))

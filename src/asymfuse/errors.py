@@ -50,6 +50,10 @@ class EmptyExteriorError(ValueError):
     """The exclusion box leaves no position to pick a distractor from."""
 
 
+class NonFiniteMapError(ValueError):
+    """A response map holds NaN or infinite values."""
+
+
 class NonPositiveMaxError(ValueError):
     """Channel diversity needs a strictly positive global maximum."""
 

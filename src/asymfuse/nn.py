@@ -9,13 +9,13 @@ Inputs are single C x H x W maps (no batch axis). Accumulation is done
 in float64, the result is rounded to float32 once.
 
 Every correlation op runs on the float64 patch matrix built by
-:func:`im2col`: one row per output position, one column per (c, u, v)
-kernel element. ``conv2d_valid`` is one GEMM on it; ``head1x1`` is the
-1x1 case and ``xcorr`` the single-output-channel case (kernel
-``template[None]``); ``depthwise_corr`` is the grouped product, each
-channel's block of columns times that channel's kernel row. The taped
-backward in ``autograd`` rebuilds the same matrix, so forward and
-backward share a single layout.
+:func:`im2col`: one row per (c, u, v) kernel element, one column per
+output position. ``conv2d_valid`` is one GEMM ``W @ patches`` whose
+result is already laid out P x Ho x Wo; ``head1x1`` is the 1x1 case and
+``xcorr`` the single-output-channel case (kernel ``template[None]``);
+``depthwise_corr`` is the grouped product, each channel's kernel row
+times that channel's block of rows. The taped backward in ``autograd``
+rebuilds the same matrix, so forward and backward share a single layout.
 """
 
 from __future__ import annotations
@@ -186,26 +186,22 @@ def conv2d_valid(inputs, kernel) -> np.ndarray:
     out_ch, in_ch, kh, kw = w.shape
     _check_fit(x, in_ch, kh, kw)
     _tick_conv_counters()
-    flat = im2col(x, kh, kw) @ w.reshape(out_ch, -1).astype(np.float64).T
-    out_h, out_w = x.shape[1] - kh + 1, x.shape[2] - kw + 1
-    return flat.T.reshape(out_ch, out_h, out_w).astype(DTYPE, order="C")
+    flat = w.reshape(out_ch, -1).astype(np.float64) @ im2col(x, kh, kw)
+    return flat.reshape(out_ch, x.shape[1] - kh + 1, x.shape[2] - kw + 1).astype(DTYPE)
 
 
 def im2col(x, kh: int, kw: int) -> np.ndarray:
     """The float64 patch matrix of a C x H x W map for a kh x kw kernel.
 
-    Row ``i * Wo + j`` holds the window at output position (i, j); its
-    columns run over (c, u, v) in C order, the order of a P x C x kh x kw
-    kernel reshaped to P x (C*kh*kw). Shape (Ho*Wo, C*kh*kw). The caller
-    has checked that the kernel fits.
+    Column ``i * Wo + j`` holds the window at output position (i, j); its
+    rows run over (c, u, v) in C order, the order of a P x C x kh x kw
+    kernel reshaped to P x (C*kh*kw). Shape (C*kh*kw, Ho*Wo), built by one
+    cast-copy of the window view. The caller has checked that the kernel
+    fits.
     """
     windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # C,Ho,Wo,kh,kw
-    out_h, out_w = windows.shape[1], windows.shape[2]
-    return (
-        windows.transpose(1, 2, 0, 3, 4)
-        .astype(np.float64, order="C")
-        .reshape(out_h * out_w, x.shape[0] * kh * kw)
-    )
+    cols = windows.transpose(0, 3, 4, 1, 2).astype(np.float64, order="C")
+    return cols.reshape(x.shape[0] * kh * kw, -1)
 
 
 def depthwise_corr(search, template) -> np.ndarray:
@@ -213,15 +209,15 @@ def depthwise_corr(search, template) -> np.ndarray:
 
     ``search`` is C x H x W, ``template`` C x kh x kw; the result keeps
     all C channels at the slid spatial size. Computed as the grouped
-    product of the :func:`im2col` patches: channel c's block of columns
-    times that channel's kernel row.
+    product of the :func:`im2col` patches: channel c's kernel row times
+    that channel's block of rows.
     """
     x = _as_map(search, "search map")
     z = _as_map(template, "template")
     channels, kh, kw = z.shape
     _check_fit(x, channels, kh, kw)
-    patches = im2col(x, kh, kw).reshape(-1, channels, kh * kw).transpose(1, 0, 2)
-    out = patches @ z.reshape(channels, kh * kw, 1).astype(np.float64)
+    patches = im2col(x, kh, kw).reshape(channels, kh * kw, -1)
+    out = z.reshape(channels, 1, kh * kw).astype(np.float64) @ patches
     return out.reshape(channels, x.shape[1] - kh + 1, x.shape[2] - kw + 1).astype(DTYPE)
 
 

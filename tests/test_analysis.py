@@ -8,7 +8,12 @@ import numpy.testing as npt
 import pytest
 
 from asymfuse import analysis
-from asymfuse.errors import EmptyExteriorError, NonPositiveMaxError, RankError
+from asymfuse.errors import (
+    EmptyExteriorError,
+    NonFiniteMapError,
+    NonPositiveMaxError,
+    RankError,
+)
 
 
 def crafted_map():
@@ -198,3 +203,23 @@ class TestHeatmapExport:
         b_csv, b_pgm = analysis.heatmap_export(m, tmp_path / "b")
         assert a_csv.read_bytes() == b_csv.read_bytes()
         assert a_pgm.read_bytes() == b_pgm.read_bytes()
+
+
+# Entry point -> call on a map (2 x 5 x 5); heatmap_export writes under tmp.
+ANALYSIS_CALLS = {
+    "find_distractor": lambda m, tmp: analysis.find_distractor(m, (0, 0, 1, 1)),
+    "discriminability": lambda m, tmp: analysis.discriminability(m, (0, 0), (0, 0, 1, 1)),
+    "channel_diversity": lambda m, tmp: analysis.channel_diversity(m),
+    "heatmap_export": lambda m, tmp: analysis.heatmap_export(m, tmp / "map"),
+}
+
+
+class TestNonFiniteMaps:
+    @pytest.mark.parametrize("call", ANALYSIS_CALLS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejected(self, bad, call, tmp_path):
+        m = np.ones((2, 5, 5), dtype=np.float32)
+        m[0, 3, 3] = bad
+        with pytest.raises(NonFiniteMapError):
+            ANALYSIS_CALLS[call](m, tmp_path)
+        assert not any(tmp_path.iterdir())

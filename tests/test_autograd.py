@@ -186,6 +186,18 @@ class TestConvBackwardTable:
         npt.assert_allclose(got_k, want_k, rtol=0, atol=1e-10)
         npt.assert_allclose(got_x, want_x, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("row", CONV_SHAPES)
+    def test_col2im_is_the_adjoint_of_im2col(self, row):
+        # <im2col(x), Y> == <x, col2im(Y)> holds only if both read the same layout.
+        x_shape, (_, channels, kh, kw) = CONV_SHAPES[row]
+        rng = np.random.default_rng(sum(map(ord, row)))
+        x = rng.uniform(-1, 1, size=x_shape)
+        positions = (x_shape[1] - kh + 1) * (x_shape[2] - kw + 1)
+        y = rng.uniform(-1, 1, size=(channels * kh * kw, positions))
+        lhs = (nn.im2col(x, kh, kw) * y).sum()
+        rhs = (x * ag._col2im(y, x_shape, kh, kw)).sum()
+        npt.assert_allclose(lhs, rhs, rtol=1e-12)
+
     @pytest.mark.parametrize("row", ["toy-conv1", "non-square-kernel"])
     def test_constant_input_gives_same_kernel_gradient_and_no_input_adjoint(self, row):
         x_shape, k_shape = CONV_SHAPES[row]

@@ -57,15 +57,15 @@ class TestConv2dValid:
             expected = conv_loop_oracle(x, k)
             npt.assert_allclose(nn.conv2d_valid(x, k), expected, atol=1e-5)
 
-    def test_im2col_rows_are_flattened_windows(self):
+    def test_im2col_columns_are_flattened_windows(self):
         rng = np.random.default_rng(9)
         x = rand_f32(rng, (3, 5, 6))
         patches = nn.im2col(x, 2, 4)
         assert patches.dtype == np.float64
-        assert patches.shape == (4 * 3, 3 * 2 * 4)
+        assert patches.shape == (3 * 2 * 4, 4 * 3)
         for i in range(4):
             for j in range(3):
-                npt.assert_array_equal(patches[i * 3 + j], x[:, i : i + 2, j : j + 4].ravel())
+                npt.assert_array_equal(patches[:, i * 3 + j], x[:, i : i + 2, j : j + 4].ravel())
 
     def test_no_kernel_flip(self):
         # Cross-correlation orientation: kernel [0, 1] picks the RIGHT
