@@ -14,12 +14,12 @@ untaped one.
 The correlation ops (conv2d, head1x1, xcorr, depthwise) share one
 backward layout: the float64 patch matrix of ``nn.im2col``, which the
 forward ``nn.conv2d_valid`` also multiplies. For a P x C x kh x kw kernel
-and output gradient g (P x Ho*Wo), the kernel adjoint is the GEMM
-``g @ patches.T`` and the input adjoint is ``W.T @ g`` folded back onto the
-map by kh*kw slice-adds (col2im). xcorr is the conv with kernel z[None];
-depthwise is the same pair with one kernel row per channel. Patches are
-rebuilt in backward rather than kept on the node, and a constant operand
-(an input image) gets no adjoint.
+and output gradient g, the kernel adjoint is the GEMM ``g @ im2col(x).T``;
+the input adjoint, with no col2im, is the GEMM of the flipped kernel (input
+and output channels swapped) on the patches of g zero-padded by (kh-1, kw-1)
+per side. xcorr is the conv with kernel z[None]; depthwise is the same pair
+with one kernel row per channel. Patches are rebuilt in backward rather than
+kept on the node, and a constant operand (an input image) gets no adjoint.
 """
 
 from __future__ import annotations
@@ -130,31 +130,29 @@ def relu(x: Node) -> Node:
     return Node(x.tape, "relu", value, (x,), backward_fn)
 
 
-def _col2im(cols, shape, kh: int, kw: int) -> np.ndarray:
-    """Adjoint of ``nn.im2col``: add (C*kh*kw) x (Ho*Wo) columns back into a map."""
-    channels, height, width = shape
-    out_h, out_w = height - kh + 1, width - kw + 1
-    cols = cols.reshape(channels, kh, kw, out_h, out_w)
-    out = np.zeros(shape, dtype=np.float64)
-    for u in range(kh):
-        for v in range(kw):
-            out[:, u : u + out_h, v : v + out_w] += cols[:, u, v]
-    return out
+def _padded_patches(grad, kh: int, kw: int) -> np.ndarray:
+    """``nn.im2col`` of a C x Ho x Wo gradient zero-padded by (kh-1, kw-1) per side."""
+    channels, out_h, out_w = grad.shape
+    padded = np.zeros((channels, out_h + 2 * kh - 2, out_w + 2 * kw - 2))
+    padded[:, kh - 1 : kh - 1 + out_h, kw - 1 : kw - 1 + out_w] = grad
+    return nn.im2col(padded, kh, kw)
 
 
 def _conv_backward(x: Node, k: Node, grad) -> None:
-    """Adjoints of conv2d_valid(x, k) as two GEMMs on the im2col patches.
+    """Adjoints of conv2d_valid(x, k) as two GEMMs on im2col patches.
 
     A rank-3 ``k`` is taken as the single output channel ``k[None]``
     (xcorr). Constant operands get no adjoint.
     """
-    w = k.value.reshape((-1,) + k.value.shape[-3:]).astype(np.float64)
-    out_ch, _, kh, kw = w.shape
-    g = grad.reshape(out_ch, -1)
+    w = k.value.reshape((-1,) + k.value.shape[-3:])
+    out_ch, channels, kh, kw = w.shape
     if k.op != "const":
+        g = grad.reshape(out_ch, -1)
         _accum(k, (g @ nn.im2col(x.value, kh, kw).T).reshape(k.value.shape))
     if x.op != "const":
-        _accum(x, _col2im(w.reshape(out_ch, -1).T @ g, x.value.shape, kh, kw))
+        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(np.float64, order="C")
+        adjoint = flipped.reshape(channels, -1) @ _padded_patches(grad, kh, kw)
+        _accum(x, adjoint.reshape(x.value.shape))
 
 
 def conv2d(x: Node, k: Node) -> Node:
@@ -175,13 +173,13 @@ def depthwise(x: Node, z: Node) -> Node:
     channels, kh, kw = z.value.shape
 
     def backward_fn(grad):
-        g = grad.reshape(channels, -1)
         if z.op != "const":
             patches = nn.im2col(x.value, kh, kw).reshape(channels, kh * kw, -1)
-            _accum(z, (patches @ g[:, :, None]).reshape(z.value.shape))
+            _accum(z, (patches @ grad.reshape(channels, -1, 1)).reshape(z.value.shape))
         if x.op != "const":
-            cols = z.value.reshape(channels, -1, 1).astype(np.float64) * g[:, None]
-            _accum(x, _col2im(cols, x.value.shape, kh, kw))
+            flipped = z.value[:, ::-1, ::-1].reshape(channels, 1, -1).astype(np.float64)
+            cols = _padded_patches(grad, kh, kw).reshape(channels, kh * kw, -1)
+            _accum(x, (flipped @ cols).reshape(x.value.shape))
 
     return Node(x.tape, "depthwise", value, (x, z), backward_fn)
 
@@ -336,8 +334,8 @@ def backward(tape: Tape, loss: Node) -> list[Parameter]:
 
 def sgd_step(params, lr: float) -> None:
     """One plain SGD update, in place: value -= lr * grad; grads zeroed."""
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    if not 0 < lr < np.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
     rate = np.float32(lr)
     for p in params:
         p.value -= rate * p.grad
@@ -351,8 +349,8 @@ def finite_diff_grad(f, p: Parameter, eps: float) -> np.ndarray:
     entry is nudged by +-eps in place (and restored) around the stored
     value. Returns a float64 array shaped like ``p.value``.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     base = p.value.copy()
     grad = np.zeros(base.shape, dtype=np.float64)
     for idx in np.ndindex(*base.shape):

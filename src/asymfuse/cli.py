@@ -48,8 +48,8 @@ def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
 def _cmd_eqcheck(args) -> int:
     if args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
-    if args.tol < 0:
-        raise _UsageError(f"--tol must be non-negative, got {args.tol}")
+    if not 0 <= args.tol < np.inf:
+        raise _UsageError(f"--tol must be non-negative and finite, got {args.tol}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     worst = 0.0
     for trial in range(args.trials):
@@ -82,10 +82,10 @@ def _cmd_eqcheck(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.eps <= 0:
-        raise _UsageError(f"--eps must be positive, got {args.eps}")
-    if args.tol <= 0:
-        raise _UsageError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.eps < np.inf:
+        raise _UsageError(f"--eps must be positive and finite, got {args.eps}")
+    if not 0 < args.tol < np.inf:
+        raise _UsageError(f"--tol must be positive and finite, got {args.tol}")
     results = gradcheck.gradient_check_suite(seed=args.seed, eps=args.eps,
                                              tol=args.tol,
                                              inject_error=args.inject_error)
@@ -126,11 +126,7 @@ def _cmd_bench(args) -> int:
     if args.configs:
         configs = []
         for chunk in _bench_config_entries(args.configs):
-            dims = _parse_ints(chunk, 6, "--configs entry")
-            try:
-                configs.append(bench.BenchConfig(*dims))
-            except ValueError as exc:
-                raise _UsageError(str(exc)) from exc
+            configs.append(bench.BenchConfig(*_parse_ints(chunk, 6, "--configs entry")))
     results = bench.bench_compare(configs, reps=args.reps, seed=args.seed)
     header = " ".join(f"{c:>10}" for c in bench.CSV_COLUMNS)
     print(header)
@@ -147,8 +143,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_toytrain(args) -> int:
-    if args.lr <= 0:
-        raise _UsageError(f"--lr must be positive, got {args.lr}")
+    if not 0 < args.lr < np.inf:
+        raise _UsageError(f"--lr must be positive and finite, got {args.lr}")
     if args.epochs < 0:
         raise _UsageError(f"--epochs must be non-negative, got {args.epochs}")
     if args.train_samples < 1 or args.test_samples < 1:
@@ -195,12 +191,9 @@ def _cmd_analyze(args) -> int:
     corr = _load_map(args.map)
     target = _parse_ints(args.target, 2, "--target")
     box = _parse_ints(args.exclude, 4, "--exclude")
-    try:
-        report = analysis.discriminability(corr, target, box,
-                                           per_channel_norm=args.per_channel_norm)
-        diversity = analysis.channel_diversity(corr)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    report = analysis.discriminability(corr, target, box,
+                                       per_channel_norm=args.per_channel_norm)
+    diversity = analysis.channel_diversity(corr)
     print("cosine,euclidean_norm01,target_r,target_c,distractor_r,distractor_c,"
           "degenerate,diversity_mean")
     print(f"{report.cosine:.6f},{report.euclidean_norm01:.6f},"
@@ -299,10 +292,7 @@ def main(argv=None) -> int:
         return _EXIT_OK
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

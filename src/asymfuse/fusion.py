@@ -15,12 +15,11 @@ and an add, and lets the template side be cached across search maps.
 
 The optional prior branch feeds (box width, box height), divided by
 ``box_scale``, through a 3-layer FC net into one extra bias per output
-channel.
+channel. A NaN or infinite template or search map raises NonFiniteMapError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ import numpy as np
 from .errors import (
     KernelTooLargeError,
     MissingBoxError,
+    NonFiniteMapError,
     NonPositiveBoxError,
     ShapeMismatchError,
 )
@@ -82,7 +82,7 @@ class FusionWeights:
                 f"norm describes {self.norm.channels} channels, "
                 f"kernels produce {self.out_channels}"
             )
-        if not (math.isfinite(self.box_scale) and self.box_scale > 0):
+        if not 0 < self.box_scale < np.inf:
             raise ValueError(f"box_scale must be positive and finite: {self.box_scale!r}")
 
     @property
@@ -132,6 +132,8 @@ def _check_template(template, weights: FusionWeights) -> np.ndarray:
             f"template {z.shape} does not match kernels "
             f"{weights.theta_z.weights.shape[1:]}"
         )
+    if not np.isfinite(z).all():
+        raise NonFiniteMapError("template holds NaN or infinite values")
     return z
 
 
@@ -151,6 +153,8 @@ def _check_search(search, weights: FusionWeights) -> np.ndarray:
             f"kernels {eta}x{omega} do not fit in search map "
             f"{x.shape[1]}x{x.shape[2]}"
         )
+    if not np.isfinite(x).all():
+        raise NonFiniteMapError("search map holds NaN or infinite values")
     return x
 
 
@@ -184,7 +188,8 @@ def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCa
 
     Raises:
         MissingBoxError: weights carry a prior branch but box is None.
-        ShapeMismatchError: box does not hold exactly (width, height).
+        NonFiniteMapError: the template holds a NaN or infinite value.
+        ShapeMismatchError: box is not a sequence of exactly (width, height).
         NonPositiveBoxError: box width or height is not a positive finite number.
     """
     z_term = conv2d_valid(_check_template(template, weights), weights.theta_z)
@@ -192,10 +197,10 @@ def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCa
     if weights.prior is not None:
         if box is None:
             raise MissingBoxError("weights carry a prior branch; a box is required")
-        if len(box) != 2:
+        if np.shape(box) != (2,):
             raise ShapeMismatchError(f"box must be (width, height), got {box!r}")
         box_w, box_h = float(box[0]), float(box[1])
-        if not all(math.isfinite(side) and side > 0 for side in (box_w, box_h)):
+        if not all(0 < side < np.inf for side in (box_w, box_h)):
             raise NonPositiveBoxError(f"box sides must be positive and finite: {box}")
         scaled = np.array(
             [box_w / weights.box_scale, box_h / weights.box_scale], dtype=DTYPE

@@ -15,7 +15,8 @@ result is already laid out P x Ho x Wo; ``head1x1`` is the 1x1 case and
 ``xcorr`` the single-output-channel case (kernel ``template[None]``);
 ``depthwise_corr`` is the grouped product, each channel's kernel row
 times that channel's block of rows. The taped backward in ``autograd``
-rebuilds the same matrix, so forward and backward share a single layout.
+runs on the same matrix: the kernel adjoint on the patches of the input,
+the input adjoint on the patches of the zero-padded output gradient.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import KernelTooLargeError, RankError, ShapeMismatchError
 from .tensor import DTYPE, as_tensor, relu
@@ -106,10 +106,10 @@ class BatchNormParams:
         lengths = {a.shape[0] for a in arrays.values()}
         if len(lengths) != 1:
             raise ShapeMismatchError("batch norm parameter lengths differ")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if np.any(arrays["running_var"] < 0):
-            raise ValueError("running_var must be non-negative")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not (np.isfinite(arrays["running_var"]) & (arrays["running_var"] >= 0)).all():
+            raise ValueError("running_var must be finite and non-negative")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
@@ -196,12 +196,15 @@ def im2col(x, kh: int, kw: int) -> np.ndarray:
     Column ``i * Wo + j`` holds the window at output position (i, j); its
     rows run over (c, u, v) in C order, the order of a P x C x kh x kw
     kernel reshaped to P x (C*kh*kw). Shape (C*kh*kw, Ho*Wo), built by one
-    cast-copy of the window view. The caller has checked that the kernel
-    fits.
+    cast-copy of a read-only (C, kh, kw, Ho, Wo) view on x's own strides.
+    The caller has checked that the kernel fits.
     """
-    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # C,Ho,Wo,kh,kw
-    cols = windows.transpose(0, 3, 4, 1, 2).astype(np.float64, order="C")
-    return cols.reshape(x.shape[0] * kh * kw, -1)
+    x = np.ascontiguousarray(x)
+    channels, height, width = x.shape
+    shape = (channels, kh, kw, height - kh + 1, width - kw + 1)
+    windows = np.ndarray(shape, x.dtype, x, 0, x.strides + x.strides[1:])
+    windows.flags.writeable = False
+    return windows.astype(np.float64, order="C").reshape(channels * kh * kw, -1)
 
 
 def depthwise_corr(search, template) -> np.ndarray:

@@ -100,8 +100,8 @@ def gen_dataset(seed, n: int, num_classes: int = 4, glyph_size: int = 7,
         )
     if glyph_size < 3:
         raise ValueError(f"glyph size must be at least 3, got {glyph_size}")
-    if noise_std < 0:
-        raise ValueError(f"noise std must be non-negative, got {noise_std}")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError(f"noise std must be non-negative and finite, got {noise_std}")
     glyphs = [glyph_bitmap(g, glyph_size) for g in range(num_classes)]
     samples = []
     for child in _seed_sequence(seed).spawn(n):

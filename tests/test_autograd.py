@@ -131,6 +131,16 @@ def window_loop_grads(x, w, g):
     return dw, dx
 
 
+def window_loop_forward(x, w):
+    """float64 out[p,i,j] = sum_{c,u,v} w[p,c,u,v] x[c,i+u,j+v], window by window."""
+    p, _, kh, kw = w.shape
+    out = np.empty((p, x.shape[1] - kh + 1, x.shape[2] - kw + 1))
+    for i in range(out.shape[1]):
+        for j in range(out.shape[2]):
+            out[:, i, j] = np.tensordot(w, x[:, i : i + kh, j : j + kw], axes=3)
+    return out
+
+
 def depthwise_loop_grads(x, z, g):
     """float64 dz and dx of out[c,i,j] = sum_{u,v} z[c,u,v] x[c,i+u,j+v]."""
     kh, kw = z.shape[1:]
@@ -186,17 +196,24 @@ class TestConvBackwardTable:
         npt.assert_allclose(got_k, want_k, rtol=0, atol=1e-10)
         npt.assert_allclose(got_x, want_x, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("op", ["conv2d", "depthwise"])
     @pytest.mark.parametrize("row", CONV_SHAPES)
-    def test_col2im_is_the_adjoint_of_im2col(self, row):
-        # <im2col(x), Y> == <x, col2im(Y)> holds only if both read the same layout.
-        x_shape, (_, channels, kh, kw) = CONV_SHAPES[row]
-        rng = np.random.default_rng(sum(map(ord, row)))
-        x = rng.uniform(-1, 1, size=x_shape)
-        positions = (x_shape[1] - kh + 1) * (x_shape[2] - kw + 1)
-        y = rng.uniform(-1, 1, size=(channels * kh * kw, positions))
-        lhs = (nn.im2col(x, kh, kw) * y).sum()
-        rhs = (x * ag._col2im(y, x_shape, kh, kw)).sum()
-        npt.assert_allclose(lhs, rhs, rtol=1e-12)
+    def test_input_adjoint_is_the_transpose_of_the_op(self, row, op):
+        # <op(x, k), G> == <x, adjoint(G)> pins the flipped kernel and the
+        # (kh-1, kw-1) padding of the input adjoint to the forward's windows.
+        x_shape, k_shape = CONV_SHAPES[row]
+        rng = np.random.default_rng(sum(map(ord, row + op)))
+        x = rand_f32(rng, x_shape)
+        if op == "conv2d":
+            k = rand_f32(rng, k_shape)
+            w = k.astype(np.float64)
+        else:
+            k = rand_f32(rng, (x_shape[0], *k_shape[2:]))
+            w = np.eye(x_shape[0])[:, :, None, None] * k[None].astype(np.float64)
+        out = window_loop_forward(x.astype(np.float64), w)
+        g = rng.uniform(-1, 1, size=out.shape)
+        _, adjoint = taped_grads(getattr(ag, op), x, k, g)
+        npt.assert_allclose((out * g).sum(), (x * adjoint).sum(), rtol=1e-12)
 
     @pytest.mark.parametrize("row", ["toy-conv1", "non-square-kernel"])
     def test_constant_input_gives_same_kernel_gradient_and_no_input_adjoint(self, row):
@@ -355,6 +372,14 @@ class TestSgd:
         with pytest.raises(ValueError):
             ag.sgd_step([p], lr=0.0)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_non_finite_lr_rejected(self, lr):
+        p = ag.Parameter(np.ones(1, np.float32), "p")
+        p.grad[:] = 1.0
+        with pytest.raises(ValueError):
+            ag.sgd_step([p], lr=lr)
+        npt.assert_array_equal(p.value, np.ones(1, np.float32))
+
 
 class TestFiniteDiff:
     def test_sum_of_squares(self):
@@ -386,6 +411,12 @@ class TestFiniteDiff:
         p = ag.Parameter(np.ones(1, np.float32), "p")
         with pytest.raises(ValueError):
             ag.finite_diff_grad(lambda: 0.0, p, eps=0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        p = ag.Parameter(np.ones(1, np.float32), "p")
+        with pytest.raises(ValueError):
+            ag.finite_diff_grad(lambda: 0.0, p, eps=eps)
 
 
 class TestGradientSuite:

@@ -79,6 +79,13 @@ class TestEqcheck:
         assert code == 2
         assert "trials" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tol_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "eqcheck", "--tol", value)
+        assert code == 2
+        assert "--tol" in err
+        assert "max_abs_diff" not in out
+
     def test_stdout_is_reproducible(self, capsys):
         _, first, _ = run_cli(capsys, "eqcheck", "--trials", "4", "--seed", "9")
         _, second, _ = run_cli(capsys, "eqcheck", "--trials", "4", "--seed", "9")
@@ -102,6 +109,14 @@ class TestGradcheck:
         code, _, err = run_cli(capsys, "gradcheck", "--eps", "0")
         assert code == 2
         assert "eps" in err
+
+    @pytest.mark.parametrize("flag", ["--eps", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_scalar_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "gradcheck", flag, value)
+        assert code == 2
+        assert flag in err
+        assert "comparisons passed" not in out
 
 
 class TestBench:
@@ -185,6 +200,15 @@ class TestToytrain:
         code, _, err = run_cli(capsys, "toytrain", "--lr", "0")
         assert code == 2
         assert "lr" in err
+
+    @pytest.mark.parametrize("flag", ["--lr", "--noise-std"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_scalar_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "toytrain", flag, value, "--epochs", "1",
+                                 "--train-samples", "4", "--test-samples", "4")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "mean_loss" not in out
 
     def test_bad_class_count(self, capsys):
         code, _, err = run_cli(capsys, "toytrain", "--classes", "9")

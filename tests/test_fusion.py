@@ -8,6 +8,7 @@ from asymfuse import fusion, nn
 from asymfuse.errors import (
     KernelTooLargeError,
     MissingBoxError,
+    NonFiniteMapError,
     NonPositiveBoxError,
     ShapeMismatchError,
 )
@@ -203,7 +204,7 @@ class TestAcmForward:
         rng = np.random.default_rng(66)
         weights = make_weights(rng, 2, 2, 2, 3, with_prior=True)
         template = rand_f32(rng, (2, 2, 2))
-        for box in [(10.0, 20.0, 30.0), (10.0,)]:
+        for box in [(10.0, 20.0, 30.0), (10.0,), 5.0, "55", ((10.0, 20.0),)]:
             with pytest.raises(ShapeMismatchError):
                 fusion.acm_cache_template(template, weights, box)
 
@@ -317,6 +318,13 @@ class TestNormPlacement:
         npt.assert_allclose(out, expected, atol=1e-6)
 
 
+def with_pixel(good, value):
+    """A copy of map ``good`` with one pixel set to ``value``."""
+    bad = good.copy()
+    bad[1, 1, 2] = value
+    return bad
+
+
 # The error contract of the four fusion entry points. Each row makes one
 # input bad; every entry point that takes that input raises the row's
 # class, and the others, given only good inputs, return normally.
@@ -334,6 +342,12 @@ CONTRACT_ROWS = {
                                 ShapeMismatchError),
     "search smaller than kernel": ("search", np.zeros((2, 2, 6), np.float32),
                                    KernelTooLargeError),
+    "nan in template": ("template", with_pixel(CONTRACT_TEMPLATE, np.nan), NonFiniteMapError),
+    "nan in search": ("search", with_pixel(CONTRACT_SEARCH, np.nan), NonFiniteMapError),
+    "inf in template": ("template", with_pixel(CONTRACT_TEMPLATE, np.inf), NonFiniteMapError),
+    "inf in search": ("search", with_pixel(CONTRACT_SEARCH, np.inf), NonFiniteMapError),
+    "-inf in template": ("template", with_pixel(CONTRACT_TEMPLATE, -np.inf), NonFiniteMapError),
+    "-inf in search": ("search", with_pixel(CONTRACT_SEARCH, -np.inf), NonFiniteMapError),
 }
 CONTRACT_ENTRY_POINTS = {
     "naive_concat_corr": ({"template", "search"}, fusion.naive_concat_corr),

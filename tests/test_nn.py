@@ -275,6 +275,18 @@ class TestBatchNorm:
             nn.BatchNormParams(np.ones(1, np.float32), np.zeros(1, np.float32),
                                np.zeros(1, np.float32), np.array([-1.0], np.float32))
 
+    @pytest.mark.parametrize("var", [np.nan, np.inf])
+    def test_non_finite_variance_rejected(self, var):
+        with pytest.raises(ValueError):
+            nn.BatchNormParams(np.ones(1, np.float32), np.zeros(1, np.float32),
+                               np.zeros(1, np.float32), np.array([var], np.float32))
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError):
+            nn.BatchNormParams(np.ones(1, np.float32), np.zeros(1, np.float32),
+                               np.zeros(1, np.float32), np.ones(1, np.float32), eps)
+
 
 class TestHead1x1:
     def test_identity_kernel(self):

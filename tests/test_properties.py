@@ -1,9 +1,16 @@
-"""Property tests over random shapes: correlation ops against window loops.
+"""Property tests over random shapes and bytes.
 
-Entries are float32 in [-1, 1] and every kernel has at most 64 elements,
-so an output is at most 64 in magnitude and one float32 rounding of it
-stays below 4e-6, inside the 1e-5 tolerance.
+The correlation ops and their taped gradients are checked against window
+loops. Entries are float32 in [-1, 1] and every kernel has at most 64
+elements, so an output is at most 64 in magnitude and one float32
+rounding of it stays below 4e-6, inside the 1e-5 tolerance; gradients
+stay in float64 and are held to 1e-10. The ``.tsr`` reader and writer
+are checked on arbitrary bytes and random tensors.
 """
+
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from asymfuse import autograd as ag
 from asymfuse import fusion, nn
+from asymfuse import tensor as T
+from asymfuse.errors import FormatError
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -42,6 +52,23 @@ def window_loop(x, w):
     return out
 
 
+def window_loop_grads(x, w, g):
+    """float64 (dx, dw) of window_loop(x, w) for output gradient g, window by window."""
+    x, w = x.astype(np.float64), w.astype(np.float64)
+    kh, kw = w.shape[2:]
+    dx, dw = np.zeros(x.shape), np.zeros(w.shape)
+    for i in range(g.shape[1]):
+        for j in range(g.shape[2]):
+            dw += g[:, i, j, None, None, None] * x[None, :, i : i + kh, j : j + kw]
+            dx[:, i : i + kh, j : j + kw] += np.tensordot(g[:, i, j], w, axes=1)
+    return dx, dw
+
+
+def diagonal_kernel(z):
+    """The P = C kernel whose conv is depthwise correlation with template z."""
+    return np.eye(len(z))[:, :, None, None] * z[None].astype(np.float64)
+
+
 @PROPERTY_SETTINGS
 @given(map_and_kernel())
 def test_conv2d_valid_matches_window_loop(case):
@@ -66,6 +93,32 @@ def test_depthwise_corr_matches_window_loop(case):
 
 
 @PROPERTY_SETTINGS
+@given(map_and_kernel(), st.sampled_from(["conv2d", "xcorr", "depthwise"]), st.data())
+def test_taped_gradients_match_window_loop(case, op, data):
+    x, w = case
+    if op == "conv2d":
+        k, w_loop = w, w
+    elif op == "xcorr":
+        k, w_loop = w[0], w[:1]
+    else:
+        k = w[0]
+        w_loop = diagonal_kernel(k)
+    out_shape = (w_loop.shape[0], x.shape[1] - k.shape[-2] + 1, x.shape[2] - k.shape[-1] + 1)
+    g = data.draw(hnp.arrays(np.float64, out_shape, elements=st.floats(-1.0, 1.0)))
+    want_x, want_w = window_loop_grads(x, w_loop, g)
+    if op == "xcorr":
+        want_w = want_w[0]
+    elif op == "depthwise":
+        want_w = np.stack([want_w[c, c] for c in range(len(k))])
+    tape = ag.Tape()
+    x_node = tape.parameter(ag.Parameter(x, "x"))
+    k_node = tape.parameter(ag.Parameter(k, "k"))
+    ag.backward(tape, ag.weighted_sum(getattr(ag, op)(x_node, k_node), g))
+    npt.assert_allclose(x_node.grad, want_x, rtol=0, atol=1e-10)
+    npt.assert_allclose(k_node.grad, want_w, rtol=0, atol=1e-10)
+
+
+@PROPERTY_SETTINGS
 @given(map_and_kernel(), st.data())
 def test_decomposed_fusion_equals_naive_concat(case, data):
     search, theta_x = case
@@ -77,3 +130,46 @@ def test_decomposed_fusion_equals_naive_concat(case, data):
     # acm rounds the z term, the x term and their sum to float32, naive rounds
     # once; at magnitudes up to 128 the two stay within 2.3e-5.
     npt.assert_allclose(acm, naive, rtol=0, atol=5e-5)
+
+
+@st.composite
+def tsr_like_bytes(draw):
+    """Arbitrary bytes, or a ``.tsr`` header with arbitrary fields, dims and payload."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    ndim = draw(st.integers(0, 4))
+    dims = draw(st.lists(st.integers(0, 3) | st.integers(0, 2**32 - 1),
+                         min_size=ndim, max_size=ndim))
+    count = int(np.prod(dims, dtype=object))
+    payload = draw(st.binary(min_size=4 * count, max_size=4 * count)
+                   if count <= 16 else st.binary(max_size=64))
+    payload += draw(st.just(b"") | st.binary(min_size=1, max_size=4))  # trailing bytes
+    code = st.just(1) | st.integers(0, 2)  # version and dtype code; 1 is valid
+    blob = b"TSRF" + struct.pack(f"<3I{ndim}I", draw(code), draw(code), ndim, *dims) + payload
+    return blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
+@settings(max_examples=200, deadline=None)  # a read is cheap; most blobs are refused
+@given(tsr_like_bytes())
+def test_tensor_read_returns_or_raises_format_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsr"
+        path.write_bytes(blob)
+        try:
+            t = T.tensor_read(path)
+        except FormatError:
+            return
+    assert t.dtype == np.float32
+    assert t.nbytes == len(blob) - 16 - 4 * t.ndim
+
+
+@PROPERTY_SETTINGS
+@given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=4, max_side=5)))
+def test_tensor_write_then_read_round_trips(t):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsr"
+        T.tensor_write(t, path)
+        back = T.tensor_read(path)
+    assert back.dtype == np.float32
+    assert back.shape == t.shape
+    assert back.tobytes() == t.tobytes()

@@ -129,6 +129,11 @@ class TestGenDataset:
         with pytest.raises(ValueError):
             tt.gen_dataset(seed=0, n=1, glyph_size=2)
 
+    @pytest.mark.parametrize("noise_std", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, noise_std):
+        with pytest.raises(ValueError):
+            tt.gen_dataset(seed=0, n=1, noise_std=noise_std)
+
 
 def small_model(seed=0):
     return tt.ToyModel(conv_channels=(3, 4), fused_channels=5, index_hidden=6,
