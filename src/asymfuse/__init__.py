@@ -24,6 +24,7 @@ from .bench import (
     bench_compare,
     naive_scaling_slope,
     write_csv,
+    write_json,
 )
 from .errors import NonFiniteMapError
 from .fusion import (

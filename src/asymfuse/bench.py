@@ -1,16 +1,21 @@
 """Wall-clock comparison of the naive and decomposed fusion paths.
 
-Timings use the monotonic nanosecond clock, take the median over a
-fixed number of repetitions after warm-up calls, and never overlap
-measured regions. Before anything is timed, all implementations are
-checked against each other; a disagreement aborts the run, so a
-benchmark can never report speed for wrong results.
+Timings use the monotonic nanosecond clock, take the median (and the
+10th/90th percentiles) over a fixed number of repetitions after warm-up
+calls, and never overlap measured regions. Before anything is timed, all
+implementations are checked against each other; a disagreement aborts
+the run, so a benchmark can never report speed for wrong results.
+Results go to a CSV table or to a JSON file that also records the
+environment (NumPy and BLAS, cores, BLAS threads).
 """
 
 from __future__ import annotations
 
 import csv
-import statistics
+import ctypes
+import dataclasses
+import os
+import platform
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,6 +27,8 @@ from . import nn
 from . import tensor as T
 
 MIN_REPS = 20
+
+PATHS = ("naive", "acm", "cached")
 
 CSV_COLUMNS = ("C", "eta", "omega", "H", "W", "P",
                "reps", "naive_ns", "acm_ns", "cached_ns", "speedup")
@@ -52,13 +59,18 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class BenchResult:
-    """Median wall times (ns per call) for one configuration."""
+    """Median wall times (ns per call) for one configuration.
+
+    ``spread_ns`` maps each of :data:`PATHS` to the (p10, p90) of its
+    samples, when they were measured.
+    """
 
     config: BenchConfig
     reps: int
     naive_ns: float
     acm_ns: float
     cached_ns: float
+    spread_ns: dict = dataclasses.field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.reps < MIN_REPS:
@@ -106,15 +118,53 @@ def _random_problem(config: BenchConfig, rng, with_prior: bool, hidden: int = 16
     return template, search, weights, box
 
 
-def _median_ns(fn, reps: int, warmup: int) -> float:
-    for _ in range(warmup):
-        fn()
-    samples = []
+def _gated_problem(config: BenchConfig, rng, with_prior: bool, tol: float):
+    """Draw one problem; raise RuntimeError unless every path agrees on it."""
+    template, search, weights, box = _random_problem(config, rng, with_prior)
+    plain = replace(weights, prior=None)
+    out_naive = fusion.naive_concat_corr(template, search, weights)
+    out_plain = fusion.acm_forward(template, search, plain, apply_relu=False)
+    gap = float(np.abs(out_naive - out_plain).max())
+    if gap > tol:
+        raise RuntimeError(
+            f"correctness gate failed for {config}: naive vs decomposed "
+            f"differ by {gap:.3e} (tol {tol:g})"
+        )
+    cache = fusion.acm_cache_template(template, weights, box)
+    out_uncached = fusion.acm_forward(template, search, weights, box, apply_relu=False)
+    out_cached = fusion.acm_apply_search(cache, search, weights, apply_relu=False)
+    gap = float(np.abs(out_uncached - out_cached).max())
+    if gap > tol:
+        raise RuntimeError(
+            f"correctness gate failed for {config}: cached vs uncached "
+            f"differ by {gap:.3e} (tol {tol:g})"
+        )
+    return template, search, weights, box, cache
+
+
+def _check_reps(reps: int, warmup: int) -> None:
+    if reps < MIN_REPS:
+        raise ValueError(f"at least {MIN_REPS} repetitions required, got {reps}")
+    if warmup < 3:
+        raise ValueError(f"at least 3 warm-up calls required, got {warmup}")
+
+
+def _samples_ns(calls, reps: int, warmup: int) -> list[list[int]]:
+    """Per-call wall times; each repetition runs every call once, in turn.
+
+    Interleaving the calls inside each repetition lets background load
+    fall on all of them alike.
+    """
+    for call in calls:
+        for _ in range(warmup):
+            call()
+    samples = [[] for _ in calls]
     for _ in range(reps):
-        start = time.perf_counter_ns()
-        fn()
-        samples.append(time.perf_counter_ns() - start)
-    return float(statistics.median(samples))
+        for call, times in zip(calls, samples):
+            start = time.perf_counter_ns()
+            call()
+            times.append(time.perf_counter_ns() - start)
+    return samples
 
 
 def bench_compare(configs=None, reps: int = MIN_REPS, seed: int = 0,
@@ -128,43 +178,27 @@ def bench_compare(configs=None, reps: int = MIN_REPS, seed: int = 0,
     """
     if configs is None:
         configs = default_configs()
-    if reps < MIN_REPS:
-        raise ValueError(f"at least {MIN_REPS} repetitions required, got {reps}")
-    if warmup < 3:
-        raise ValueError(f"at least 3 warm-up calls required, got {warmup}")
+    _check_reps(reps, warmup)
     streams = np.random.SeedSequence(seed).spawn(len(configs))
     results = []
     for config, stream in zip(configs, streams):
         rng = np.random.default_rng(stream)
-        template, search, weights, box = _random_problem(config, rng, with_prior)
-        plain = replace(weights, prior=None)
-        out_naive = fusion.naive_concat_corr(template, search, weights)
-        out_plain = fusion.acm_forward(template, search, plain, apply_relu=False)
-        gap = float(np.abs(out_naive - out_plain).max())
-        if gap > tol:
-            raise RuntimeError(
-                f"correctness gate failed for {config}: naive vs decomposed "
-                f"differ by {gap:.3e} (tol {tol:g})"
-            )
-        cache = fusion.acm_cache_template(template, weights, box)
-        out_uncached = fusion.acm_forward(template, search, weights, box, apply_relu=False)
-        out_cached = fusion.acm_apply_search(cache, search, weights, apply_relu=False)
-        gap = float(np.abs(out_uncached - out_cached).max())
-        if gap > tol:
-            raise RuntimeError(
-                f"correctness gate failed for {config}: cached vs uncached "
-                f"differ by {gap:.3e} (tol {tol:g})"
-            )
-        naive_ns = _median_ns(lambda: fusion.naive_concat_corr(template, search, weights),
-                              reps, warmup)
-        acm_ns = _median_ns(
-            lambda: fusion.acm_forward(template, search, weights, box, apply_relu=False),
-            reps, warmup)
-        cached_ns = _median_ns(
-            lambda: fusion.acm_apply_search(cache, search, weights, apply_relu=False),
-            reps, warmup)
-        results.append(BenchResult(config=config, reps=reps, naive_ns=naive_ns,
-                                   acm_ns=acm_ns, cached_ns=cached_ns))
+        template, search, weights, box, cache = _gated_problem(config, rng, with_prior, tol)
+        calls = {
+            "naive": lambda: fusion.naive_concat_corr(template, search, weights),
+            "acm": lambda: fusion.acm_forward(template, search, weights, box,
+                                              apply_relu=False),
+            "cached": lambda: fusion.acm_apply_search(cache, search, weights,
+                                                      apply_relu=False),
+        }
+        stats = {}
+        for path in PATHS:
+            (times,) = _samples_ns([calls[path]], reps, warmup)
+            stats[path] = np.percentile(times, (50, 10, 90))
+        results.append(BenchResult(
+            config=config, reps=reps, naive_ns=float(stats["naive"][0]),
+            acm_ns=float(stats["acm"][0]), cached_ns=float(stats["cached"][0]),
+            spread_ns={path: (float(q[1]), float(q[2])) for path, q in stats.items()}))
     return results
 
 
@@ -174,12 +208,21 @@ def naive_scaling_slope(channels: int = 8, eta: int = 3, omega: int = 3,
     """Log-log slope of naive time against the number of output positions.
 
     The naive path does fixed work per window, so the slope should be
-    close to 1 once per-call overhead is amortized.
+    close to 1 once per-call overhead is amortized. Every size is gated
+    as in :func:`bench_compare`, then timed round-robin: each repetition
+    times every size once.
     """
     configs = [BenchConfig(channels, eta, omega, s, s, out_channels) for s in sizes]
-    results = bench_compare(configs, reps=reps, seed=seed)
-    positions = np.array([r.config.positions for r in results], dtype=np.float64)
-    times = np.array([r.naive_ns for r in results], dtype=np.float64)
+    _check_reps(reps, 3)
+    streams = np.random.SeedSequence(seed).spawn(len(configs))
+    calls = []
+    for config, stream in zip(configs, streams):
+        template, search, weights, _, _ = _gated_problem(
+            config, np.random.default_rng(stream), True, 1e-4)
+        calls.append(lambda t=template, x=search, w=weights: fusion.naive_concat_corr(t, x, w))
+    samples = _samples_ns(calls, reps, 3)
+    positions = np.array([c.positions for c in configs], dtype=np.float64)
+    times = np.array([np.median(t) for t in samples], dtype=np.float64)
     slope, _ = np.polyfit(np.log(positions), np.log(times), 1)
     return float(slope)
 
@@ -197,4 +240,52 @@ def write_csv(results, path) -> Path:
                 r.reps, f"{r.naive_ns:.1f}", f"{r.acm_ns:.1f}",
                 f"{r.cached_ns:.1f}", f"{r.speedup:.4f}",
             ])
+    return path
+
+
+def _blas_threads():
+    """Thread count the bundled OpenBLAS reports, or None if it cannot be asked."""
+    import glob  # here, not at the top: only --json needs it
+
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        handle = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+
+
+def _environment() -> dict:
+    """Python, NumPy and BLAS versions, core count and BLAS thread count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "cores": os.cpu_count(),
+        "blas_threads": _blas_threads(),
+    }
+
+
+def write_json(results, path) -> Path:
+    """Write the environment and, per config, median/p10/p90 of each path."""
+    import json  # here, not at the top: it adds ~3 ms to every package import
+
+    rows = []
+    for r in results:
+        paths = {}
+        for name in PATHS:
+            p10, p90 = r.spread_ns.get(name, (None, None))
+            paths[name] = {"median_ns": getattr(r, f"{name}_ns"),
+                           "p10_ns": p10, "p90_ns": p90}
+        rows.append({"config": dataclasses.asdict(r.config), "reps": r.reps,
+                     "paths": paths, "speedup": r.speedup})
+    path = Path(path)
+    path.write_text(json.dumps({"environment": _environment(), "results": rows},
+                               indent=2) + "\n")
     return path

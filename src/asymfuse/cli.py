@@ -139,6 +139,9 @@ def _cmd_bench(args) -> int:
     if args.out:
         bench.write_csv(results, args.out)
         print(f"wrote {args.out}")
+    if args.json:
+        bench.write_json(results, args.json)
+        print(f"wrote {args.json}")
     return _EXIT_OK
 
 
@@ -245,6 +248,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "semicolon-separated sextuples given inline")
     p.add_argument("--out", type=str, default="",
                    help="also write the results as CSV to this path")
+    p.add_argument("--json", type=str, default="",
+                   help="also write the environment and median/p10/p90 per path "
+                        "as JSON to this path")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("toytrain", parents=[common],

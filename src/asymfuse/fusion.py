@@ -189,7 +189,8 @@ def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCa
     Raises:
         MissingBoxError: weights carry a prior branch but box is None.
         NonFiniteMapError: the template holds a NaN or infinite value.
-        ShapeMismatchError: box is not a sequence of exactly (width, height).
+        ShapeMismatchError: box is not exactly two real numbers (width, height);
+            strings, bytes and ragged nestings count as malformed.
         NonPositiveBoxError: box width or height is not a positive finite number.
     """
     z_term = conv2d_valid(_check_template(template, weights), weights.theta_z)
@@ -197,9 +198,15 @@ def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCa
     if weights.prior is not None:
         if box is None:
             raise MissingBoxError("weights carry a prior branch; a box is required")
-        if np.shape(box) != (2,):
-            raise ShapeMismatchError(f"box must be (width, height), got {box!r}")
-        box_w, box_h = float(box[0]), float(box[1])
+        try:  # np.asarray raises ValueError on a ragged box such as ((1, 2), 3)
+            sides = np.asarray(box)
+            if sides.shape != (2,) or sides.dtype.kind not in "iuf":
+                raise ValueError
+        except ValueError:
+            raise ShapeMismatchError(
+                f"box must be two real numbers (width, height), got {box!r}"
+            ) from None
+        box_w, box_h = (float(side) for side in sides)
         if not all(0 < side < np.inf for side in (box_w, box_h)):
             raise NonPositiveBoxError(f"box sides must be positive and finite: {box}")
         scaled = np.array(

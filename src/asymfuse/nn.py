@@ -5,11 +5,11 @@ stride 1, no padding and no convolution bias:
 
     out[p, i, j] = sum_{c,u,v} kernel[p, c, u, v] * x[c, i+u, j+v]
 
-Inputs are single C x H x W maps (no batch axis). Accumulation is done
-in float64, the result is rounded to float32 once.
+Inputs are single C x H x W maps (no batch axis). Every path accumulates
+in float64 and rounds the result to float32 once, at the end.
 
-Every correlation op runs on the float64 patch matrix built by
-:func:`im2col`: one row per (c, u, v) kernel element, one column per
+The general path of every correlation op is the float64 patch matrix
+built by :func:`im2col`: one row per (c, u, v) kernel element, one column per
 output position. ``conv2d_valid`` is one GEMM ``W @ patches`` whose
 result is already laid out P x Ho x Wo; ``head1x1`` is the 1x1 case and
 ``xcorr`` the single-output-channel case (kernel ``template[None]``);
@@ -17,10 +17,22 @@ result is already laid out P x Ho x Wo; ``head1x1`` is the 1x1 case and
 times that channel's block of rows. The taped backward in ``autograd``
 runs on the same matrix: the kernel adjoint on the patches of the input,
 the input adjoint on the patches of the zero-padded output gradient.
+
+A :class:`ConvKernel` owns a read-only copy of its weights and builds the
+float64 operands derived from them once, on first use: the GEMM matrix
+above, and the Winograd-domain kernel. ``conv2d_valid`` with a
+ConvKernel takes Winograd minimal filtering (Lavin & Gray, CVPR 2016)
+over 8 x 8 tiles when that measured faster: both kernel sides in 4..7,
+at least one whole output tile per axis, and at least
+``_WINOGRAD_MIN_MULTS`` multiplies of direct work. Everything else,
+raw-array kernels from the tape and the toy model included, takes the
+im2col GEMM.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -31,19 +43,32 @@ from .errors import KernelTooLargeError, RankError, ShapeMismatchError
 from .tensor import DTYPE, as_tensor, relu
 
 
+def _check_kernel(w: np.ndarray) -> np.ndarray:
+    if w.ndim != 4:
+        raise RankError(f"conv kernel must be rank 4, got rank {w.ndim}")
+    if min(w.shape) < 1:
+        raise ShapeMismatchError(f"conv kernel has a zero dimension: {w.shape}")
+    return w
+
+
 @dataclass(frozen=True)
 class ConvKernel:
-    """Convolution weights shaped out_channels x in_channels x kh x kw."""
+    """Convolution weights shaped out_channels x in_channels x kh x kw.
+
+    ``weights`` is a read-only float32 array the kernel owns: it copies
+    the caller's array when :func:`as_tensor` hands that array (or a view
+    of the caller's memory) back, so later writes by the caller cannot
+    reach the float64 operands cached here.
+    """
 
     weights: np.ndarray
 
     def __post_init__(self):
         w = as_tensor(self.weights)
-        if w.ndim != 4:
-            raise RankError(f"conv kernel must be rank 4, got rank {w.ndim}")
-        if min(w.shape) < 1:
-            raise ShapeMismatchError(f"conv kernel has a zero dimension: {w.shape}")
-        object.__setattr__(self, "weights", w)
+        if w is self.weights or not w.flags.owndata:
+            w = w.copy()
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", _check_kernel(w))
 
     @property
     def out_channels(self) -> int:
@@ -56,6 +81,19 @@ class ConvKernel:
     @property
     def spatial(self) -> tuple[int, int]:
         return self.weights.shape[2], self.weights.shape[3]
+
+    @functools.cached_property
+    def _gemm_matrix(self) -> np.ndarray:
+        """The (P, C*kh*kw) float64 matrix of the im2col path."""
+        return self.weights.reshape(self.out_channels, -1).astype(np.float64)
+
+    @functools.cached_property
+    def _winograd_kernel(self) -> np.ndarray:
+        """``G theta G^T`` per (p, c), laid out (64, C, P) for ``V @ U``."""
+        kh, kw = self.spatial
+        u = np.einsum("au,pcuv,bv->abcp", _cook_toom(kh)[1],
+                      self.weights.astype(np.float64), _cook_toom(kw)[1], optimize=True)
+        return u.reshape(_ALPHA * _ALPHA, self.in_channels, self.out_channels)
 
 
 @dataclass(frozen=True)
@@ -155,7 +193,7 @@ def _as_map(x, what: str) -> np.ndarray:
 def _kernel_weights(kernel) -> np.ndarray:
     if isinstance(kernel, ConvKernel):
         return kernel.weights
-    return ConvKernel(kernel).weights
+    return _check_kernel(as_tensor(kernel))
 
 
 def _check_fit(x: np.ndarray, channels: int, kh: int, kw: int) -> None:
@@ -173,9 +211,17 @@ def _check_fit(x: np.ndarray, channels: int, kh: int, kw: int) -> None:
 def conv2d_valid(inputs, kernel) -> np.ndarray:
     """Valid cross-correlation of a C x H x W map with a P x C x kh x kw kernel.
 
-    Returns a P x (H-kh+1) x (W-kw+1) map. Internally the :func:`im2col`
-    patch matrix feeds one float64 matrix product, so the cost is one
-    multiply-add per (output position, kernel element) pair.
+    Returns a P x (H-kh+1) x (W-kw+1) float32 map. Two paths compute it,
+    both in float64 with one rounding to float32 at the end:
+
+    - im2col: the :func:`im2col` patch matrix feeds one matrix product,
+      one multiply-add per (output position, kernel element) pair;
+    - Winograd F(m x m', kh x kw) over 8 x 8 tiles (m = 9 - kh, m' = 9 - kw): taken
+      only for a :class:`ConvKernel` whose sides are both in 4..7, when
+      the output holds at least one whole tile per axis and
+      Ho*Wo*C*P*kh*kw is at least ``_WINOGRAD_MIN_MULTS``.
+
+    A raw-array kernel always takes the im2col path.
 
     Raises:
         ShapeMismatchError: kernel input channels differ from the map's.
@@ -186,8 +232,125 @@ def conv2d_valid(inputs, kernel) -> np.ndarray:
     out_ch, in_ch, kh, kw = w.shape
     _check_fit(x, in_ch, kh, kw)
     _tick_conv_counters()
-    flat = w.reshape(out_ch, -1).astype(np.float64) @ im2col(x, kh, kw)
-    return flat.reshape(out_ch, x.shape[1] - kh + 1, x.shape[2] - kw + 1).astype(DTYPE)
+    out_h, out_w = x.shape[1] - kh + 1, x.shape[2] - kw + 1
+    if not isinstance(kernel, ConvKernel):
+        matrix = w.reshape(out_ch, -1).astype(np.float64)
+    elif (4 <= min(kh, kw) and max(kh, kw) <= 7
+          and out_h >= _ALPHA + 1 - kh and out_w >= _ALPHA + 1 - kw
+          and out_h * out_w * w.size >= _WINOGRAD_MIN_MULTS):
+        return _winograd_conv(x, kernel)
+    else:
+        matrix = kernel._gemm_matrix
+    flat = matrix @ im2col(x, kh, kw)
+    return flat.reshape(out_ch, out_h, out_w).astype(DTYPE)
+
+
+# Winograd minimal filtering F(m, r) on tiles of _ALPHA = m + r - 1 = 8
+# inputs per axis, built by Cook-Toom from the points 0, +-1, +-2, +-1/2
+# and infinity. The selection in conv2d_valid comes from single-thread
+# OpenBLAS timings against the im2col path (cached GEMM matrix) over
+# C = P = 8..64 and kernels 2x2..7x7, square and not: with a side of 2
+# or 3 Winograd never won (0.3-0.9x); with both sides in 4..7 it won on
+# every shape from 8e6 direct multiplies up (1.1-1.9x), while 64x9x9
+# with 5x5 (2.6e6) was even. The input transform's banded GEMMs grow
+# with the map size cubed, which is why small kernels do not pay.
+_ALPHA = 8
+_POINTS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5)
+_WINOGRAD_MIN_MULTS = 8_000_000
+
+
+@functools.lru_cache(maxsize=None)
+def _cook_toom(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B^T, G, A^T) of F(9 - r, r): 8 x 8, 8 x r and (9 - r) x 8, read-only.
+
+    For an 8-sample input d and an r-tap kernel g, the 9 - r outputs
+    y[i] = sum_k g[k] d[i + k] are ``A^T ((G g) * (B^T d))``. Row j < 7 of
+    B^T holds the coefficients of prod_{l != j} (x - p_l) and row 7 those
+    of prod_l (x - p_l); G carries the 1 / prod_{l != j} (p_j - p_l)
+    Lagrange weights, so B^T and A^T are exact in binary.
+    """
+    m = _ALPHA + 1 - r
+    points = np.array(_POINTS)
+    bt = np.zeros((_ALPHA, _ALPHA))
+    g = np.zeros((_ALPHA, r))
+    at = np.zeros((m, _ALPHA))
+    for j, p in enumerate(points):
+        others = np.delete(points, j)
+        bt[j, :-1] = np.poly(others)[::-1]
+        g[j] = p ** np.arange(r) / np.prod(p - others)
+        at[:, j] = p ** np.arange(m)
+    bt[-1] = np.poly(points)[::-1]
+    g[-1, -1] = at[-1, -1] = 1.0
+    for matrix in (bt, g, at):
+        matrix.flags.writeable = False
+    return bt, g, at
+
+
+@functools.lru_cache(maxsize=64)
+def _banded_input_transform(r: int, tiles: int) -> np.ndarray:
+    """B^T of every tile along one axis as one (8 * tiles, 8 + m*(tiles-1)) matrix.
+
+    Tile t's 8 x 8 block sits at columns t*m .. t*m+7, so the tiles
+    overlap by r - 1 samples. Rows run (a, t), transform index first.
+    """
+    m = _ALPHA + 1 - r
+    bt = _cook_toom(r)[0]
+    banded = np.zeros((_ALPHA, tiles, m * tiles + r - 1))
+    for t in range(tiles):
+        banded[:, t, t * m : t * m + _ALPHA] = bt
+    banded = banded.reshape(_ALPHA * tiles, -1)
+    banded.flags.writeable = False
+    return banded
+
+
+def _winograd_conv(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
+    """conv2d_valid of a float32 map by Winograd F(m x m', kh x kw) tiles.
+
+    Needs 2 <= kh, kw <= 7. The map is zero-padded to whole tiles. The
+    input transform is two banded GEMMs over the whole map (no gather of
+    overlapping tiles) and one layout copy to (64, tiles, C); then one
+    batched ``V @ U`` over the 64 transform points; the output transform
+    is one ``kron(A^T, A^T)`` GEMM, cropped and cast to float32 once.
+    """
+    channels, height, width = x.shape
+    out_ch = kernel.out_channels
+    kh, kw = kernel.spatial
+    mh, mw = _ALPHA + 1 - kh, _ALPHA + 1 - kw
+    out_h, out_w = height - kh + 1, width - kw + 1
+    th, tw = -(-out_h // mh), -(-out_w // mw)
+    bh, bw = _banded_input_transform(kh, th), _banded_input_transform(kw, tw)
+    hp, wp = bh.shape[1], bw.shape[1]
+    points, tiles = _ALPHA * _ALPHA, th * tw
+    # Every step reads one half of a single per-call block and writes the
+    # other. With a fresh temporary per step instead, glibc handed the
+    # pages back and faulted ~5 MB in again on every call of a fresh
+    # process (~1270 faults, 7.5 against 3.6 ms at the track shape).
+    size_a = max(channels * hp * wp, points * tiles * max(channels, out_ch))
+    size_b = max(_ALPHA * tw * channels * hp, points * tiles * channels, mh * mw * tiles * out_ch)
+    work = np.empty(size_a + size_b)
+
+    def half(offset, *shape):
+        return work[offset : offset + math.prod(shape)].reshape(shape)
+
+    padded = half(0, channels, hp, wp)
+    # The margin only feeds cropped outputs, but it must be finite: stale
+    # values cancel only in exact arithmetic, and a stale NaN never does.
+    padded[:, height:] = 0.0
+    padded[:, :height, width:] = 0.0
+    padded[:, :height, :width] = x
+    v = np.matmul(bw, padded.reshape(-1, wp).T,                    # (b, tw), (c, y)
+                  out=half(size_a, _ALPHA * tw, channels * hp))
+    v = np.matmul(bh, v.reshape(-1, hp).T,                         # (a, th), (b, tw, c)
+                  out=half(0, _ALPHA * th, _ALPHA * tw * channels))
+    grouped = half(size_a, _ALPHA, _ALPHA, th, tw * channels)      # (a, b), tiles, c
+    grouped[...] = v.reshape(_ALPHA, th, _ALPHA, tw * channels).transpose(0, 2, 1, 3)
+    products = np.matmul(grouped.reshape(points, tiles, channels), kernel._winograd_kernel,
+                         out=half(0, points, tiles, out_ch))
+    y = np.matmul(np.kron(_cook_toom(kh)[2], _cook_toom(kw)[2]), products.reshape(points, -1),
+                  out=half(size_a, mh * mw, tiles * out_ch))
+    out = np.empty((out_ch, th, mh, tw, mw), dtype=DTYPE)
+    out[...] = y.reshape(mh, mw, th, tw, out_ch).transpose(4, 2, 0, 3, 1)
+    return np.ascontiguousarray(out.reshape(out_ch, th * mh, tw * mw)[:, :out_h, :out_w])
 
 
 def im2col(x, kh: int, kw: int) -> np.ndarray:
@@ -275,7 +438,7 @@ def head1x1(features, kernel) -> np.ndarray:
     w = _kernel_weights(kernel)
     if w.shape[2:] != (1, 1):
         raise ShapeMismatchError(f"head kernel must be 1x1, got {w.shape[2]}x{w.shape[3]}")
-    return conv2d_valid(features, w)
+    return conv2d_valid(features, kernel)
 
 
 def global_avg_pool(t) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Benchmark harness mechanics (not absolute timings)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,13 @@ class TestBenchCompare:
 
 
 class TestScalingSlope:
+    def test_sizes_are_timed_round_robin(self):
+        order = []
+        calls = [lambda i=i: order.append(i) for i in range(3)]
+        samples = bench._samples_ns(calls, reps=4, warmup=3)
+        assert order == [0, 0, 0, 1, 1, 1, 2, 2, 2] + [0, 1, 2] * 4
+        assert [len(times) for times in samples] == [4, 4, 4]
+
     def test_slope_near_one_for_tiny_sweep(self):
         # Undersized sweep keeps this fast; the acceptance suite runs the
         # real one. Even here the trend should be clearly positive.
@@ -105,3 +114,22 @@ class TestCsv:
                                    acm_ns=10.0, cached_ns=10.0)
         path = bench.write_csv([result], tmp_path / "b.csv")
         assert b"\r" not in path.read_bytes()
+
+
+class TestJson:
+    def test_records_environment_and_spread_per_path(self, tmp_path):
+        config = bench.BenchConfig(2, 2, 2, 5, 5, 2)
+        (result,) = bench.bench_compare([config], reps=20, seed=2)
+        doc = json.loads(bench.write_json([result], tmp_path / "b.json").read_text())
+        env = doc["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["cores"] >= 1 and env["blas"]
+        assert "blas_threads" in env
+        (row,) = doc["results"]
+        assert row["config"] == {"channels": 2, "eta": 2, "omega": 2, "height": 5,
+                                 "width": 5, "out_channels": 2}
+        assert row["reps"] == 20
+        assert set(row["paths"]) == {"naive", "acm", "cached"}
+        for name, stats in row["paths"].items():
+            assert stats["median_ns"] == getattr(result, f"{name}_ns")
+            assert 0 < stats["p10_ns"] <= stats["median_ns"] <= stats["p90_ns"]

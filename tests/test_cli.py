@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output contracts, artifacts."""
 
+import json
 import math
 import subprocess
 import sys
@@ -129,6 +130,16 @@ class TestBench:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "C,eta,omega,H,W,P,reps,naive_ns,acm_ns,cached_ns,speedup"
         assert len(lines) == 2
+
+    def test_json_output(self, capsys, tmp_path):
+        out_json = tmp_path / "bench.json"
+        code, out, _ = run_cli(capsys, "bench", "--configs", "2,2,2,4,4,2;3,2,2,5,5,2",
+                               "--reps", "20", "--json", str(out_json))
+        assert code == 0
+        assert f"wrote {out_json}" in out
+        doc = json.loads(out_json.read_text())
+        assert set(doc) == {"environment", "results"}
+        assert [r["config"]["channels"] for r in doc["results"]] == [2, 3]
 
     def test_reps_below_floor(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--reps", "5")

@@ -204,7 +204,8 @@ class TestAcmForward:
         rng = np.random.default_rng(66)
         weights = make_weights(rng, 2, 2, 2, 3, with_prior=True)
         template = rand_f32(rng, (2, 2, 2))
-        for box in [(10.0, 20.0, 30.0), (10.0,), 5.0, "55", ((10.0, 20.0),)]:
+        for box in [(10.0, 20.0, 30.0), (10.0,), 5.0, "55", ((10.0, 20.0),),
+                    ("5", "5"), (b"5", 5), ((1, 2), 3), (True, False)]:
             with pytest.raises(ShapeMismatchError):
                 fusion.acm_cache_template(template, weights, box)
 
@@ -266,14 +267,26 @@ class TestTemplateCache:
         npt.assert_array_equal(cache.z_term, np.zeros((3, 1, 1), np.float32))
         assert cache.prior_term is None
 
-    def test_apply_runs_exactly_one_convolution(self):
+    # (C, kernel side, search side, P, search conv takes Winograd): the
+    # second row is the track shape, whose search conv takes the fast path.
+    @pytest.mark.parametrize("channels,side,search,out_ch,winograd", [
+        (2, 2, 6, 3, False),
+        (64, 5, 29, 64, True),
+    ])
+    def test_apply_runs_exactly_one_convolution(self, monkeypatch, channels, side,
+                                                search, out_ch, winograd):
         rng = np.random.default_rng(67)
-        template = rand_f32(rng, (2, 2, 2))
-        weights = make_weights(rng, 2, 2, 2, 3, with_prior=True)
+        template = rand_f32(rng, (channels, side, side))
+        weights = make_weights(rng, channels, side, side, out_ch, with_prior=True)
         cache = fusion.acm_cache_template(template, weights, box=(20.0, 20.0))
+        fast_calls = []
+        real = nn._winograd_conv
+        monkeypatch.setattr(nn, "_winograd_conv",
+                            lambda *args: fast_calls.append(1) or real(*args))
         with nn.count_conv_calls() as counter:
-            fusion.acm_apply_search(cache, rand_f32(rng, (2, 6, 6)), weights)
+            fusion.acm_apply_search(cache, rand_f32(rng, (channels, search, search)), weights)
         assert counter.calls == 1
+        assert len(fast_calls) == int(winograd)
 
     def test_cache_weights_prior_agreement_enforced(self):
         rng = np.random.default_rng(69)

@@ -109,6 +109,88 @@ class TestConv2dValid:
             nn.conv2d_valid(np.zeros((1, 4, 4), np.float32), np.zeros((1, 2, 2), np.float32))
 
 
+def window_loop_f64(x, w):
+    """Valid cross-correlation in float64, one GEMV per output window."""
+    p, _, kh, kw = w.shape
+    x = x.astype(np.float64)
+    rows = w.astype(np.float64).reshape(p, -1)
+    out = np.empty((p, x.shape[1] - kh + 1, x.shape[2] - kw + 1))
+    for i in range(out.shape[1]):
+        for j in range(out.shape[2]):
+            out[:, i, j] = rows @ x[:, i : i + kh, j : j + kw].ravel()
+    return out
+
+
+def assert_float32_rounding_of(out, x, w):
+    """out is the float64 result rounded once to float32, up to 1e-12 of its scale."""
+    ref = window_loop_f64(x, w)
+    scale = window_loop_f64(np.abs(x), np.abs(w))
+    assert out.dtype == np.float32 and out.shape == ref.shape and out.flags.c_contiguous
+    assert np.all(np.abs(out - ref) <= 2.0**-24 * np.abs(ref) + 1e-12 * scale)
+
+
+# (C, H, W, P, kh, kw, conv2d_valid takes Winograd). Winograd needs both
+# kernel sides in 4..7, one whole 9-k tile per output axis and at least
+# nn._WINOGRAD_MIN_MULTS direct multiplies; no Ho, Wo here is a multiple
+# of its tile size m = 9 - k unless the row says so.
+CONV_PATH_ROWS = [
+    pytest.param(64, 29, 29, 64, 5, 5, True, id="track-5x5"),
+    pytest.param(32, 23, 26, 48, 7, 4, True, id="non-square-7x4"),
+    pytest.param(64, 15, 15, 64, 6, 6, True, id="6x6"),
+    pytest.param(24, 33, 33, 24, 7, 7, True, id="7x7"),
+    pytest.param(1, 40, 40, 256, 5, 5, True, id="C=1"),
+    pytest.param(256, 40, 40, 1, 5, 5, True, id="P=1"),
+    pytest.param(64, 9, 9, 64, 5, 5, False, id="redetect-below-crossover"),
+    pytest.param(64, 29, 29, 64, 3, 3, False, id="3x3-never"),
+    pytest.param(32, 31, 31, 32, 2, 2, False, id="2x2-never"),
+    pytest.param(8, 12, 14, 6, 7, 7, False, id="7x7-small"),
+    pytest.param(5, 11, 9, 3, 3, 5, False, id="non-square-3x5"),
+    pytest.param(1, 10, 13, 1, 2, 7, False, id="C=P=1-2x7"),
+    pytest.param(3, 5, 5, 4, 5, 5, False, id="kernel-as-large-as-map"),
+    pytest.param(256, 7, 7, 256, 5, 5, False, id="output-short-of-one-tile"),
+]
+
+
+class TestConvPaths:
+    @pytest.mark.parametrize("c,h,w,p,kh,kw,winograd", CONV_PATH_ROWS)
+    def test_conv2d_valid_matches_window_loop(self, monkeypatch, c, h, w, p, kh, kw, winograd):
+        rng = np.random.default_rng(c * h + p * kh + kw)
+        x, k = rand_f32(rng, (c, h, w)), rand_f32(rng, (p, c, kh, kw))
+        fast_calls = []
+        real = nn._winograd_conv
+        monkeypatch.setattr(nn, "_winograd_conv",
+                            lambda *args: fast_calls.append(1) or real(*args))
+        assert_float32_rounding_of(nn.conv2d_valid(x, nn.ConvKernel(k)), x, k)
+        assert len(fast_calls) == int(winograd)
+        raw = nn.conv2d_valid(x, k)
+        assert len(fast_calls) == int(winograd)  # a raw array never takes it
+        assert_float32_rounding_of(raw, x, k)
+
+    @pytest.mark.parametrize("c,h,w,p,kh,kw,winograd", CONV_PATH_ROWS[5:])
+    def test_winograd_routine_matches_window_loop(self, c, h, w, p, kh, kw, winograd):
+        # Called directly, so a moved crossover cannot hide a broken transform.
+        rng = np.random.default_rng(c * w + p * kw + kh)
+        x, k = rand_f32(rng, (c, h, w)), rand_f32(rng, (p, c, kh, kw))
+        assert_float32_rounding_of(nn._winograd_conv(x, nn.ConvKernel(k)), x, k)
+
+    @pytest.mark.parametrize("side", [5, 3])
+    @pytest.mark.parametrize("source", ["array", "memoryview"])
+    def test_kernel_ignores_later_writes_to_its_source(self, side, source):
+        # side 5 caches the Winograd kernel, side 3 the GEMM matrix.
+        rng = np.random.default_rng(side)
+        x = rand_f32(rng, (64, 29, 29))
+        w = rand_f32(rng, (64, 64, side, side))
+        pristine = w.copy()
+        kernel = nn.ConvKernel(w if source == "array" else memoryview(w))
+        w += 1.0  # before the cached operand is built
+        first = nn.conv2d_valid(x, kernel)
+        w += 1.0  # after
+        npt.assert_array_equal(kernel.weights, pristine)
+        npt.assert_array_equal(nn.conv2d_valid(x, kernel), first)
+        npt.assert_array_equal(first, nn.conv2d_valid(x, nn.ConvKernel(pristine)))
+        assert not kernel.weights.flags.writeable
+
+
 class TestDepthwiseCorr:
     def test_delta_template_selects_pixels(self):
         rng = np.random.default_rng(5)
