@@ -12,6 +12,8 @@ with the joined kernel [theta_z | theta_x], which is what
 :func:`naive_concat_corr` does window by window; the decomposed form
 replaces the per-window concatenation with two independent convolutions
 and an add, and lets the template side be cached across search maps.
+Each convolution rounds to float32 once; the add, the prior, the norm and
+the ReLU then run in float64 and round to float32 once more.
 
 The optional prior branch feeds (box width, box height), divided by
 ``box_scale``, through a 3-layer FC net into one extra bias per output
@@ -31,18 +33,11 @@ from .errors import (
     NonPositiveBoxError,
     ShapeMismatchError,
 )
-from .nn import (
-    BatchNormParams,
-    ConvKernel,
-    FcLayer,
-    batchnorm_infer,
-    conv2d_valid,
-    mlp3_forward,
-)
-from .tensor import DTYPE, as_tensor, broadcast_add, relu
+from .nn import BatchNormParams, ConvKernel, FcLayer, conv2d_valid, mlp3_forward
+from .tensor import DTYPE, as_tensor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionWeights:
     """Everything the fusion op learns.
 
@@ -98,7 +93,7 @@ class FusionWeights:
         return self.theta_z.spatial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemplateCache:
     """Search-independent half of the fusion: z term plus optional prior."""
 
@@ -223,8 +218,9 @@ def acm_apply_search(
 ) -> np.ndarray:
     """Fuse a cached template with one search map.
 
-    Runs exactly one convolution (the search side), broadcast-adds the
-    cached terms, then applies the configured norm and activation.
+    Runs exactly one convolution (the search side). The cached terms, the
+    configured norm and the activation then run in float64 on one buffer,
+    per channel, and round to float32 once at the end.
     """
     x = _check_search(search, weights)
     if cache.out_channels != weights.out_channels:
@@ -234,17 +230,25 @@ def acm_apply_search(
         )
     if (cache.prior_term is None) != (weights.prior is None):
         raise ShapeMismatchError("cache and weights disagree about the prior branch")
-    out = conv2d_valid(x, weights.theta_x)
-    out = broadcast_add(out, cache.z_term)
+    out = conv2d_valid(x, weights.theta_x).astype(np.float64)
+    bias = cache.z_term.astype(np.float64)
     if cache.prior_term is not None:
-        out = broadcast_add(out, cache.prior_term)
-    if weights.norm is not None and not weights.norm_after_relu:
-        out = batchnorm_infer(out, weights.norm)
+        bias += cache.prior_term
+    norm = weights.norm
+    if norm is not None and not weights.norm_after_relu:
+        scale, shift = norm.scale_shift()
+        # norm(conv + bias) = conv * scale + (bias * scale + shift)
+        out *= scale
+        out += bias * scale + shift
+    else:
+        out += bias
     if apply_relu:
-        out = relu(out)
-    if weights.norm is not None and weights.norm_after_relu:
-        out = batchnorm_infer(out, weights.norm)
-    return out
+        np.maximum(out, 0.0, out=out)
+    if norm is not None and weights.norm_after_relu:
+        scale, shift = norm.scale_shift()
+        out *= scale
+        out += shift
+    return out.astype(DTYPE)
 
 
 def acm_forward(
@@ -253,7 +257,8 @@ def acm_forward(
     """Decomposed fusion in one call: cache the template, then apply.
 
     Matches :func:`naive_concat_corr` (with ``apply_relu=False`` and no
-    prior branch) up to float32 rounding of the intermediate terms.
+    prior branch) up to the float32 rounding of the two convolutions and
+    of the sum.
     """
     cache = acm_cache_template(template, weights, box)
     return acm_apply_search(cache, search, weights, apply_relu)

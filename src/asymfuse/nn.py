@@ -22,7 +22,7 @@ A :class:`ConvKernel` owns a read-only copy of its weights and builds the
 float64 operands derived from them once, on first use: the GEMM matrix
 above, and the Winograd-domain kernel. ``conv2d_valid`` with a
 ConvKernel takes Winograd minimal filtering (Lavin & Gray, CVPR 2016)
-over 8 x 8 tiles when that measured faster: both kernel sides in 4..7,
+over 9 x 9 tiles when that measured faster: both kernel sides in 4..7,
 at least one whole output tile per axis, and at least
 ``_WINOGRAD_MIN_MULTS`` multiplies of direct work. Everything else,
 raw-array kernels from the tape and the toy model included, takes the
@@ -51,7 +51,7 @@ def _check_kernel(w: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvKernel:
     """Convolution weights shaped out_channels x in_channels x kh x kw.
 
@@ -89,14 +89,14 @@ class ConvKernel:
 
     @functools.cached_property
     def _winograd_kernel(self) -> np.ndarray:
-        """``G theta G^T`` per (p, c), laid out (64, C, P) for ``V @ U``."""
+        """``G theta G^T`` per (p, c), laid out (81, C, P) for ``V @ U``."""
         kh, kw = self.spatial
         u = np.einsum("au,pcuv,bv->abcp", _cook_toom(kh)[1],
                       self.weights.astype(np.float64), _cook_toom(kw)[1], optimize=True)
         return u.reshape(_ALPHA * _ALPHA, self.in_channels, self.out_channels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FcLayer:
     """Fully connected layer: weights out x in, bias out."""
 
@@ -124,7 +124,7 @@ class FcLayer:
         return self.weights.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchNormParams:
     """Frozen inference-time batch norm statistics for C channels."""
 
@@ -154,6 +154,13 @@ class BatchNormParams:
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
+
+    def scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
+        """float64 C x 1 x 1 (scale, shift) with norm(x) = x * scale + shift."""
+        var = self.running_var.astype(np.float64)
+        scale = self.gamma.astype(np.float64) / np.sqrt(var + self.eps)
+        shift = self.beta.astype(np.float64) - self.running_mean.astype(np.float64) * scale
+        return scale[:, None, None], shift[:, None, None]
 
 
 # Counters let tests assert how many convolutions a code path issued.
@@ -216,7 +223,7 @@ def conv2d_valid(inputs, kernel) -> np.ndarray:
 
     - im2col: the :func:`im2col` patch matrix feeds one matrix product,
       one multiply-add per (output position, kernel element) pair;
-    - Winograd F(m x m', kh x kw) over 8 x 8 tiles (m = 9 - kh, m' = 9 - kw): taken
+    - Winograd F(m x m', kh x kw) over 9 x 9 tiles (m = 10 - kh, m' = 10 - kw): taken
       only for a :class:`ConvKernel` whose sides are both in 4..7, when
       the output holds at least one whole tile per axis and
       Ho*Wo*C*P*kh*kw is at least ``_WINOGRAD_MIN_MULTS``.
@@ -245,27 +252,41 @@ def conv2d_valid(inputs, kernel) -> np.ndarray:
     return flat.reshape(out_ch, out_h, out_w).astype(DTYPE)
 
 
-# Winograd minimal filtering F(m, r) on tiles of _ALPHA = m + r - 1 = 8
-# inputs per axis, built by Cook-Toom from the points 0, +-1, +-2, +-1/2
-# and infinity. The selection in conv2d_valid comes from single-thread
-# OpenBLAS timings against the im2col path (cached GEMM matrix) over
-# C = P = 8..64 and kernels 2x2..7x7, square and not: with a side of 2
-# or 3 Winograd never won (0.3-0.9x); with both sides in 4..7 it won on
-# every shape from 8e6 direct multiplies up (1.1-1.9x), while 64x9x9
-# with 5x5 (2.6e6) was even. The input transform's banded GEMMs grow
-# with the map size cubed, which is why small kernels do not pay.
-_ALPHA = 8
-_POINTS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5)
+# Winograd minimal filtering F(m, r) on tiles of _ALPHA = m + r - 1 = 9
+# inputs per axis, built by Cook-Toom from the points 0, +-1, +-2, +-1/2,
+# 4 and infinity. The selection in conv2d_valid comes from single-thread
+# OpenBLAS medians against the im2col path (cached GEMM matrix) over
+# C = P = 8..64, square maps of side 9..45 and kernels 2x2..7x7, square
+# and 5x3, 3x5, 7x5, 5x7, 4x6, 3x7 (192 shapes):
+#
+#   kernel sides      direct multiplies   shapes   Winograd / im2col
+#   both in 4..7      below 2e6              44     0.26-1.68x
+#   both in 4..7      2e6 to 8e6             27     0.84-2.51x
+#   both in 4..7      8e6 and up             41     1.14-3.13x (median 2.09x)
+#   a side of 3       any                    64     0.22-1.94x (won 27)
+#   a side of 2       any                    16     0.18-0.64x
+#
+# On the 41 shapes the rule admits, these 9 x 9 tiles beat the 8 x 8
+# tiles they replaced on 39 and tied on one (median 1.53x -> 2.09x against
+# im2col); the one loss, 0.81x at 64x17x17 with 4x4, needs as many tiles
+# either way. The input transform's banded GEMMs grow with the map size
+# cubed, which is why side-2 kernels never pay; side-3 kernels won and
+# lost by shape (3x3: 1.51x at 64x29x29, 0.67x at 64x17x17) and stay on
+# im2col until a rule for them is measured. The threshold stays above
+# the redetect shape, 64x9x9 with 5x5 (2.6e6 multiplies): its Winograd
+# kernel would outlive the call and raise that workload's peak memory.
+_ALPHA = 9
+_POINTS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 4.0)
 _WINOGRAD_MIN_MULTS = 8_000_000
 
 
 @functools.lru_cache(maxsize=None)
 def _cook_toom(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(B^T, G, A^T) of F(9 - r, r): 8 x 8, 8 x r and (9 - r) x 8, read-only.
+    """(B^T, G, A^T) of F(10 - r, r): 9 x 9, 9 x r and (10 - r) x 9, read-only.
 
-    For an 8-sample input d and an r-tap kernel g, the 9 - r outputs
-    y[i] = sum_k g[k] d[i + k] are ``A^T ((G g) * (B^T d))``. Row j < 7 of
-    B^T holds the coefficients of prod_{l != j} (x - p_l) and row 7 those
+    For a 9-sample input d and an r-tap kernel g, the 10 - r outputs
+    y[i] = sum_k g[k] d[i + k] are ``A^T ((G g) * (B^T d))``. Row j < 8 of
+    B^T holds the coefficients of prod_{l != j} (x - p_l) and row 8 those
     of prod_l (x - p_l); G carries the 1 / prod_{l != j} (p_j - p_l)
     Lagrange weights, so B^T and A^T are exact in binary.
     """
@@ -288,9 +309,9 @@ def _cook_toom(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=64)
 def _banded_input_transform(r: int, tiles: int) -> np.ndarray:
-    """B^T of every tile along one axis as one (8 * tiles, 8 + m*(tiles-1)) matrix.
+    """B^T of every tile along one axis as one (9 * tiles, 9 + m*(tiles-1)) matrix.
 
-    Tile t's 8 x 8 block sits at columns t*m .. t*m+7, so the tiles
+    Tile t's 9 x 9 block sits at columns t*m .. t*m+8, so the tiles
     overlap by r - 1 samples. Rows run (a, t), transform index first.
     """
     m = _ALPHA + 1 - r
@@ -306,10 +327,10 @@ def _banded_input_transform(r: int, tiles: int) -> np.ndarray:
 def _winograd_conv(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     """conv2d_valid of a float32 map by Winograd F(m x m', kh x kw) tiles.
 
-    Needs 2 <= kh, kw <= 7. The map is zero-padded to whole tiles. The
+    Needs 2 <= kh, kw <= 8. The map is zero-padded to whole tiles. The
     input transform is two banded GEMMs over the whole map (no gather of
-    overlapping tiles) and one layout copy to (64, tiles, C); then one
-    batched ``V @ U`` over the 64 transform points; the output transform
+    overlapping tiles) and one layout copy to (81, tiles, C); then one
+    batched ``V @ U`` over the 81 transform points; the output transform
     is one ``kron(A^T, A^T)`` GEMM, cropped and cast to float32 once.
     """
     channels, height, width = x.shape
@@ -426,11 +447,11 @@ def batchnorm_infer(t, params: BatchNormParams) -> np.ndarray:
         raise ShapeMismatchError(
             f"map has {x.shape[0]} channels, params describe {params.channels}"
         )
-    inv = 1.0 / np.sqrt(params.running_var.astype(np.float64) + params.eps)
-    scale = params.gamma.astype(np.float64) * inv
-    shift = params.beta.astype(np.float64)
-    centered = x.astype(np.float64) - params.running_mean.astype(np.float64)[:, None, None]
-    return (centered * scale[:, None, None] + shift[:, None, None]).astype(DTYPE)
+    scale, shift = params.scale_shift()
+    out = x.astype(np.float64)
+    out *= scale
+    out += shift
+    return out.astype(DTYPE)
 
 
 def head1x1(features, kernel) -> np.ndarray:

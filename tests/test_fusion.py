@@ -384,3 +384,24 @@ class TestErrorContract:
                 call(inputs["template"], inputs["search"], weights)
         else:
             call(inputs["template"], inputs["search"], weights)
+
+
+KERNEL = np.ones((2, 2, 5, 5), np.float32)
+STRUCTS = {
+    "ConvKernel": lambda: nn.ConvKernel(KERNEL),
+    "FcLayer": lambda: nn.FcLayer(np.ones((2, 3), np.float32), np.zeros(2, np.float32)),
+    "BatchNormParams": lambda: nn.BatchNormParams(*np.ones((4, 2), np.float32)),
+    "FusionWeights": lambda: fusion.FusionWeights(nn.ConvKernel(KERNEL), nn.ConvKernel(KERNEL)),
+    "TemplateCache": lambda: fusion.TemplateCache(np.zeros((2, 1, 1), np.float32)),
+}
+
+
+@pytest.mark.parametrize("make", STRUCTS.values(), ids=STRUCTS.keys())
+def test_structs_compare_by_identity(make):
+    a, b = make(), make()  # equal contents, distinct objects
+    assert a == a and a != b
+    assert {a: "a", b: "b"}[a] == "a" and hash(a) == hash(a)
+    if isinstance(a, nn.ConvKernel):  # the cached float64 operands still build
+        assert a._gemm_matrix is a._gemm_matrix and a._gemm_matrix.shape == (2, 50)
+        assert a._winograd_kernel is a._winograd_kernel
+        assert a._winograd_kernel.shape == (nn._ALPHA**2, 2, 2)

@@ -1,5 +1,7 @@
 """Convolution, correlation, FC and batch norm ops against loop oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -130,9 +132,10 @@ def assert_float32_rounding_of(out, x, w):
 
 
 # (C, H, W, P, kh, kw, conv2d_valid takes Winograd). Winograd needs both
-# kernel sides in 4..7, one whole 9-k tile per output axis and at least
-# nn._WINOGRAD_MIN_MULTS direct multiplies; no Ho, Wo here is a multiple
-# of its tile size m = 9 - k unless the row says so.
+# kernel sides in 4..7, one whole tile of m = 10 - k outputs per axis and
+# at least nn._WINOGRAD_MIN_MULTS direct multiplies. Ho or Wo is a
+# multiple of its m only in track-5x5 and 7x7 (both axes), 7x7-small (Ho),
+# non-square-3x5 (Wo) and the two rows whose output is one whole tile.
 CONV_PATH_ROWS = [
     pytest.param(64, 29, 29, 64, 5, 5, True, id="track-5x5"),
     pytest.param(32, 23, 26, 48, 7, 4, True, id="non-square-7x4"),
@@ -140,6 +143,7 @@ CONV_PATH_ROWS = [
     pytest.param(24, 33, 33, 24, 7, 7, True, id="7x7"),
     pytest.param(1, 40, 40, 256, 5, 5, True, id="C=1"),
     pytest.param(256, 40, 40, 1, 5, 5, True, id="P=1"),
+    pytest.param(128, 9, 9, 128, 7, 4, True, id="one-whole-tile-7x4"),
     pytest.param(64, 9, 9, 64, 5, 5, False, id="redetect-below-crossover"),
     pytest.param(64, 29, 29, 64, 3, 3, False, id="3x3-never"),
     pytest.param(32, 31, 31, 32, 2, 2, False, id="2x2-never"),
@@ -151,7 +155,45 @@ CONV_PATH_ROWS = [
 ]
 
 
+def exact_cook_toom(r):
+    """B^T and A^T of F(10 - r, r) from nn._POINTS in rational arithmetic."""
+    points = [Fraction(p) for p in nn._POINTS]
+    m = len(points) + 2 - r
+
+    def coefficients(roots):  # of prod (x - root), lowest degree first
+        c = [Fraction(1)]
+        for root in roots:
+            c = [a - root * b for a, b in zip([0, *c], [*c, 0])]
+        return c
+
+    bt = [coefficients(points[:j] + points[j + 1 :]) + [0] for j in range(len(points))]
+    bt.append(coefficients(points))
+    at = [[p**i for p in points] + [int(i == m - 1)] for i in range(m)]
+    return bt, at
+
+
 class TestConvPaths:
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_cook_toom_is_an_exact_correlation(self, r):
+        bt, g, at = nn._cook_toom(r)
+        for matrix, exact in zip((bt, at), exact_cook_toom(r)):
+            exact = np.array(exact, dtype=object)
+            assert matrix.shape == exact.shape
+            # Dyadic entries, stored without rounding.
+            assert all(v.denominator & (v.denominator - 1) == 0 for v in exact.flat)
+            assert all(Fraction(float(a)) == b for a, b in zip(matrix.flat, exact.flat))
+        rng = np.random.default_rng(r)
+        d = rng.uniform(-1.0, 1.0, (200, nn._ALPHA))
+        k = rng.uniform(-1.0, 1.0, (200, r))
+        out = ((k @ g.T) * (d @ bt.T)) @ at.T
+        ref = np.array([np.correlate(a, b, "valid") for a, b in zip(d, k)])
+        # First-order rounding bound of the three transforms and the product:
+        # a per-output multiple of |g| * |d| would not hold, because B^T mixes
+        # all nine samples into every transform point.
+        chain = ((np.abs(k) @ np.abs(g).T) * (np.abs(d) @ np.abs(bt).T)) @ np.abs(at).T
+        gamma = (2 * nn._ALPHA + r + 2) * np.finfo(np.float64).eps / 2
+        assert np.all(np.abs(out - ref) <= gamma * chain)
+
     @pytest.mark.parametrize("c,h,w,p,kh,kw,winograd", CONV_PATH_ROWS)
     def test_conv2d_valid_matches_window_loop(self, monkeypatch, c, h, w, p, kh, kw, winograd):
         rng = np.random.default_rng(c * h + p * kh + kw)
