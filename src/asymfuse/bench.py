@@ -173,8 +173,9 @@ def bench_compare(configs=None, reps: int = MIN_REPS, seed: int = 0,
     """Measure naive, decomposed, and cached fusion for each config.
 
     The template-side cache is built outside the timed region for the
-    cached path. Raises RuntimeError if any pair of implementations
-    disagrees beyond ``tol`` before timing starts.
+    cached path; the decomposed and cached paths are timed round-robin.
+    Raises RuntimeError if any pair of implementations disagrees beyond
+    ``tol`` before timing starts.
     """
     if configs is None:
         configs = default_configs()
@@ -184,17 +185,17 @@ def bench_compare(configs=None, reps: int = MIN_REPS, seed: int = 0,
     for config, stream in zip(configs, streams):
         rng = np.random.default_rng(stream)
         template, search, weights, box, cache = _gated_problem(config, rng, with_prior, tol)
-        calls = {
-            "naive": lambda: fusion.naive_concat_corr(template, search, weights),
-            "acm": lambda: fusion.acm_forward(template, search, weights, box,
-                                              apply_relu=False),
-            "cached": lambda: fusion.acm_apply_search(cache, search, weights,
-                                                      apply_relu=False),
-        }
-        stats = {}
-        for path in PATHS:
-            (times,) = _samples_ns([calls[path]], reps, warmup)
-            stats[path] = np.percentile(times, (50, 10, 90))
+        # The naive loop evicts the caches of whatever call follows it (at
+        # 64x9x9 the next fused call ran ~1.6x slower), so it is timed on its
+        # own; the two fused paths, whose ratio matters, are interleaved.
+        (naive,) = _samples_ns(
+            [lambda: fusion.naive_concat_corr(template, search, weights)], reps, warmup)
+        fused = _samples_ns(
+            [lambda: fusion.acm_forward(template, search, weights, box, apply_relu=False),
+             lambda: fusion.acm_apply_search(cache, search, weights, apply_relu=False)],
+            reps, warmup)
+        stats = {path: np.percentile(times, (50, 10, 90))
+                 for path, times in zip(PATHS, [naive, *fused])}
         results.append(BenchResult(
             config=config, reps=reps, naive_ns=float(stats["naive"][0]),
             acm_ns=float(stats["acm"][0]), cached_ns=float(stats["cached"][0]),

@@ -8,13 +8,21 @@ into one bias per channel, which is broadcast-added onto the convolved
 image features and gated by a ReLU. Without that branch the image alone
 cannot determine the label, so the branch's contribution is directly
 measurable.
+
+The model is written once, over an op set and a leaf map. Training
+passes ``autograd`` and tapes every parameter and input; evaluation
+passes ``_UNTAPED``: autograd's op names over plain arrays, each calling
+the ``nn``/``tensor`` function its taped op computes values with, so the
+two agree bit for bit. Those ops look ``nn``/``T`` up when called, so a
+wrapper installed on a module attribute (a tracer) sees every call.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -149,8 +157,9 @@ class ToyModel:
             raise TooManyClassesError(
                 f"at most {MAX_CLASSES} glyph classes exist, got {num_classes}"
             )
+        if glyph_size < 4:  # three valid 3x3 convs leave 2g - 6 of a 2g-sided image
+            raise ValueError(f"glyph size must be at least 4 for three 3x3 convs, got {glyph_size}")
         self.num_classes = num_classes
-        self.glyph_size = glyph_size
         c1, c2 = conv_channels
         p = fused_channels
         h = index_hidden
@@ -167,86 +176,78 @@ class ToyModel:
             ("head_w", (num_classes, p), p),
             ("head_b", (num_classes,), p),
         ]
+        self._names = tuple(name for name, _, _ in shapes)
         streams = _seed_sequence(seed).spawn(len(shapes))
         for (name, shape, fan_in), stream in zip(shapes, streams):
             rng = np.random.default_rng(stream)
             setattr(self, name, ag.Parameter(_uniform_init(rng, shape, fan_in), name))
 
     def parameters(self) -> list[ag.Parameter]:
-        return [
-            self.conv1, self.conv2, self.fuse,
-            self.idx_w1, self.idx_b1, self.idx_w2, self.idx_b2,
-            self.idx_w3, self.idx_b3, self.head_w, self.head_b,
-        ]
-
-    @property
-    def index_branch(self) -> tuple[nn.FcLayer, nn.FcLayer, nn.FcLayer]:
-        return (
-            nn.FcLayer(self.idx_w1.value, self.idx_b1.value),
-            nn.FcLayer(self.idx_w2.value, self.idx_b2.value),
-            nn.FcLayer(self.idx_w3.value, self.idx_b3.value),
-        )
-
-    @property
-    def head(self) -> nn.FcLayer:
-        return nn.FcLayer(self.head_w.value, self.head_b.value)
+        return [getattr(self, name) for name in self._names]
 
     @property
     def fused_channels(self) -> int:
         return self.fuse.value.shape[0]
 
 
-def _prior_vector(model: ToyModel, index: int, ablate_index: bool) -> np.ndarray:
+_UNTAPED = SimpleNamespace(
+    conv2d=lambda x, k: nn.conv2d_valid(x, k),
+    relu=lambda x: T.relu(x),
+    add=lambda a, b: T.broadcast_add(a, b),
+    reshape=lambda x, shape: x.reshape(shape),
+    mean_pool=lambda x: nn.global_avg_pool(x),
+    affine=lambda x, w, b: nn.fc_forward(x, nn.FcLayer(w, b)),
+    mlp3=lambda x, layers: nn.mlp3_forward(x, [nn.FcLayer(w, b) for w, b in layers]),
+)
+
+
+def _untaped_leaf(x):
+    return x.value if isinstance(x, ag.Parameter) else x
+
+
+def _fused(ops, leaf, model: ToyModel, sample: GridSample, ablate_index: bool):
+    """The model up to the post-ReLU fused map, in ``ops`` over ``leaf`` values."""
+    feat = ops.relu(ops.conv2d(leaf(sample.image), leaf(model.conv1)))
+    feat = ops.relu(ops.conv2d(feat, leaf(model.conv2)))
+    x_term = ops.conv2d(feat, leaf(model.fuse))
+    shape = (model.fused_channels, 1, 1)
     if ablate_index:
-        return np.zeros(model.fused_channels, dtype=T.DTYPE)
-    return nn.mlp3_forward(one_hot(index), model.index_branch)
+        prior = leaf(np.zeros(shape, dtype=T.DTYPE))
+    else:
+        layers = [(leaf(model.idx_w1), leaf(model.idx_b1)),
+                  (leaf(model.idx_w2), leaf(model.idx_b2)),
+                  (leaf(model.idx_w3), leaf(model.idx_b3))]
+        prior = ops.reshape(ops.mlp3(leaf(one_hot(sample.index)), layers), shape)
+    return ops.relu(ops.add(x_term, prior))
 
 
-def fused_map(model: ToyModel, sample: GridSample, ablate_index: bool = False,
-              index: int | None = None) -> np.ndarray:
+def _logits(ops, leaf, model: ToyModel, fused):
+    return ops.affine(ops.mean_pool(fused), leaf(model.head_w), leaf(model.head_b))
+
+
+def fused_map(model: ToyModel, sample: GridSample, ablate_index: bool = False) -> np.ndarray:
     """Post-ReLU fused response (P x h x w) for one sample."""
-    query = sample.index if index is None else int(index)
-    feat = T.relu(nn.conv2d_valid(sample.image, model.conv1.value))
-    feat = T.relu(nn.conv2d_valid(feat, model.conv2.value))
-    x_term = nn.conv2d_valid(feat, model.fuse.value)
-    prior = _prior_vector(model, query, ablate_index).reshape(-1, 1, 1)
-    return T.relu(T.broadcast_add(x_term, prior))
+    return _fused(_UNTAPED, _untaped_leaf, model, sample, ablate_index)
 
 
-def toy_forward(model: ToyModel, sample: GridSample, ablate_index: bool = False,
-                index: int | None = None) -> np.ndarray:
-    """Class logits for one sample; ``index`` overrides the queried position."""
-    fused = fused_map(model, sample, ablate_index, index)
-    pooled = nn.global_avg_pool(fused)
-    return nn.fc_forward(pooled, model.head)
+def toy_forward(model: ToyModel, sample: GridSample, ablate_index: bool = False) -> np.ndarray:
+    """Class logits for one sample."""
+    return _logits(_UNTAPED, _untaped_leaf, model, fused_map(model, sample, ablate_index))
 
 
 def training_loss(tape: ag.Tape, model: ToyModel, sample: GridSample,
                   ablate_index: bool = False) -> ag.Node:
-    """Taped cross-entropy loss; values match ``toy_forward`` bit for bit."""
+    """Taped cross-entropy loss of the logits ``toy_forward`` computes."""
     if not 0 <= sample.label < model.num_classes:
         raise LabelOutOfRangeError(
             f"label {sample.label} outside [0, {model.num_classes})"
         )
-    feat = ag.relu(ag.conv2d(tape.constant(sample.image), tape.parameter(model.conv1)))
-    feat = ag.relu(ag.conv2d(feat, tape.parameter(model.conv2)))
-    x_term = ag.conv2d(feat, tape.parameter(model.fuse))
-    if ablate_index:
-        prior = tape.constant(np.zeros((model.fused_channels, 1, 1), dtype=T.DTYPE))
-    else:
-        layers = [
-            (tape.parameter(model.idx_w1), tape.parameter(model.idx_b1)),
-            (tape.parameter(model.idx_w2), tape.parameter(model.idx_b2)),
-            (tape.parameter(model.idx_w3), tape.parameter(model.idx_b3)),
-        ]
-        prior = ag.reshape(
-            ag.mlp3(tape.constant(one_hot(sample.index)), layers),
-            (model.fused_channels, 1, 1),
-        )
-    fused = ag.relu(ag.add(x_term, prior))
-    pooled = ag.mean_pool(fused)
-    logits = ag.affine(pooled, tape.parameter(model.head_w), tape.parameter(model.head_b))
-    return ag.softmax_xent(logits, sample.label)
+
+    def leaf(x):
+        return tape.parameter(x) if isinstance(x, ag.Parameter) else tape.constant(x)
+
+    fused = _fused(ag, leaf, model, sample, ablate_index)
+    return ag.softmax_xent(_logits(ag, leaf, model, fused), sample.label)
 
 
 def prediction_accuracy(predict: Callable[[GridSample], np.ndarray],
@@ -259,13 +260,8 @@ def prediction_accuracy(predict: Callable[[GridSample], np.ndarray],
 
 
 def toy_evaluate(model: ToyModel, samples: Sequence[GridSample],
-                 ablate_index: bool = False,
-                 indices: Sequence[int] | None = None) -> float:
-    """Test accuracy; ``indices`` substitutes the queried positions."""
-    if indices is not None:
-        if len(indices) != len(samples):
-            raise ValueError("indices must align one-to-one with samples")
-        samples = [replace(s, index=int(i)) for s, i in zip(samples, indices)]
+                 ablate_index: bool = False) -> float:
+    """Test accuracy of the model's argmax logit."""
     return prediction_accuracy(
         lambda sample: toy_forward(model, sample, ablate_index), samples
     )
@@ -322,7 +318,7 @@ class ToyTrainResult:
 
 
 def heldout_set(config: ToyTrainConfig) -> list[GridSample]:
-    """Rebuild the test split a training run with ``config`` evaluated on."""
+    """The test split a training run with ``config`` evaluates on."""
     s_test = np.random.SeedSequence(config.seed).spawn(4)[2]
     return gen_dataset(s_test, config.n_test, config.num_classes,
                        config.glyph_size, config.noise_std)
@@ -338,13 +334,11 @@ def toy_train(config: ToyTrainConfig = ToyTrainConfig()) -> ToyTrainResult:
     """
     if config.epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {config.epochs}")
-    s_model, s_train, s_test, s_shuffle = np.random.SeedSequence(config.seed).spawn(4)
-    train = gen_dataset(s_train, config.n_train, config.num_classes,
-                        config.glyph_size, config.noise_std)
-    test = gen_dataset(s_test, config.n_test, config.num_classes,
-                       config.glyph_size, config.noise_std)
+    s_model, s_train, _, s_shuffle = np.random.SeedSequence(config.seed).spawn(4)
     model = ToyModel(config.num_classes, config.glyph_size, config.conv_channels,
                      config.fused_channels, config.index_hidden, seed=s_model)
+    train = gen_dataset(s_train, config.n_train, config.num_classes,
+                        config.glyph_size, config.noise_std)
     params = model.parameters()
     shuffle_rng = np.random.default_rng(s_shuffle)
     curve = []
@@ -358,7 +352,7 @@ def toy_train(config: ToyTrainConfig = ToyTrainConfig()) -> ToyTrainResult:
             ag.sgd_step(params, config.lr)
             losses[step] = float(loss.value)
         curve.append(float(losses.mean()))
-    accuracy = toy_evaluate(model, test, ablate_index=config.ablate_index)
+    accuracy = toy_evaluate(model, heldout_set(config), ablate_index=config.ablate_index)
     return ToyTrainResult(model=model, train_curve=curve, test_accuracy=accuracy)
 
 

@@ -225,6 +225,12 @@ class TestToytrain:
         code, _, err = run_cli(capsys, "toytrain", "--classes", "9")
         assert code == 2
 
+    def test_glyph_size_too_small_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "toytrain", "--glyph-size", "3", "--epochs", "0")
+        assert code == 2
+        assert "glyph size" in err
+        assert "test_accuracy" not in out
+
 
 class TestAnalyze:
     def test_crafted_map_report(self, capsys, tmp_path):

@@ -132,6 +132,47 @@ def test_decomposed_fusion_equals_naive_concat(case, data):
     npt.assert_allclose(acm, naive, rtol=0, atol=5e-5)
 
 
+@PROPERTY_SETTINGS
+@given(map_and_kernel(), st.booleans(), st.data())
+def test_fusion_with_prior_and_norm_equals_naive_concat(case, norm_after_relu, data):
+    search, theta_x = case
+    p, c, kh, kw = theta_x.shape
+    template = data.draw(f32(theta_x.shape[1:]))
+    theta_z = data.draw(f32(theta_x.shape))
+    hidden = data.draw(dims)
+    prior = tuple(nn.FcLayer(data.draw(f32((n_out, n_in))), data.draw(f32((n_out,))))
+                  for n_in, n_out in ((2, hidden), (hidden, hidden), (hidden, p)))
+    running_var = hnp.arrays(np.float32, p, elements=st.floats(0.0, 4.0, width=32))
+    norm = nn.BatchNormParams(data.draw(f32(p)), data.draw(f32(p)), data.draw(f32(p)),
+                              data.draw(running_var))
+    box = data.draw(st.tuples(st.floats(1.0, 500.0), st.floats(1.0, 500.0)))
+    weights = fusion.FusionWeights(nn.ConvKernel(theta_z), nn.ConvKernel(theta_x),
+                                   prior=prior, norm=norm, norm_after_relu=norm_after_relu)
+    acm = fusion.acm_forward(template, search, weights, box)
+
+    scaled = np.array([box[0] / weights.box_scale, box[1] / weights.box_scale], np.float32)
+    prior_term = nn.mlp3_forward(scaled, prior).astype(np.float64)[:, None, None]
+    pre = fusion.naive_concat_corr(template, search, weights).astype(np.float64) + prior_term
+    gamma, beta, mean, var = (a.astype(np.float64)[:, None, None] for a in (
+        norm.gamma, norm.beta, norm.running_mean, norm.running_var))
+    scale = gamma / np.sqrt(var + norm.eps)
+    shift = beta - mean * scale
+    if norm_after_relu:
+        want = np.maximum(pre, 0.0) * scale + shift
+    else:
+        want = np.maximum(pre * scale + shift, 0.0)
+    # With u = 2**-24 and K = C*kh*kw, each of theta_z*z and theta_x*x is at
+    # most K in magnitude (entries in [-1, 1]) and their sum at most 2K. acm
+    # rounds the two convs to float32 (u*K each), naive rounds their sum once
+    # (2*u*K), and both sides then run prior, norm and ReLU in float64. ReLU
+    # is 1-Lipschitz, so before acm's final cast the gap is at most
+    # 4*u*K*max|scale|; that cast adds u*max|want|, and the float64 steps
+    # stay below 1e-9 at these magnitudes.
+    u = 2.0**-24
+    tol = u * (4 * c * kh * kw * float(np.abs(scale).max()) + float(np.abs(want).max())) + 1e-9
+    npt.assert_allclose(acm, want, rtol=0, atol=tol)
+
+
 @st.composite
 def tsr_like_bytes(draw):
     """Arbitrary bytes, or a ``.tsr`` header with arbitrary fields, dims and payload."""

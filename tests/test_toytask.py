@@ -1,6 +1,7 @@
 """Synthetic grid task: data generation, model wiring, training loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -170,6 +171,12 @@ class TestToyModel:
         with pytest.raises(ValueError):
             tt.ToyModel(num_classes=0)
 
+    def test_glyph_size_too_small_for_three_convs(self):
+        # A 2x3-sided image shrinks to 0x0 under three valid 3x3 convs.
+        with pytest.raises(ValueError, match="glyph size"):
+            tt.ToyModel(glyph_size=3)
+        tt.ToyModel(glyph_size=4)
+
 
 class TestForward:
     def test_logit_shape(self):
@@ -189,25 +196,28 @@ class TestForward:
     def test_index_changes_logits(self):
         model = small_model()
         (sample,) = small_samples(n=1)
-        outputs = {tt.toy_forward(model, sample, index=i).tobytes() for i in range(4)}
+        outputs = {tt.toy_forward(model, replace(sample, index=i)).tobytes()
+                   for i in range(4)}
         assert len(outputs) > 1
 
     def test_ablation_ignores_index(self):
         model = small_model()
         (sample,) = small_samples(n=1)
-        ablated = [tt.toy_forward(model, sample, ablate_index=True, index=i)
+        ablated = [tt.toy_forward(model, replace(sample, index=i), ablate_index=True)
                    for i in range(4)]
         for other in ablated[1:]:
             assert other.tobytes() == ablated[0].tobytes()
 
-    def test_training_loss_matches_forward_logits(self):
+    @pytest.mark.parametrize("ablate_index", [False, True])
+    def test_training_loss_matches_forward_logits(self, ablate_index):
         model = small_model()
-        (sample,) = small_samples(n=1)
-        loss = tt.training_loss(ag.Tape(), model, sample)
-        logits = tt.toy_forward(model, sample).astype(np.float64)
-        shifted = logits - logits.max()
-        expected = math.log(np.exp(shifted).sum()) - shifted[sample.label]
-        assert float(loss.value) == pytest.approx(expected, abs=1e-6)
+        for sample in small_samples(n=4):
+            loss = tt.training_loss(ag.Tape(), model, sample, ablate_index)
+            assert loss.op == "softmax_xent"
+            (logits,) = loss.parents
+            forward = tt.toy_forward(model, sample, ablate_index)
+            assert logits.value.dtype == forward.dtype
+            assert logits.value.tobytes() == forward.tobytes()
 
     def test_training_loss_label_range(self):
         model = small_model()
@@ -257,25 +267,19 @@ class TestEvaluation:
         with pytest.raises(EmptyDatasetError):
             tt.prediction_accuracy(lambda s: np.zeros(4), [])
         with pytest.raises(EmptyDatasetError):
-            tt.toy_evaluate(model, [], indices=[])
+            tt.toy_evaluate(model, [])
         with pytest.raises(EmptyDatasetError):
             tt.locality_rate(model, [])
 
-    def test_indices_override_matches_manual_loop(self):
+    @pytest.mark.parametrize("ablate_index", [False, True])
+    def test_evaluate_matches_manual_argmax_loop(self, ablate_index):
         model = small_model()
-        samples = small_samples(n=5)
-        forced = [3, 0, 1, 2, 2]
-        acc = tt.toy_evaluate(model, samples, indices=forced)
+        samples = small_samples(n=8)
         hits = sum(
-            int(np.argmax(tt.toy_forward(model, s, index=i))) == s.label
-            for s, i in zip(samples, forced)
+            int(np.argmax(tt.toy_forward(model, s, ablate_index))) == s.label
+            for s in samples
         )
-        assert acc == hits / 5
-
-    def test_indices_length_checked(self):
-        model = small_model()
-        with pytest.raises(ValueError):
-            tt.toy_evaluate(model, small_samples(n=3), indices=[0, 1])
+        assert tt.toy_evaluate(model, samples, ablate_index) == hits / len(samples)
 
     def test_locality_rate_bounded(self):
         rate = tt.locality_rate(small_model(), small_samples(n=8))
