@@ -42,7 +42,6 @@ from .nn import (
     FcLayer,
     batchnorm_infer,
     conv2d_valid,
-    count_conv_calls,
     depthwise_corr,
     fc_forward,
     global_avg_pool,

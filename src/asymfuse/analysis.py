@@ -13,14 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyExteriorError,
-    NonFiniteMapError,
-    NonPositiveMaxError,
-    RankError,
-    ZeroVectorError,
-)
-from .tensor import as_tensor, cosine_similarity, l1_map
+from .errors import EmptyExteriorError, NonPositiveMaxError, ZeroVectorError
+from .tensor import _as_map, _check_finite, cosine_similarity, l1_map
 
 
 @dataclass(frozen=True)
@@ -49,12 +43,7 @@ class ChannelDiversity:
 
 
 def _check_map(corr) -> np.ndarray:
-    corr = as_tensor(corr)
-    if corr.ndim != 3:
-        raise RankError(f"expected a rank-3 response map, got rank {corr.ndim}")
-    if not np.isfinite(corr).all():
-        raise NonFiniteMapError("response map holds NaN or infinite values")
-    return corr
+    return _check_finite(_as_map(corr, "response map"), "response map")
 
 
 def _check_pos(pos, height, width, what):

@@ -27,6 +27,10 @@ from . import nn
 from . import tensor as T
 
 MIN_REPS = 20
+# Untimed calls of each path before its samples, and the largest gap any
+# two implementations may show before a config is refused.
+WARMUP = 3
+TOL = 1e-4
 
 PATHS = ("naive", "acm", "cached")
 
@@ -93,21 +97,18 @@ def default_configs() -> list[BenchConfig]:
     ]
 
 
-def _random_problem(config: BenchConfig, rng, with_prior: bool, hidden: int = 16):
+def _random_problem(config: BenchConfig, rng):
     def draw(shape):
         return rng.uniform(-1.0, 1.0, size=shape).astype(T.DTYPE)
 
     template = draw((config.channels, config.eta, config.omega))
     search = draw((config.channels, config.height, config.width))
-    prior = None
-    box = None
-    if with_prior:
-        dims = (2, hidden, hidden, config.out_channels)
-        prior = tuple(
-            nn.FcLayer(draw((dims[i + 1], dims[i])), draw((dims[i + 1],)))
-            for i in range(3)
-        )
-        box = (float(rng.uniform(10.0, 200.0)), float(rng.uniform(10.0, 200.0)))
+    dims = (2, 16, 16, config.out_channels)
+    prior = tuple(
+        nn.FcLayer(draw((dims[i + 1], dims[i])), draw((dims[i + 1],)))
+        for i in range(3)
+    )
+    box = (float(rng.uniform(10.0, 200.0)), float(rng.uniform(10.0, 200.0)))
     weights = fusion.FusionWeights(
         theta_z=nn.ConvKernel(draw((config.out_channels, config.channels,
                                     config.eta, config.omega))),
@@ -118,45 +119,43 @@ def _random_problem(config: BenchConfig, rng, with_prior: bool, hidden: int = 16
     return template, search, weights, box
 
 
-def _gated_problem(config: BenchConfig, rng, with_prior: bool, tol: float):
-    """Draw one problem; raise RuntimeError unless every path agrees on it."""
-    template, search, weights, box = _random_problem(config, rng, with_prior)
+def _gated_problem(config: BenchConfig, rng):
+    """Draw one problem; raise RuntimeError unless every path agrees within TOL."""
+    template, search, weights, box = _random_problem(config, rng)
     plain = replace(weights, prior=None)
     out_naive = fusion.naive_concat_corr(template, search, weights)
     out_plain = fusion.acm_forward(template, search, plain, apply_relu=False)
     gap = float(np.abs(out_naive - out_plain).max())
-    if gap > tol:
+    if gap > TOL:
         raise RuntimeError(
             f"correctness gate failed for {config}: naive vs decomposed "
-            f"differ by {gap:.3e} (tol {tol:g})"
+            f"differ by {gap:.3e} (tol {TOL:g})"
         )
     cache = fusion.acm_cache_template(template, weights, box)
     out_uncached = fusion.acm_forward(template, search, weights, box, apply_relu=False)
     out_cached = fusion.acm_apply_search(cache, search, weights, apply_relu=False)
     gap = float(np.abs(out_uncached - out_cached).max())
-    if gap > tol:
+    if gap > TOL:
         raise RuntimeError(
             f"correctness gate failed for {config}: cached vs uncached "
-            f"differ by {gap:.3e} (tol {tol:g})"
+            f"differ by {gap:.3e} (tol {TOL:g})"
         )
     return template, search, weights, box, cache
 
 
-def _check_reps(reps: int, warmup: int) -> None:
+def _check_reps(reps: int) -> None:
     if reps < MIN_REPS:
         raise ValueError(f"at least {MIN_REPS} repetitions required, got {reps}")
-    if warmup < 3:
-        raise ValueError(f"at least 3 warm-up calls required, got {warmup}")
 
 
-def _samples_ns(calls, reps: int, warmup: int) -> list[list[int]]:
+def _samples_ns(calls, reps: int) -> list[list[int]]:
     """Per-call wall times; each repetition runs every call once, in turn.
 
     Interleaving the calls inside each repetition lets background load
     fall on all of them alike.
     """
     for call in calls:
-        for _ in range(warmup):
+        for _ in range(WARMUP):
             call()
     samples = [[] for _ in calls]
     for _ in range(reps):
@@ -167,33 +166,32 @@ def _samples_ns(calls, reps: int, warmup: int) -> list[list[int]]:
     return samples
 
 
-def bench_compare(configs=None, reps: int = MIN_REPS, seed: int = 0,
-                  warmup: int = 3, with_prior: bool = True,
-                  tol: float = 1e-4) -> list[BenchResult]:
+def bench_compare(configs=None, reps: int = MIN_REPS, seed: int = 0) -> list[BenchResult]:
     """Measure naive, decomposed, and cached fusion for each config.
 
-    The template-side cache is built outside the timed region for the
-    cached path; the decomposed and cached paths are timed round-robin.
-    Raises RuntimeError if any pair of implementations disagrees beyond
-    ``tol`` before timing starts.
+    Each problem carries a prior branch and a box. The template-side cache
+    is built outside the timed region for the cached path; the decomposed
+    and cached paths are timed round-robin. Raises RuntimeError if any
+    pair of implementations disagrees beyond :data:`TOL` before timing
+    starts.
     """
     if configs is None:
         configs = default_configs()
-    _check_reps(reps, warmup)
+    _check_reps(reps)
     streams = np.random.SeedSequence(seed).spawn(len(configs))
     results = []
     for config, stream in zip(configs, streams):
         rng = np.random.default_rng(stream)
-        template, search, weights, box, cache = _gated_problem(config, rng, with_prior, tol)
+        template, search, weights, box, cache = _gated_problem(config, rng)
         # The naive loop evicts the caches of whatever call follows it (at
         # 64x9x9 the next fused call ran ~1.6x slower), so it is timed on its
         # own; the two fused paths, whose ratio matters, are interleaved.
         (naive,) = _samples_ns(
-            [lambda: fusion.naive_concat_corr(template, search, weights)], reps, warmup)
+            [lambda: fusion.naive_concat_corr(template, search, weights)], reps)
         fused = _samples_ns(
             [lambda: fusion.acm_forward(template, search, weights, box, apply_relu=False),
              lambda: fusion.acm_apply_search(cache, search, weights, apply_relu=False)],
-            reps, warmup)
+            reps)
         stats = {path: np.percentile(times, (50, 10, 90))
                  for path, times in zip(PATHS, [naive, *fused])}
         results.append(BenchResult(
@@ -214,14 +212,13 @@ def naive_scaling_slope(channels: int = 8, eta: int = 3, omega: int = 3,
     times every size once.
     """
     configs = [BenchConfig(channels, eta, omega, s, s, out_channels) for s in sizes]
-    _check_reps(reps, 3)
+    _check_reps(reps)
     streams = np.random.SeedSequence(seed).spawn(len(configs))
     calls = []
     for config, stream in zip(configs, streams):
-        template, search, weights, _, _ = _gated_problem(
-            config, np.random.default_rng(stream), True, 1e-4)
+        template, search, weights, _, _ = _gated_problem(config, np.random.default_rng(stream))
         calls.append(lambda t=template, x=search, w=weights: fusion.naive_concat_corr(t, x, w))
-    samples = _samples_ns(calls, reps, 3)
+    samples = _samples_ns(calls, reps)
     positions = np.array([c.positions for c in configs], dtype=np.float64)
     times = np.array([np.median(t) for t in samples], dtype=np.float64)
     slope, _ = np.polyfit(np.log(positions), np.log(times), 1)

@@ -185,9 +185,7 @@ def _load_map(path: str) -> np.ndarray:
         corr = T.tensor_read(path)
     except (OSError, FormatError) as exc:
         raise _UsageError(f"cannot read map {path!r}: {exc}") from exc
-    if corr.ndim != 3:
-        raise _UsageError(f"map must be rank 3, got rank {corr.ndim}")
-    return corr
+    return T._as_map(corr, "map")
 
 
 def _cmd_analyze(args) -> int:

@@ -2,7 +2,9 @@
 
 Everything derives from ValueError so callers who only want a coarse
 "bad input" net can catch that; the concrete classes exist so tests and
-the CLI can tell contract violations apart.
+the CLI can tell contract violations apart. A RankError is also a
+ShapeMismatchError: a wrong rank is one way for shapes not to match, so
+the rank check written once in ``tensor`` serves both contracts.
 """
 
 
@@ -10,7 +12,7 @@ class ShapeMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class RankError(ValueError):
+class RankError(ShapeMismatchError):
     """An array has the wrong number of dimensions for this operation."""
 
 
@@ -51,7 +53,7 @@ class EmptyExteriorError(ValueError):
 
 
 class NonFiniteMapError(ValueError):
-    """A response map holds NaN or infinite values."""
+    """A map, or a learned weight array, holds NaN or infinite values."""
 
 
 class NonPositiveMaxError(ValueError):

@@ -12,12 +12,17 @@ with the joined kernel [theta_z | theta_x], which is what
 :func:`naive_concat_corr` does window by window; the decomposed form
 replaces the per-window concatenation with two independent convolutions
 and an add, and lets the template side be cached across search maps.
-Each convolution rounds to float32 once; the add, the prior, the norm and
-the ReLU then run in float64 and round to float32 once more.
+Each convolution rounds to float32 once; the add, the prior, the optional
+batch norm (always before the ReLU) and the ReLU then run in float64 as
+one epilogue and round to float32 once more.
 
 The optional prior branch feeds (box width, box height), divided by
 ``box_scale``, through a 3-layer FC net into one extra bias per output
-channel. A NaN or infinite template or search map raises NonFiniteMapError.
+channel. Inputs are checked by the package's shared helpers: a template
+or search map of the wrong rank or size raises ShapeMismatchError (a
+RankError is one), a search map smaller than the kernels
+KernelTooLargeError, and a NaN or infinite map or weight
+NonFiniteMapError.
 """
 
 from __future__ import annotations
@@ -26,15 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    KernelTooLargeError,
-    MissingBoxError,
-    NonFiniteMapError,
-    NonPositiveBoxError,
-    ShapeMismatchError,
-)
-from .nn import BatchNormParams, ConvKernel, FcLayer, conv2d_valid, mlp3_forward
-from .tensor import DTYPE, as_tensor
+from .errors import MissingBoxError, NonPositiveBoxError, ShapeMismatchError
+from .nn import BatchNormParams, ConvKernel, FcLayer, _check_fit, conv2d_valid, mlp3_forward
+from .tensor import DTYPE, _as_map, _check_finite, as_tensor
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,17 +42,18 @@ class FusionWeights:
 
     ``theta_z`` and ``theta_x`` must have identical shapes; their shared
     output-channel count fixes the response depth. ``prior``, when
-    present, is the 3-layer FC stack of the box branch and must end in
-    that same channel count; a box must then accompany every template.
-    ``norm`` optionally batch-normalizes the summed response, before the
-    ReLU unless ``norm_after_relu`` is set.
+    present, is the 3-layer FC stack of the box branch: it takes the two
+    box sides, each layer's width chains into the next (else
+    ShapeMismatchError), it ends in that same channel count, and its
+    weights and biases are finite (else NonFiniteMapError); a box must
+    then accompany every template. ``norm`` optionally batch-normalizes
+    the summed response before the ReLU.
     """
 
     theta_z: ConvKernel
     theta_x: ConvKernel
     prior: tuple[FcLayer, FcLayer, FcLayer] | None = None
     norm: BatchNormParams | None = None
-    norm_after_relu: bool = False
     box_scale: float = 255.0
 
     def __post_init__(self):
@@ -66,6 +66,15 @@ class FusionWeights:
             layers = tuple(self.prior)
             if len(layers) != 3:
                 raise ValueError(f"prior branch needs 3 FC layers, got {len(layers)}")
+            for i, layer in enumerate(layers):
+                width = layers[i - 1].out_features if i else 2
+                if layer.in_features != width:
+                    raise ShapeMismatchError(
+                        f"prior layer {i + 1} takes {layer.in_features} inputs, "
+                        f"expected {width}"
+                    )
+                _check_finite(layer.weights, f"prior layer {i + 1} weights")
+                _check_finite(layer.bias, f"prior layer {i + 1} bias")
             if layers[2].out_features != self.out_channels:
                 raise ShapeMismatchError(
                     f"prior branch ends in {layers[2].out_features} features, "
@@ -101,8 +110,8 @@ class TemplateCache:
     prior_term: np.ndarray | None = None
 
     def __post_init__(self):
-        z = as_tensor(self.z_term)
-        if z.ndim != 3 or z.shape[1:] != (1, 1):
+        z = _as_map(self.z_term, "z_term")
+        if z.shape[1:] != (1, 1):
             raise ShapeMismatchError(f"z_term must be P x 1 x 1, got {z.shape}")
         object.__setattr__(self, "z_term", z)
         if self.prior_term is not None:
@@ -119,38 +128,19 @@ class TemplateCache:
 
 
 def _check_template(template, weights: FusionWeights) -> np.ndarray:
-    z = as_tensor(template)
-    if z.ndim != 3:
-        raise ShapeMismatchError(f"template must be rank 3, got rank {z.ndim}")
-    if z.shape[0] != weights.in_channels or z.shape[1:] != weights.kernel_size:
+    z = _as_map(template, "template")
+    if z.shape != weights.theta_z.weights.shape[1:]:
         raise ShapeMismatchError(
             f"template {z.shape} does not match kernels "
             f"{weights.theta_z.weights.shape[1:]}"
         )
-    if not np.isfinite(z).all():
-        raise NonFiniteMapError("template holds NaN or infinite values")
-    return z
+    return _check_finite(z, "template")
 
 
 def _check_search(search, weights: FusionWeights) -> np.ndarray:
-    # conv2d_valid would raise RankError; fusion reports ShapeMismatchError.
-    x = as_tensor(search)
-    if x.ndim != 3:
-        raise ShapeMismatchError(f"search map must be rank 3, got rank {x.ndim}")
-    if x.shape[0] != weights.in_channels:
-        raise ShapeMismatchError(
-            f"search map has {x.shape[0]} channels, kernels expect "
-            f"{weights.in_channels}"
-        )
-    eta, omega = weights.kernel_size
-    if eta > x.shape[1] or omega > x.shape[2]:
-        raise KernelTooLargeError(
-            f"kernels {eta}x{omega} do not fit in search map "
-            f"{x.shape[1]}x{x.shape[2]}"
-        )
-    if not np.isfinite(x).all():
-        raise NonFiniteMapError("search map holds NaN or infinite values")
-    return x
+    x = _as_map(search, "search map")
+    _check_fit(x, weights.in_channels, *weights.kernel_size)
+    return _check_finite(x, "search map")
 
 
 def naive_concat_corr(template, search, weights: FusionWeights) -> np.ndarray:
@@ -219,8 +209,8 @@ def acm_apply_search(
     """Fuse a cached template with one search map.
 
     Runs exactly one convolution (the search side). The cached terms, the
-    configured norm and the activation then run in float64 on one buffer,
-    per channel, and round to float32 once at the end.
+    norm (folded into a per-channel scale and bias) and the activation
+    then run in float64 on one buffer and round to float32 once at the end.
     """
     x = _check_search(search, weights)
     if cache.out_channels != weights.out_channels:
@@ -234,20 +224,14 @@ def acm_apply_search(
     bias = cache.z_term.astype(np.float64)
     if cache.prior_term is not None:
         bias += cache.prior_term
-    norm = weights.norm
-    if norm is not None and not weights.norm_after_relu:
-        scale, shift = norm.scale_shift()
+    if weights.norm is not None:
+        scale, shift = weights.norm.scale_shift()
         # norm(conv + bias) = conv * scale + (bias * scale + shift)
         out *= scale
-        out += bias * scale + shift
-    else:
-        out += bias
+        bias = bias * scale + shift
+    out += bias
     if apply_relu:
         np.maximum(out, 0.0, out=out)
-    if norm is not None and weights.norm_after_relu:
-        scale, shift = norm.scale_shift()
-        out *= scale
-        out += shift
     return out.astype(DTYPE)
 
 

@@ -33,14 +33,12 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import KernelTooLargeError, RankError, ShapeMismatchError
-from .tensor import DTYPE, as_tensor, relu
+from .tensor import DTYPE, _as_map, _check_finite, as_tensor, relu
 
 
 def _check_kernel(w: np.ndarray) -> np.ndarray:
@@ -58,7 +56,8 @@ class ConvKernel:
     ``weights`` is a read-only float32 array the kernel owns: it copies
     the caller's array when :func:`as_tensor` hands that array (or a view
     of the caller's memory) back, so later writes by the caller cannot
-    reach the float64 operands cached here.
+    reach the float64 operands cached here. A NaN or infinite weight
+    raises NonFiniteMapError, checked once here rather than per conv.
     """
 
     weights: np.ndarray
@@ -68,7 +67,7 @@ class ConvKernel:
         if w is self.weights or not w.flags.owndata:
             w = w.copy()
         w.flags.writeable = False
-        object.__setattr__(self, "weights", _check_kernel(w))
+        object.__setattr__(self, "weights", _check_finite(_check_kernel(w), "conv kernel"))
 
     @property
     def out_channels(self) -> int:
@@ -126,7 +125,11 @@ class FcLayer:
 
 @dataclass(frozen=True, eq=False)
 class BatchNormParams:
-    """Frozen inference-time batch norm statistics for C channels."""
+    """Frozen inference-time batch norm statistics for C channels.
+
+    Every array must be finite (NonFiniteMapError) and ``running_var``
+    non-negative.
+    """
 
     gamma: np.ndarray
     beta: np.ndarray
@@ -140,14 +143,14 @@ class BatchNormParams:
             arr = as_tensor(getattr(self, name))
             if arr.ndim != 1:
                 raise RankError(f"{name} must be rank 1")
-            arrays[name] = arr
+            arrays[name] = _check_finite(arr, name)
         lengths = {a.shape[0] for a in arrays.values()}
         if len(lengths) != 1:
             raise ShapeMismatchError("batch norm parameter lengths differ")
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if not (np.isfinite(arrays["running_var"]) & (arrays["running_var"] >= 0)).all():
-            raise ValueError("running_var must be finite and non-negative")
+        if (arrays["running_var"] < 0).any():
+            raise ValueError("running_var must be non-negative")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
@@ -163,40 +166,6 @@ class BatchNormParams:
         return scale[:, None, None], shift[:, None, None]
 
 
-# Counters let tests assert how many convolutions a code path issued.
-
-_counter_state = threading.local()
-
-
-@dataclass
-class ConvCallCounter:
-    calls: int = field(default=0)
-
-
-@contextmanager
-def count_conv_calls():
-    """Count conv2d_valid invocations on this thread within the block."""
-    stack = _counter_state.__dict__.setdefault("stack", [])
-    counter = ConvCallCounter()
-    stack.append(counter)
-    try:
-        yield counter
-    finally:
-        stack.remove(counter)
-
-
-def _tick_conv_counters() -> None:
-    for counter in _counter_state.__dict__.get("stack", ()):
-        counter.calls += 1
-
-
-def _as_map(x, what: str) -> np.ndarray:
-    x = as_tensor(x)
-    if x.ndim != 3:
-        raise RankError(f"{what} must be rank 3 (C x H x W), got rank {x.ndim}")
-    return x
-
-
 def _kernel_weights(kernel) -> np.ndarray:
     if isinstance(kernel, ConvKernel):
         return kernel.weights
@@ -204,7 +173,11 @@ def _kernel_weights(kernel) -> np.ndarray:
 
 
 def _check_fit(x: np.ndarray, channels: int, kh: int, kw: int) -> None:
-    """A kernel of ``channels`` x kh x kw must match and fit inside map x."""
+    """A kernel of ``channels`` x kh x kw must match and fit inside map x.
+
+    The one kernel-fit check of the package; fusion's search-map check
+    calls it too.
+    """
     if channels != x.shape[0]:
         raise ShapeMismatchError(
             f"kernel expects {channels} input channels, map has {x.shape[0]}"
@@ -238,7 +211,6 @@ def conv2d_valid(inputs, kernel) -> np.ndarray:
     w = _kernel_weights(kernel)
     out_ch, in_ch, kh, kw = w.shape
     _check_fit(x, in_ch, kh, kw)
-    _tick_conv_counters()
     out_h, out_w = x.shape[1] - kh + 1, x.shape[2] - kw + 1
     if not isinstance(kernel, ConvKernel):
         matrix = w.reshape(out_ch, -1).astype(np.float64)

@@ -14,7 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, RankError, ShapeMismatchError, ZeroVectorError
+from .errors import (
+    FormatError,
+    NonFiniteMapError,
+    RankError,
+    ShapeMismatchError,
+    ZeroVectorError,
+)
 
 DTYPE = np.float32
 
@@ -30,6 +36,21 @@ def as_tensor(values) -> np.ndarray:
     if not arr.flags["C_CONTIGUOUS"]:
         arr = np.ascontiguousarray(arr)
     return arr
+
+
+def _as_map(x, what: str) -> np.ndarray:
+    """``x`` as a float32 C x H x W map; the one rank-3 check of the package."""
+    x = as_tensor(x)
+    if x.ndim != 3:
+        raise RankError(f"{what} must be rank 3 (C x H x W), got rank {x.ndim}")
+    return x
+
+
+def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` unchanged; NonFiniteMapError if it holds a NaN or an infinity."""
+    if not np.isfinite(x).all():
+        raise NonFiniteMapError(f"{what} holds NaN or infinite values")
+    return x
 
 
 def broadcast_shape(shape_a, shape_b) -> tuple[int, ...]:
@@ -68,9 +89,7 @@ def relu(t) -> np.ndarray:
 
 def l1_map(t) -> np.ndarray:
     """Collapse a C x H x W map to H x W by summing |t| over channels."""
-    t = as_tensor(t)
-    if t.ndim != 3:
-        raise RankError(f"l1_map expects a rank-3 map, got rank {t.ndim}")
+    t = _as_map(t, "l1_map input")
     return np.abs(t.astype(np.float64)).sum(axis=0).astype(DTYPE)
 
 

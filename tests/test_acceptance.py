@@ -205,7 +205,7 @@ class TestCriterion6:
 class TestCriterion7:
     def test_performance_ordering(self, verdict):
         big = bench.BenchConfig(64, 5, 5, 29, 29, 64)
-        (result,) = bench.bench_compare([big], reps=30, seed=0, with_prior=True)
+        (result,) = bench.bench_compare([big], reps=30, seed=0)
         slope = bench.naive_scaling_slope(sizes=(7, 10, 14, 20, 28),
                                           reps=20, seed=0)
         # Caching removes the template-side conv and the prior net. At
@@ -213,7 +213,7 @@ class TestCriterion7:
         # ordering claim is measured where it structurally matters: a
         # small per-frame search extent. The saving there is ~35%.
         small = bench.BenchConfig(64, 5, 5, 9, 9, 64)
-        (cached,) = bench.bench_compare([small], reps=50, seed=0, with_prior=True)
+        (cached,) = bench.bench_compare([small], reps=50, seed=0)
         ok = (result.naive_ns > result.acm_ns
               and cached.cached_ns < cached.acm_ns
               and slope >= 0.9)

@@ -58,10 +58,6 @@ class TestBenchCompare:
         with pytest.raises(ValueError):
             bench.bench_compare([bench.BenchConfig(2, 2, 2, 4, 4, 2)], reps=5)
 
-    def test_warmup_floor_enforced(self):
-        with pytest.raises(ValueError):
-            bench.bench_compare([bench.BenchConfig(2, 2, 2, 4, 4, 2)], warmup=0)
-
     def test_correctness_gate_aborts_on_disagreement(self, monkeypatch):
         # Corrupt one path; the gate must refuse to time anything.
         real = fusion.naive_concat_corr
@@ -73,17 +69,12 @@ class TestBenchCompare:
         with pytest.raises(RuntimeError, match="correctness gate"):
             bench.bench_compare([bench.BenchConfig(2, 2, 2, 4, 4, 2)], reps=20)
 
-    def test_without_prior_branch(self):
-        config = bench.BenchConfig(2, 2, 2, 5, 5, 3)
-        (result,) = bench.bench_compare([config], reps=20, with_prior=False)
-        assert result.cached_ns > 0
-
 
 class TestScalingSlope:
     def test_sizes_are_timed_round_robin(self):
         order = []
         calls = [lambda i=i: order.append(i) for i in range(3)]
-        samples = bench._samples_ns(calls, reps=4, warmup=3)
+        samples = bench._samples_ns(calls, reps=4)
         assert order == [0, 0, 0, 1, 1, 1, 2, 2, 2] + [0, 1, 2] * 4
         assert [len(times) for times in samples] == [4, 4, 4]
 

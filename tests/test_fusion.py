@@ -279,13 +279,14 @@ class TestTemplateCache:
         template = rand_f32(rng, (channels, side, side))
         weights = make_weights(rng, channels, side, side, out_ch, with_prior=True)
         cache = fusion.acm_cache_template(template, weights, box=(20.0, 20.0))
-        fast_calls = []
-        real = nn._winograd_conv
+        conv_calls, fast_calls = [], []
+        real_conv, real_fast = fusion.conv2d_valid, nn._winograd_conv
+        monkeypatch.setattr(fusion, "conv2d_valid",
+                            lambda *args: conv_calls.append(1) or real_conv(*args))
         monkeypatch.setattr(nn, "_winograd_conv",
-                            lambda *args: fast_calls.append(1) or real(*args))
-        with nn.count_conv_calls() as counter:
-            fusion.acm_apply_search(cache, rand_f32(rng, (channels, search, search)), weights)
-        assert counter.calls == 1
+                            lambda *args: fast_calls.append(1) or real_fast(*args))
+        fusion.acm_apply_search(cache, rand_f32(rng, (channels, search, search)), weights)
+        assert len(conv_calls) == 1
         assert len(fast_calls) == int(winograd)
 
     def test_cache_weights_prior_agreement_enforced(self):
@@ -298,37 +299,22 @@ class TestTemplateCache:
 
 
 class TestNormPlacement:
-    def _setup(self, rng, after):
-        weights = make_weights(rng, 2, 2, 2, 3)
+    def test_norm_runs_before_relu(self):
+        rng = np.random.default_rng(70)
+        template = rand_f32(rng, (2, 2, 2))
+        search = rand_f32(rng, (2, 5, 5))
+        base = make_weights(rng, 2, 2, 2, 3)
         norm = nn.BatchNormParams(
             gamma=rand_f32(rng, (3,), 0.5, 1.5), beta=rand_f32(rng, (3,)),
             running_mean=rand_f32(rng, (3,)), running_var=rand_f32(rng, (3,), 0.5, 1.5),
         )
-        return fusion.FusionWeights(theta_z=weights.theta_z, theta_x=weights.theta_x,
-                                    norm=norm, norm_after_relu=after)
-
-    def test_norm_defaults_to_before_relu(self):
-        rng = np.random.default_rng(70)
-        template = rand_f32(rng, (2, 2, 2))
-        search = rand_f32(rng, (2, 5, 5))
-        weights = self._setup(rng, after=False)
+        weights = fusion.FusionWeights(theta_z=base.theta_z, theta_x=base.theta_x, norm=norm)
         out = fusion.acm_forward(template, search, weights)
         plain = fusion.FusionWeights(theta_z=weights.theta_z, theta_x=weights.theta_x)
         pre = fusion.acm_forward(template, search, plain, apply_relu=False)
         expected = np.maximum(nn.batchnorm_infer(pre, weights.norm), 0.0)
         npt.assert_allclose(out, expected, atol=1e-6)
         assert (out >= 0).all()
-
-    def test_norm_after_relu_flag(self):
-        rng = np.random.default_rng(71)
-        template = rand_f32(rng, (2, 2, 2))
-        search = rand_f32(rng, (2, 5, 5))
-        weights = self._setup(rng, after=True)
-        out = fusion.acm_forward(template, search, weights)
-        plain = fusion.FusionWeights(theta_z=weights.theta_z, theta_x=weights.theta_x)
-        pre = fusion.acm_forward(template, search, plain, apply_relu=False)
-        expected = nn.batchnorm_infer(np.maximum(pre, 0.0), weights.norm)
-        npt.assert_allclose(out, expected, atol=1e-6)
 
 
 def with_pixel(good, value):
@@ -405,3 +391,64 @@ def test_structs_compare_by_identity(make):
         assert a._gemm_matrix is a._gemm_matrix and a._gemm_matrix.shape == (2, 50)
         assert a._winograd_kernel is a._winograd_kernel
         assert a._winograd_kernel.shape == (nn._ALPHA**2, 2, 2)
+
+
+def ones(*shape):
+    return np.ones(shape, np.float32)
+
+
+def with_first(arr, value):
+    """A copy of ``arr`` with its first entry set to ``value``."""
+    bad = np.array(arr, np.float32)
+    bad.flat[0] = value
+    return bad
+
+
+def prior_of(w1=ones(4, 2), w2=ones(4, 4), w3=ones(2, 4), b3=np.zeros(2, np.float32)):
+    return (nn.FcLayer(w1, np.zeros(len(w1), np.float32)),
+            nn.FcLayer(w2, np.zeros(len(w2), np.float32)), nn.FcLayer(w3, b3))
+
+
+def norm_of(gamma=ones(2), beta=ones(2), running_mean=ones(2)):
+    return nn.BatchNormParams(gamma, beta, running_mean, ones(2))
+
+
+def weights_of(theta_z=KERNEL, theta_x=KERNEL, prior=None, norm=None):
+    """Fusion weights on KERNEL's shape with a prior branch and a norm."""
+    return fusion.FusionWeights(nn.ConvKernel(theta_z), nn.ConvKernel(theta_x),
+                                prior=prior or prior_of(), norm=norm or norm_of())
+
+
+# The error contract of the learned weights. Each row builds weights with one
+# bad part; building them raises the row's class, before any map is seen.
+WEIGHT_ROWS = {
+    "prior layer 1 takes 3 inputs": (lambda: weights_of(prior=prior_of(w1=ones(4, 3))),
+                                     ShapeMismatchError),
+    "prior widths do not chain": (lambda: weights_of(prior=prior_of(w2=ones(4, 5))),
+                                  ShapeMismatchError),
+    "nan in theta_x": (lambda: weights_of(theta_x=with_first(KERNEL, np.nan)), NonFiniteMapError),
+    "inf in theta_z": (lambda: weights_of(theta_z=with_first(KERNEL, np.inf)), NonFiniteMapError),
+    "nan in prior weights": (lambda: weights_of(prior=prior_of(w2=with_first(ones(4, 4), np.nan))),
+                             NonFiniteMapError),
+    "inf in prior bias": (lambda: weights_of(prior=prior_of(b3=with_first(ones(2), np.inf))),
+                          NonFiniteMapError),
+    "nan gamma": (lambda: weights_of(norm=norm_of(gamma=with_first(ones(2), np.nan))),
+                  NonFiniteMapError),
+    "inf beta": (lambda: weights_of(norm=norm_of(beta=with_first(ones(2), np.inf))),
+                 NonFiniteMapError),
+    "-inf running_mean": (lambda: weights_of(norm=norm_of(running_mean=with_first(ones(2),
+                                                                                  -np.inf))),
+                          NonFiniteMapError),
+}
+
+
+class TestWeightContract:
+    @pytest.mark.parametrize("row", WEIGHT_ROWS)
+    def test_bad_weights_raise_their_class(self, row):
+        build, error = WEIGHT_ROWS[row]
+        with pytest.raises(error):
+            build()
+
+    def test_good_weights_give_a_finite_response(self):
+        out = fusion.acm_forward(ones(2, 5, 5), ones(2, 7, 7), weights_of(), box=(10.0, 20.0))
+        assert out.shape == (2, 3, 3) and np.isfinite(out).all()

@@ -435,30 +435,6 @@ class TestHead1x1:
             nn.head1x1(np.zeros((2, 3, 3), np.float32), np.zeros((1, 2, 2, 2), np.float32))
 
 
-class TestConvCounter:
-    def test_counts_only_inside_block(self):
-        rng = np.random.default_rng(17)
-        x = rand_f32(rng, (2, 4, 4))
-        k = rand_f32(rng, (1, 2, 2, 2))
-        nn.conv2d_valid(x, k)
-        with nn.count_conv_calls() as counter:
-            nn.conv2d_valid(x, k)
-            nn.conv2d_valid(x, k)
-        nn.conv2d_valid(x, k)
-        assert counter.calls == 2
-
-    def test_nested_counters(self):
-        rng = np.random.default_rng(18)
-        x = rand_f32(rng, (1, 3, 3))
-        k = rand_f32(rng, (1, 1, 2, 2))
-        with nn.count_conv_calls() as outer:
-            nn.conv2d_valid(x, k)
-            with nn.count_conv_calls() as inner:
-                nn.conv2d_valid(x, k)
-        assert inner.calls == 1
-        assert outer.calls == 2
-
-
 class TestGlobalAvgPool:
     def test_means_per_channel(self):
         x = np.stack([np.full((2, 2), 3.0), np.arange(4, dtype=np.float64).reshape(2, 2)])

@@ -133,8 +133,8 @@ def test_decomposed_fusion_equals_naive_concat(case, data):
 
 
 @PROPERTY_SETTINGS
-@given(map_and_kernel(), st.booleans(), st.data())
-def test_fusion_with_prior_and_norm_equals_naive_concat(case, norm_after_relu, data):
+@given(map_and_kernel(), st.data())
+def test_fusion_with_prior_and_norm_equals_naive_concat(case, data):
     search, theta_x = case
     p, c, kh, kw = theta_x.shape
     template = data.draw(f32(theta_x.shape[1:]))
@@ -147,7 +147,7 @@ def test_fusion_with_prior_and_norm_equals_naive_concat(case, norm_after_relu, d
                               data.draw(running_var))
     box = data.draw(st.tuples(st.floats(1.0, 500.0), st.floats(1.0, 500.0)))
     weights = fusion.FusionWeights(nn.ConvKernel(theta_z), nn.ConvKernel(theta_x),
-                                   prior=prior, norm=norm, norm_after_relu=norm_after_relu)
+                                   prior=prior, norm=norm)
     acm = fusion.acm_forward(template, search, weights, box)
 
     scaled = np.array([box[0] / weights.box_scale, box[1] / weights.box_scale], np.float32)
@@ -157,10 +157,7 @@ def test_fusion_with_prior_and_norm_equals_naive_concat(case, norm_after_relu, d
         norm.gamma, norm.beta, norm.running_mean, norm.running_var))
     scale = gamma / np.sqrt(var + norm.eps)
     shift = beta - mean * scale
-    if norm_after_relu:
-        want = np.maximum(pre, 0.0) * scale + shift
-    else:
-        want = np.maximum(pre * scale + shift, 0.0)
+    want = np.maximum(pre * scale + shift, 0.0)
     # With u = 2**-24 and K = C*kh*kw, each of theta_z*z and theta_x*x is at
     # most K in magnitude (entries in [-1, 1]) and their sum at most 2K. acm
     # rounds the two convs to float32 (u*K each), naive rounds their sum once
