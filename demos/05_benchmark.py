@@ -9,7 +9,7 @@ Before timing, every path is cross-checked against the others, so the
 numbers below are for implementations known to agree.
 """
 
-from asymfuse import BenchConfig, bench_compare, naive_scaling_slope, write_csv
+from asymfuse import BenchConfig, bench_compare, naive_scaling_slope, write_json
 
 configs = [
     BenchConfig(4, 3, 3, 10, 10, 4),
@@ -27,7 +27,7 @@ for r in results:
     print(f"{label:<22} {r.naive_ns:>12.0f} {r.acm_ns:>12.0f} "
           f"{r.cached_ns:>12.0f} {r.speedup:>8.2f}x")
 
-path = write_csv(results, "bench_results.csv")
+path = write_json(results, "bench_results.json")
 print(f"\nwrote {path}")
 
 # The naive path's cost grows with the number of window positions; on a

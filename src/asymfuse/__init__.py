@@ -23,7 +23,6 @@ from .bench import (
     BenchResult,
     bench_compare,
     naive_scaling_slope,
-    write_csv,
     write_json,
 )
 from .errors import NonFiniteMapError

@@ -5,13 +5,13 @@ Timings use the monotonic nanosecond clock, take the median (and the
 calls, and never overlap measured regions. Before anything is timed, all
 implementations are checked against each other; a disagreement aborts
 the run, so a benchmark can never report speed for wrong results.
-Results go to a CSV table or to a JSON file that also records the
-environment (NumPy and BLAS, cores, BLAS threads).
+Results go to a JSON file that also records the environment (NumPy and
+BLAS, cores, BLAS threads); ``bench --configs`` reads the configs of such
+a file back in.
 """
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import dataclasses
 import os
@@ -33,9 +33,6 @@ WARMUP = 3
 TOL = 1e-4
 
 PATHS = ("naive", "acm", "cached")
-
-CSV_COLUMNS = ("C", "eta", "omega", "H", "W", "P",
-               "reps", "naive_ns", "acm_ns", "cached_ns", "speedup")
 
 
 @dataclass(frozen=True)
@@ -223,22 +220,6 @@ def naive_scaling_slope(channels: int = 8, eta: int = 3, omega: int = 3,
     times = np.array([np.median(t) for t in samples], dtype=np.float64)
     slope, _ = np.polyfit(np.log(positions), np.log(times), 1)
     return float(slope)
-
-
-def write_csv(results, path) -> Path:
-    """Emit one row per configuration under a fixed header."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in results:
-            c = r.config
-            writer.writerow([
-                c.channels, c.eta, c.omega, c.height, c.width, c.out_channels,
-                r.reps, f"{r.naive_ns:.1f}", f"{r.acm_ns:.1f}",
-                f"{r.cached_ns:.1f}", f"{r.speedup:.4f}",
-            ])
-    return path
 
 
 def _blas_threads():

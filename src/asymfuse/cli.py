@@ -9,13 +9,13 @@ failed, 2 bad usage or configuration.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, bench, fusion, gradcheck, nn, toytask
+from . import analysis, bench, fusion, gradcheck, toytask
 from . import tensor as T
 from .errors import FormatError
 
@@ -54,27 +54,17 @@ def _cmd_eqcheck(args) -> int:
     worst = 0.0
     for trial in range(args.trials):
         channels = int(rng.integers(1, 9))
-        eta = int(rng.integers(1, 6))
-        omega = int(rng.integers(1, 6))
-        height = int(rng.integers(eta, 13))
-        width = int(rng.integers(omega, 13))
-        out_ch = int(rng.integers(1, 9))
-
-        def draw(shape):
-            return rng.uniform(-1.0, 1.0, size=shape).astype(T.DTYPE)
-
-        weights = fusion.FusionWeights(
-            theta_z=nn.ConvKernel(draw((out_ch, channels, eta, omega))),
-            theta_x=nn.ConvKernel(draw((out_ch, channels, eta, omega))),
-        )
-        template = draw((channels, eta, omega))
-        search = draw((channels, height, width))
+        eta, omega = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        c = bench.BenchConfig(channels, eta, omega, int(rng.integers(eta, 13)),
+                              int(rng.integers(omega, 13)), int(rng.integers(1, 9)))
+        template, search, weights, _ = bench._random_problem(c, rng)
+        weights = dataclasses.replace(weights, prior=None)
         reference = fusion.naive_concat_corr(template, search, weights)
         decomposed = fusion.acm_forward(template, search, weights, apply_relu=False)
         diff = float(np.abs(reference - decomposed).max())
         worst = max(worst, diff)
-        print(f"trial {trial:3d}: C={channels} eta={eta} omega={omega} "
-              f"H={height} W={width} P={out_ch} max_abs_diff={diff:.3e}")
+        print(f"trial {trial:3d}: C={c.channels} eta={c.eta} omega={c.omega} "
+              f"H={c.height} W={c.width} P={c.out_channels} max_abs_diff={diff:.3e}")
     verdict = "ok" if worst <= args.tol else "FAIL"
     print(f"eqcheck: {args.trials} trials, worst max_abs_diff={worst:.3e}, "
           f"tol={args.tol:g}: {verdict}")
@@ -99,46 +89,43 @@ def _cmd_gradcheck(args) -> int:
     return _EXIT_OK if failed == 0 else _EXIT_CHECK_FAILED
 
 
-def _bench_config_entries(text: str) -> list[str]:
-    """Accept a CSV file of C,eta,omega,H,W,P rows or inline sextuples.
+def _bench_configs(text: str) -> list[bench.BenchConfig]:
+    """Inline C,eta,omega,H,W,P sextuples, or the configs of a ``--json`` file.
 
-    File rows whose first cell is not an integer (headers, blanks) are
-    skipped, so a previous ``--out`` file can be fed straight back in.
+    A file's ``results[].config`` entries are read in order, so an earlier
+    run can be repeated by feeding its JSON straight back in.
     """
     path = Path(text)
     if not path.is_file():
-        return text.split(";")
-    entries = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip().lstrip("-").isdigit():
-                continue
-            entries.append(",".join(cell.strip() for cell in row[:6]))
-    if not entries:
+        return [bench.BenchConfig(*_parse_ints(chunk, 6, "--configs entry"))
+                for chunk in text.split(";")]
+    import json  # here, not at the top: only a --configs file needs it
+
+    try:
+        configs = [bench.BenchConfig(**row["config"])
+                   for row in json.loads(path.read_text())["results"]]
+        if any(type(v) is not int for c in configs for v in dataclasses.astuple(c)):
+            raise TypeError("config dimensions must be integers")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _UsageError(f"{text!r} is not a bench --json file: {exc!r}") from exc
+    if not configs:
         raise _UsageError(f"no benchmark configurations found in {text!r}")
-    return entries
+    return configs
 
 
 def _cmd_bench(args) -> int:
     if args.reps < bench.MIN_REPS:
         raise _UsageError(f"--reps must be at least {bench.MIN_REPS}, got {args.reps}")
-    configs = None
-    if args.configs:
-        configs = []
-        for chunk in _bench_config_entries(args.configs):
-            configs.append(bench.BenchConfig(*_parse_ints(chunk, 6, "--configs entry")))
+    configs = _bench_configs(args.configs) if args.configs else None
     results = bench.bench_compare(configs, reps=args.reps, seed=args.seed)
-    header = " ".join(f"{c:>10}" for c in bench.CSV_COLUMNS)
-    print(header)
+    print(" ".join(f"{c:>10}" for c in ("C", "eta", "omega", "H", "W", "P", "reps",
+                                        "naive_ns", "acm_ns", "cached_ns", "speedup")))
     for r in results:
         c = r.config
         print(" ".join(f"{v:>10}" for v in (
             c.channels, c.eta, c.omega, c.height, c.width, c.out_channels, r.reps,
             f"{r.naive_ns:.0f}", f"{r.acm_ns:.0f}", f"{r.cached_ns:.0f}",
             f"{r.speedup:.3f}")))
-    if args.out:
-        bench.write_csv(results, args.out)
-        print(f"wrote {args.out}")
     if args.json:
         bench.write_json(results, args.json)
         print(f"wrote {args.json}")
@@ -148,13 +135,6 @@ def _cmd_bench(args) -> int:
 def _cmd_toytrain(args) -> int:
     if not 0 < args.lr < np.inf:
         raise _UsageError(f"--lr must be positive and finite, got {args.lr}")
-    if args.epochs < 0:
-        raise _UsageError(f"--epochs must be non-negative, got {args.epochs}")
-    if args.train_samples < 1 or args.test_samples < 1:
-        raise _UsageError("--train-samples and --test-samples must be at least 1")
-    if not 1 <= args.classes <= toytask.MAX_CLASSES:
-        raise _UsageError(f"--classes must be in [1, {toytask.MAX_CLASSES}], "
-                          f"got {args.classes}")
     config = toytask.ToyTrainConfig(
         seed=args.seed, n_train=args.train_samples, n_test=args.test_samples,
         num_classes=args.classes, glyph_size=args.glyph_size,
@@ -242,12 +222,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=bench.MIN_REPS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--configs", type=str, default="",
-                   help="CSV file of C,eta,omega,H,W,P rows, or "
-                        "semicolon-separated sextuples given inline")
-    p.add_argument("--out", type=str, default="",
-                   help="also write the results as CSV to this path")
+                   help="semicolon-separated C,eta,omega,H,W,P sextuples, or a "
+                        "file written by --json, whose configs rerun in order")
     p.add_argument("--json", type=str, default="",
-                   help="also write the environment and median/p10/p90 per path "
+                   help="write the environment and median/p10/p90 per path "
                         "as JSON to this path")
     p.set_defaults(func=_cmd_bench)
 

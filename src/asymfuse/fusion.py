@@ -104,7 +104,10 @@ class FusionWeights:
 
 @dataclass(frozen=True, eq=False)
 class TemplateCache:
-    """Search-independent half of the fusion: z term plus optional prior."""
+    """Search-independent half of the fusion: z term plus optional prior.
+
+    Both terms must be finite (else NonFiniteMapError).
+    """
 
     z_term: np.ndarray
     prior_term: np.ndarray | None = None
@@ -113,9 +116,9 @@ class TemplateCache:
         z = _as_map(self.z_term, "z_term")
         if z.shape[1:] != (1, 1):
             raise ShapeMismatchError(f"z_term must be P x 1 x 1, got {z.shape}")
-        object.__setattr__(self, "z_term", z)
+        object.__setattr__(self, "z_term", _check_finite(z, "z_term"))
         if self.prior_term is not None:
-            p = as_tensor(self.prior_term)
+            p = _check_finite(as_tensor(self.prior_term), "prior_term")
             if p.shape != z.shape:
                 raise ShapeMismatchError(
                     f"prior term {p.shape} does not match z term {z.shape}"

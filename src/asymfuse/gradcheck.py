@@ -146,10 +146,10 @@ def gradient_check_suite(seed: int = 0, eps: float = 1e-2, tol: float = 1e-2,
     ``inject_error`` corrupts one analytic gradient on purpose, as a
     negative control that the comparison can actually fail.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     margin = max(0.05, 4.0 * eps)
     streams = np.random.SeedSequence(seed).spawn(len(_CASES))
     results = []

@@ -127,8 +127,9 @@ class FcLayer:
 class BatchNormParams:
     """Frozen inference-time batch norm statistics for C channels.
 
-    Every array must be finite (NonFiniteMapError) and ``running_var``
-    non-negative.
+    Every array must be finite (NonFiniteMapError), ``running_var``
+    non-negative, and each folded scale |gamma| / sqrt(running_var + eps)
+    at most the float32 maximum (ValueError).
     """
 
     gamma: np.ndarray
@@ -153,6 +154,9 @@ class BatchNormParams:
             raise ValueError("running_var must be non-negative")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
+        if (np.abs(self.scale_shift()[0]) > np.finfo(np.float32).max).any():
+            raise ValueError("a folded batch-norm scale |gamma| / sqrt(running_var + eps) "
+                             "exceeds the float32 range")
 
     @property
     def channels(self) -> int:

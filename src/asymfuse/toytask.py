@@ -294,6 +294,9 @@ def locality_rate(model: ToyModel, samples: Sequence[GridSample]) -> float:
 
 @dataclass(frozen=True)
 class ToyTrainConfig:
+    """One training run; ValueError unless both sample counts are at least 1
+    and ``epochs`` is non-negative."""
+
     seed: int = 0
     n_train: int = 2000
     n_test: int = 1000
@@ -308,6 +311,13 @@ class ToyTrainConfig:
     conv_channels: tuple[int, int] = (8, 16)
     fused_channels: int = 16
     index_hidden: int = 32
+
+    def __post_init__(self):
+        if self.n_train < 1 or self.n_test < 1:
+            raise ValueError(f"n_train and n_test must be at least 1, "
+                             f"got {self.n_train} and {self.n_test}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
 
 
 @dataclass(frozen=True)
@@ -332,8 +342,6 @@ def toy_train(config: ToyTrainConfig = ToyTrainConfig()) -> ToyTrainResult:
     bit. When ``ablate_index`` is set the index branch is forcibly
     zeroed during both training and evaluation.
     """
-    if config.epochs < 0:
-        raise ValueError(f"epochs must be non-negative, got {config.epochs}")
     s_model, s_train, _, s_shuffle = np.random.SeedSequence(config.seed).spawn(4)
     model = ToyModel(config.num_classes, config.glyph_size, config.conv_channels,
                      config.fused_channels, config.index_hidden, seed=s_model)

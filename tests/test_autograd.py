@@ -433,6 +433,13 @@ class TestGradientSuite:
         results = gradcheck.gradient_check_suite(seed=0, inject_error=True)
         assert any(not r.passed for r in results)
 
+    @pytest.mark.parametrize("knob", ["eps", "tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_knob_rejected(self, knob, value):
+        # tol=inf would pass every row and tol=nan fail every row.
+        with pytest.raises(ValueError, match=knob):
+            gradcheck.gradient_check_suite(**{knob: value})
+
     def test_deterministic_given_seed(self):
         a = gradcheck.gradient_check_suite(seed=123)
         b = gradcheck.gradient_check_suite(seed=123)

@@ -87,26 +87,6 @@ class TestScalingSlope:
         assert slope > 0.5
 
 
-class TestCsv:
-    def test_header_and_row_shape(self, tmp_path):
-        config = bench.BenchConfig(4, 3, 3, 8, 8, 4)
-        result = bench.BenchResult(config=config, reps=20, naive_ns=1000.0,
-                                   acm_ns=500.0, cached_ns=250.0)
-        path = bench.write_csv([result], tmp_path / "bench.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "C,eta,omega,H,W,P,reps,naive_ns,acm_ns,cached_ns,speedup"
-        cells = lines[1].split(",")
-        assert cells[:7] == ["4", "3", "3", "8", "8", "4", "20"]
-        assert float(cells[10]) == pytest.approx(2.0)
-
-    def test_uses_lf_endings(self, tmp_path):
-        config = bench.BenchConfig(2, 2, 2, 4, 4, 2)
-        result = bench.BenchResult(config=config, reps=20, naive_ns=10.0,
-                                   acm_ns=10.0, cached_ns=10.0)
-        path = bench.write_csv([result], tmp_path / "b.csv")
-        assert b"\r" not in path.read_bytes()
-
-
 class TestJson:
     def test_records_environment_and_spread_per_path(self, tmp_path):
         config = bench.BenchConfig(2, 2, 2, 5, 5, 2)

@@ -121,16 +121,6 @@ class TestGradcheck:
 
 
 class TestBench:
-    def test_custom_config_with_csv_output(self, capsys, tmp_path):
-        out_csv = tmp_path / "bench.csv"
-        code, out, _ = run_cli(capsys, "bench", "--configs", "2,2,2,4,4,2",
-                               "--reps", "20", "--out", str(out_csv))
-        assert code == 0
-        assert out_csv.exists()
-        lines = out_csv.read_text().splitlines()
-        assert lines[0] == "C,eta,omega,H,W,P,reps,naive_ns,acm_ns,cached_ns,speedup"
-        assert len(lines) == 2
-
     def test_json_output(self, capsys, tmp_path):
         out_json = tmp_path / "bench.json"
         code, out, _ = run_cli(capsys, "bench", "--configs", "2,2,2,4,4,2;3,2,2,5,5,2",
@@ -154,35 +144,43 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--configs", "2,9,9,4,4,2")
         assert code == 2
 
-    def test_configs_from_csv_file(self, capsys, tmp_path):
-        cfg = tmp_path / "configs.csv"
-        cfg.write_text("C,eta,omega,H,W,P\n2,2,2,4,4,2\n3,2,2,5,5,2\n")
-        code, out, _ = run_cli(capsys, "bench", "--configs", str(cfg),
+    def test_configs_roundtrip_through_json_file(self, capsys, tmp_path):
+        # A --json file reruns its configs in the order it lists them.
+        out_json = tmp_path / "bench.json"
+        code, _, _ = run_cli(capsys, "bench", "--configs", "3,2,2,5,5,2;2,2,2,4,4,2",
+                             "--reps", "20", "--json", str(out_json))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "bench", "--configs", str(out_json),
                                "--reps", "20")
         assert code == 0
         lines = out.splitlines()
         header = next(i for i, l in enumerate(lines) if "speedup" in l)
-        assert len([l for l in lines[header + 1:] if l.strip()]) == 2
-
-    def test_configs_roundtrip_through_out_file(self, capsys, tmp_path):
-        # An --out file has extra timing columns; only the first six matter.
-        out_csv = tmp_path / "bench.csv"
-        code, _, _ = run_cli(capsys, "bench", "--configs", "2,2,2,4,4,2",
-                             "--reps", "20", "--out", str(out_csv))
-        assert code == 0
-        code, out, _ = run_cli(capsys, "bench", "--configs", str(out_csv),
-                               "--reps", "20")
-        assert code == 0
-        lines = out.splitlines()
-        header = next(i for i, l in enumerate(lines) if "speedup" in l)
-        assert len([l for l in lines[header + 1:] if l.strip()]) == 1
+        rows = [l.split()[:6] for l in lines[header + 1:] if l.strip()]
+        assert rows == [["3", "2", "2", "5", "5", "2"], ["2", "2", "2", "4", "4", "2"]]
 
     def test_configs_file_without_rows(self, capsys, tmp_path):
-        cfg = tmp_path / "empty.csv"
-        cfg.write_text("C,eta,omega,H,W,P\n")
-        code, _, err = run_cli(capsys, "bench", "--configs", str(cfg))
+        cfg = tmp_path / "empty.json"
+        cfg.write_text('{"environment": {}, "results": []}\n')
+        code, out, err = run_cli(capsys, "bench", "--configs", str(cfg))
         assert code == 2
         assert "no benchmark configurations" in err
+        assert "speedup" not in out
+
+    @pytest.mark.parametrize("text", [
+        "C,eta,omega,H,W,P\n2,2,2,4,4,2\n",  # the old CSV input
+        '{"results": [{"config": {"channels": 2}}]}',
+        '{"results": [{"config": {"channels": 2.0, "eta": 2, "omega": 2, '
+        '"height": 4, "width": 4, "out_channels": 2}}]}',
+        '{"environment": {}}',
+        "[]",
+    ])
+    def test_malformed_configs_file(self, capsys, tmp_path, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "bench", "--configs", str(cfg))
+        assert code == 2
+        assert err.startswith("error:") and "not a bench --json file" in err
+        assert "speedup" not in out
 
 
 class TestToytrain:
@@ -224,6 +222,16 @@ class TestToytrain:
     def test_bad_class_count(self, capsys):
         code, _, err = run_cli(capsys, "toytrain", "--classes", "9")
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "-1"), ("--train-samples", "0"), ("--test-samples", "0"),
+        ("--classes", "0")])
+    def test_bad_count_is_usage_error(self, capsys, flag, value):
+        # ToyTrainConfig and ToyModel reject these before any dataset is drawn.
+        code, out, err = run_cli(capsys, "toytrain", flag, value)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "mean_loss" not in out
 
     def test_glyph_size_too_small_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "toytrain", "--glyph-size", "3", "--epochs", "0")

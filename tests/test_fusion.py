@@ -409,8 +409,8 @@ def prior_of(w1=ones(4, 2), w2=ones(4, 4), w3=ones(2, 4), b3=np.zeros(2, np.floa
             nn.FcLayer(w2, np.zeros(len(w2), np.float32)), nn.FcLayer(w3, b3))
 
 
-def norm_of(gamma=ones(2), beta=ones(2), running_mean=ones(2)):
-    return nn.BatchNormParams(gamma, beta, running_mean, ones(2))
+def norm_of(gamma=ones(2), beta=ones(2), running_mean=ones(2), running_var=ones(2), eps=1e-5):
+    return nn.BatchNormParams(gamma, beta, running_mean, running_var, eps)
 
 
 def weights_of(theta_z=KERNEL, theta_x=KERNEL, prior=None, norm=None):
@@ -419,8 +419,9 @@ def weights_of(theta_z=KERNEL, theta_x=KERNEL, prior=None, norm=None):
                                 prior=prior or prior_of(), norm=norm or norm_of())
 
 
-# The error contract of the learned weights. Each row builds weights with one
-# bad part; building them raises the row's class, before any map is seen.
+# The error contract of the learned weights and of a template cache. Each row
+# builds one with a bad part; building it raises the row's class, before any
+# search map is seen.
 WEIGHT_ROWS = {
     "prior layer 1 takes 3 inputs": (lambda: weights_of(prior=prior_of(w1=ones(4, 3))),
                                      ShapeMismatchError),
@@ -438,6 +439,15 @@ WEIGHT_ROWS = {
                  NonFiniteMapError),
     "-inf running_mean": (lambda: weights_of(norm=norm_of(running_mean=with_first(ones(2),
                                                                                   -np.inf))),
+                          NonFiniteMapError),
+    # |gamma| / sqrt(0 + 1e-300) = 1e150 would overflow the float32 output.
+    "folded norm scale beyond float32": (
+        lambda: weights_of(norm=norm_of(running_var=np.zeros(2, np.float32), eps=1e-300)),
+        ValueError),
+    "nan in z_term": (lambda: fusion.TemplateCache(with_first(ones(2, 1, 1), np.nan)),
+                      NonFiniteMapError),
+    "inf in prior_term": (lambda: fusion.TemplateCache(ones(2, 1, 1),
+                                                       with_first(ones(2, 1, 1), np.inf)),
                           NonFiniteMapError),
 }
 
