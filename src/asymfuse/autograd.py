@@ -305,7 +305,8 @@ def backward(tape: Tape, loss: Node) -> list[Parameter]:
     """
     if loss.value.size != 1:
         raise NonScalarLossError(f"loss has shape {loss.value.shape}")
-    if loss.tape is not tape or not any(node is loss for node in tape.nodes):
+    loss_index = next((i for i, node in enumerate(tape.nodes) if node is loss), None)
+    if loss_index is None:
         raise DisconnectedLossError("loss node is not on this tape")
     for node in tape.nodes:
         node.grad = None
@@ -314,7 +315,6 @@ def backward(tape: Tape, loss: Node) -> list[Parameter]:
         if node.param is not None and id(node.param) not in seen:
             seen[id(node.param)] = node.param
             node.param.grad[...] = 0
-    loss_index = next(i for i, node in enumerate(tape.nodes) if node is loss)
     loss.grad = np.ones(loss.value.shape, dtype=np.float64)
     reached: list[Parameter] = []
     reached_ids: set[int] = set()
@@ -335,7 +335,7 @@ def backward(tape: Tape, loss: Node) -> list[Parameter]:
 def sgd_step(params, lr: float) -> None:
     """One plain SGD update, in place: value -= lr * grad; grads zeroed."""
     if not 0 < lr < np.inf:
-        raise ValueError(f"learning rate must be positive and finite, got {lr}")
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     rate = np.float32(lr)
     for p in params:
         p.value -= rate * p.grad

@@ -1,8 +1,9 @@
 """Wall-clock comparison of the naive and decomposed fusion paths.
 
 Timings use the monotonic nanosecond clock, take the median (and the
-10th/90th percentiles) over a fixed number of repetitions after warm-up
-calls, and never overlap measured regions. Before anything is timed, all
+10th/90th percentiles) over a fixed number of repetitions (at least
+:data:`MIN_REPS`, else ValueError naming ``reps``) after warm-up calls,
+and never overlap measured regions. Before anything is timed, all
 implementations are checked against each other; a disagreement aborts
 the run, so a benchmark can never report speed for wrong results.
 Results go to a JSON file that also records the environment (NumPy and
@@ -74,8 +75,7 @@ class BenchResult:
     spread_ns: dict = dataclasses.field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.reps < MIN_REPS:
-            raise ValueError(f"at least {MIN_REPS} repetitions required, got {self.reps}")
+        _check_reps(self.reps)
         if min(self.naive_ns, self.acm_ns, self.cached_ns) <= 0:
             raise ValueError("measured times must be positive")
 
@@ -142,7 +142,7 @@ def _gated_problem(config: BenchConfig, rng):
 
 def _check_reps(reps: int) -> None:
     if reps < MIN_REPS:
-        raise ValueError(f"at least {MIN_REPS} repetitions required, got {reps}")
+        raise ValueError(f"reps must be at least {MIN_REPS}, got {reps}")
 
 
 def _samples_ns(calls, reps: int) -> list[list[int]]:

@@ -21,8 +21,8 @@ The optional prior branch feeds (box width, box height), divided by
 channel. Inputs are checked by the package's shared helpers: a template
 or search map of the wrong rank or size raises ShapeMismatchError (a
 RankError is one), a search map smaller than the kernels
-KernelTooLargeError, and a NaN or infinite map or weight
-NonFiniteMapError.
+KernelTooLargeError, and a NaN or infinite map or weight, or a response
+beyond the float32 range, NonFiniteMapError.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingBoxError, NonPositiveBoxError, ShapeMismatchError
+from .errors import MissingBoxError, NonFiniteMapError, NonPositiveBoxError, ShapeMismatchError
 from .nn import BatchNormParams, ConvKernel, FcLayer, _check_fit, conv2d_valid, mlp3_forward
 from .tensor import DTYPE, _as_map, _check_finite, as_tensor
 
@@ -213,7 +213,8 @@ def acm_apply_search(
 
     Runs exactly one convolution (the search side). The cached terms, the
     norm (folded into a per-channel scale and bias) and the activation
-    then run in float64 on one buffer and round to float32 once at the end.
+    then run in float64 on one buffer and round to float32 once at the end;
+    a response beyond the float32 range raises NonFiniteMapError.
     """
     x = _check_search(search, weights)
     if cache.out_channels != weights.out_channels:
@@ -235,7 +236,11 @@ def acm_apply_search(
     out += bias
     if apply_relu:
         np.maximum(out, 0.0, out=out)
-    return out.astype(DTYPE)
+    try:
+        with np.errstate(over="raise"):
+            return out.astype(DTYPE)
+    except FloatingPointError:
+        raise NonFiniteMapError("the fused response exceeds the float32 range") from None
 
 
 def acm_forward(

@@ -15,6 +15,10 @@ passes ``_UNTAPED``: autograd's op names over plain arrays, each calling
 the ``nn``/``tensor`` function its taped op computes values with, so the
 two agree bit for bit. Those ops look ``nn``/``T`` up when called, so a
 wrapper installed on a module attribute (a tracer) sees every call.
+
+Each input rule is checked in one place, before any data is drawn:
+``ToyTrainConfig`` the run's counts and ``lr``, ``_check_classes`` the
+class count, ``glyph_bitmap`` the glyph size (``ToyModel`` needs 4).
 """
 
 from __future__ import annotations
@@ -83,6 +87,13 @@ class GridSample:
     label: int
 
 
+def _check_classes(num_classes: int) -> None:
+    if num_classes < 1:
+        raise ValueError(f"need at least one class, got {num_classes}")
+    if num_classes > MAX_CLASSES:
+        raise TooManyClassesError(f"at most {MAX_CLASSES} glyph classes exist, got {num_classes}")
+
+
 def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -100,14 +111,7 @@ def gen_dataset(seed, n: int, num_classes: int = 4, glyph_size: int = 7,
     """
     if n < 0:
         raise ValueError(f"sample count must be non-negative, got {n}")
-    if num_classes < 1:
-        raise ValueError(f"need at least one class, got {num_classes}")
-    if num_classes > MAX_CLASSES:
-        raise TooManyClassesError(
-            f"at most {MAX_CLASSES} glyph classes exist, got {num_classes}"
-        )
-    if glyph_size < 3:
-        raise ValueError(f"glyph size must be at least 3, got {glyph_size}")
+    _check_classes(num_classes)
     if not 0 <= noise_std < np.inf:
         raise ValueError(f"noise std must be non-negative and finite, got {noise_std}")
     glyphs = [glyph_bitmap(g, glyph_size) for g in range(num_classes)]
@@ -151,12 +155,7 @@ class ToyModel:
     def __init__(self, num_classes: int = 4, glyph_size: int = 7,
                  conv_channels: tuple[int, int] = (8, 16), fused_channels: int = 16,
                  index_hidden: int = 32, seed=0):
-        if num_classes < 1:
-            raise ValueError(f"need at least one class, got {num_classes}")
-        if num_classes > MAX_CLASSES:
-            raise TooManyClassesError(
-                f"at most {MAX_CLASSES} glyph classes exist, got {num_classes}"
-            )
+        _check_classes(num_classes)
         if glyph_size < 4:  # three valid 3x3 convs leave 2g - 6 of a 2g-sided image
             raise ValueError(f"glyph size must be at least 4 for three 3x3 convs, got {glyph_size}")
         self.num_classes = num_classes
@@ -294,8 +293,8 @@ def locality_rate(model: ToyModel, samples: Sequence[GridSample]) -> float:
 
 @dataclass(frozen=True)
 class ToyTrainConfig:
-    """One training run; ValueError unless both sample counts are at least 1
-    and ``epochs`` is non-negative."""
+    """One training run; ValueError unless both sample counts are at least 1,
+    ``epochs`` is non-negative and ``lr`` is positive and finite."""
 
     seed: int = 0
     n_train: int = 2000
@@ -318,6 +317,8 @@ class ToyTrainConfig:
                              f"got {self.n_train} and {self.n_test}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass(frozen=True)

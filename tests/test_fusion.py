@@ -421,7 +421,8 @@ def weights_of(theta_z=KERNEL, theta_x=KERNEL, prior=None, norm=None):
 
 # The error contract of the learned weights and of a template cache. Each row
 # builds one with a bad part; building it raises the row's class, before any
-# search map is seen.
+# search map is seen. The last row's weights are sound, but their response is
+# not: it must raise rather than round to inf.
 WEIGHT_ROWS = {
     "prior layer 1 takes 3 inputs": (lambda: weights_of(prior=prior_of(w1=ones(4, 3))),
                                      ShapeMismatchError),
@@ -449,6 +450,12 @@ WEIGHT_ROWS = {
     "inf in prior_term": (lambda: fusion.TemplateCache(ones(2, 1, 1),
                                                        with_first(ones(2, 1, 1), np.inf)),
                           NonFiniteMapError),
+    # A folded scale of 1e38 fits float32; 36 times it, from all-ones 3x3 kernels, does not.
+    "response beyond float32": (
+        lambda: fusion.acm_forward(ones(2, 3, 3), ones(2, 5, 5), fusion.FusionWeights(
+            nn.ConvKernel(ones(2, 2, 3, 3)), nn.ConvKernel(ones(2, 2, 3, 3)),
+            norm=norm_of(running_var=np.zeros(2, np.float32), eps=1e-76))),
+        NonFiniteMapError),
 }
 
 

@@ -326,7 +326,9 @@ class TestTraining:
         with pytest.raises(ValueError):
             tt.toy_train(self.tiny_config(epochs=-1))
 
-    @pytest.mark.parametrize("field, value", [("epochs", -1), ("n_train", 0), ("n_test", 0)])
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("n_train", 0), ("n_test", 0),
+        ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf"))])
     def test_bad_config_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             self.tiny_config(**{field: value})
