@@ -161,12 +161,7 @@ def heatmap_export(corr, path_prefix) -> tuple[Path, Path]:
         for row in strength:
             writer.writerow([f"{float(v):.9g}" for v in row])
     height, width = strength.shape
-    x = strength.astype(np.float64)
-    lo, hi = float(x.min()), float(x.max())
-    if hi > lo:
-        pixels = np.rint((x - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    else:
-        pixels = np.zeros((height, width), dtype=np.uint8)
+    pixels = np.rint(_normalized01(strength, per_channel=False) * 255.0).astype(np.uint8)
     with open(pgm_path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())

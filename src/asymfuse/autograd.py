@@ -12,14 +12,15 @@ use (``nn``, ``tensor``), so a taped forward is bitwise identical to an
 untaped one.
 
 The correlation ops (conv2d, head1x1, xcorr, depthwise) share one
-backward layout: the float64 patch matrix of ``nn.im2col``, which the
-forward ``nn.conv2d_valid`` also multiplies. For a P x C x kh x kw kernel
-and output gradient g, the kernel adjoint is the GEMM ``g @ im2col(x).T``;
-the input adjoint, with no col2im, is the GEMM of the flipped kernel (input
-and output channels swapped) on the patches of g zero-padded by (kh-1, kw-1)
-per side. xcorr is the conv with kernel z[None]; depthwise is the same pair
-with one kernel row per channel. Patches are rebuilt in backward rather than
-kept on the node, and a constant operand (an input image) gets no adjoint.
+adjoint, ``_conv_backward``, on the float64 patch matrix of ``nn.im2col``,
+which the forward ``nn.conv2d_valid`` also multiplies. For a P x C x kh x kw
+kernel and output gradient g, the kernel adjoint is the GEMM
+``g @ im2col(x).T``; the input adjoint, with no col2im, is the GEMM of the
+flipped kernel (input and output channels swapped) on the patches of g
+zero-padded by (kh-1, kw-1) per side. xcorr is the conv with kernel z[None];
+depthwise is the grouped case, C groups of one channel each, so both GEMMs
+run per group. Patches are rebuilt in backward rather than kept on the
+node, and a constant operand (an input image) gets no adjoint.
 """
 
 from __future__ import annotations
@@ -130,28 +131,30 @@ def relu(x: Node) -> Node:
     return Node(x.tape, "relu", value, (x,), backward_fn)
 
 
-def _padded_patches(grad, kh: int, kw: int) -> np.ndarray:
-    """``nn.im2col`` of a C x Ho x Wo gradient zero-padded by (kh-1, kw-1) per side."""
-    channels, out_h, out_w = grad.shape
-    padded = np.zeros((channels, out_h + 2 * kh - 2, out_w + 2 * kw - 2))
-    padded[:, kh - 1 : kh - 1 + out_h, kw - 1 : kw - 1 + out_w] = grad
-    return nn.im2col(padded, kh, kw)
-
-
 def _conv_backward(x: Node, k: Node, grad) -> None:
-    """Adjoints of conv2d_valid(x, k) as two GEMMs on im2col patches.
+    """Adjoints of a grouped valid correlation as two GEMMs on im2col patches.
 
-    A rank-3 ``k`` is taken as the single output channel ``k[None]``
-    (xcorr). Constant operands get no adjoint.
+    Output and input channels split into G equal groups, and group g's
+    outputs see only group g's inputs. G follows from the shapes: conv2d
+    and head1x1 are one group, so is xcorr (``k`` rank 3, taken as
+    ``k[None]``), and depthwise is C groups of one channel each. Constant
+    operands get no adjoint.
     """
-    w = k.value.reshape((-1,) + k.value.shape[-3:])
-    out_ch, channels, kh, kw = w.shape
+    kh, kw = k.value.shape[-2:]
+    out_ch, out_h, out_w = grad.shape
+    channels, height, width = x.value.shape
+    groups = out_ch * channels * kh * kw // k.value.size
     if k.op != "const":
-        g = grad.reshape(out_ch, -1)
-        _accum(k, (g @ nn.im2col(x.value, kh, kw).T).reshape(k.value.shape))
+        g = grad.reshape(groups, out_ch // groups, -1)
+        patches = nn.im2col(x.value, kh, kw).reshape(groups, -1, out_h * out_w)
+        _accum(k, (g @ patches.transpose(0, 2, 1)).reshape(k.value.shape))
     if x.op != "const":
-        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(np.float64, order="C")
-        adjoint = flipped.reshape(channels, -1) @ _padded_patches(grad, kh, kw)
+        w = k.value.reshape(groups, out_ch // groups, channels // groups, kh, kw)
+        flipped = w[..., ::-1, ::-1].transpose(0, 2, 1, 3, 4).astype(np.float64, order="C")
+        padded = np.zeros((out_ch, out_h + 2 * kh - 2, out_w + 2 * kw - 2))
+        padded[:, kh - 1 : kh - 1 + out_h, kw - 1 : kw - 1 + out_w] = grad
+        cols = nn.im2col(padded, kh, kw).reshape(groups, -1, height * width)
+        adjoint = flipped.reshape(groups, channels // groups, -1) @ cols
         _accum(x, adjoint.reshape(x.value.shape))
 
 
@@ -170,18 +173,7 @@ def head1x1(x: Node, k: Node) -> Node:
 def depthwise(x: Node, z: Node) -> Node:
     """Channel-wise valid cross-correlation of search x with template z."""
     value = nn.depthwise_corr(x.value, z.value)
-    channels, kh, kw = z.value.shape
-
-    def backward_fn(grad):
-        if z.op != "const":
-            patches = nn.im2col(x.value, kh, kw).reshape(channels, kh * kw, -1)
-            _accum(z, (patches @ grad.reshape(channels, -1, 1)).reshape(z.value.shape))
-        if x.op != "const":
-            flipped = z.value[:, ::-1, ::-1].reshape(channels, 1, -1).astype(np.float64)
-            cols = _padded_patches(grad, kh, kw).reshape(channels, kh * kw, -1)
-            _accum(x, (flipped @ cols).reshape(x.value.shape))
-
-    return Node(x.tape, "depthwise", value, (x, z), backward_fn)
+    return Node(x.tape, "depthwise", value, (x, z), lambda grad: _conv_backward(x, z, grad))
 
 
 def xcorr(x: Node, z: Node) -> Node:
@@ -205,9 +197,7 @@ def affine(x: Node, w: Node, b: Node) -> Node:
 
 def mlp3(x: Node, layers) -> Node:
     """Three affine layers with ReLU after the first two."""
-    layers = tuple(layers)
-    if len(layers) != 3:
-        raise ValueError(f"mlp3 needs exactly 3 (weights, bias) pairs, got {len(layers)}")
+    layers = nn._mlp3_layers(layers)
     out = relu(affine(x, layers[0][0], layers[0][1]))
     out = relu(affine(out, layers[1][0], layers[1][1]))
     return affine(out, layers[2][0], layers[2][1])
@@ -295,9 +285,10 @@ def softmax_xent(logits: Node, label: int) -> Node:
 def backward(tape: Tape, loss: Node) -> list[Parameter]:
     """Run reverse-mode accumulation from ``loss`` over the whole tape.
 
-    Resets the gradient of every Parameter on the tape to zeros first,
-    then adds each parameter node's adjoint in. Returns the parameters
-    that actually received gradient, in first-use order.
+    Resets the gradient of every node and every Parameter on the tape
+    first (a parameter used twice is zeroed twice), then adds each
+    parameter node's adjoint in. Returns the parameters that actually
+    received gradient, in first-use order.
 
     Raises:
         NonScalarLossError: loss holds more than one element.
@@ -310,26 +301,19 @@ def backward(tape: Tape, loss: Node) -> list[Parameter]:
         raise DisconnectedLossError("loss node is not on this tape")
     for node in tape.nodes:
         node.grad = None
-    seen: dict[int, Parameter] = {}
-    for node in tape.nodes:
-        if node.param is not None and id(node.param) not in seen:
-            seen[id(node.param)] = node.param
+        if node.param is not None:
             node.param.grad[...] = 0
     loss.grad = np.ones(loss.value.shape, dtype=np.float64)
-    reached: list[Parameter] = []
-    reached_ids: set[int] = set()
+    reached: dict[Parameter, None] = {}
     for node in reversed(tape.nodes[: loss_index + 1]):
         if node.grad is None:
             continue
         if node.param is not None:
             node.param.grad += node.grad.astype(np.float32)
-            if id(node.param) not in reached_ids:
-                reached_ids.add(id(node.param))
-                reached.append(node.param)
+            reached[node.param] = None
         if node.backward_fn is not None:
             node.backward_fn(node.grad)
-    reached.reverse()
-    return reached
+    return list(reversed(reached))
 
 
 def sgd_step(params, lr: float) -> None:

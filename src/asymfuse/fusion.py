@@ -32,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingBoxError, NonFiniteMapError, NonPositiveBoxError, ShapeMismatchError
-from .nn import BatchNormParams, ConvKernel, FcLayer, _check_fit, conv2d_valid, mlp3_forward
+from .nn import (
+    BatchNormParams, ConvKernel, FcLayer, _check_fit, _mlp3_layers, conv2d_valid, mlp3_forward,
+)
 from .tensor import DTYPE, _as_map, _check_finite, as_tensor
 
 
@@ -63,9 +65,7 @@ class FusionWeights:
                 f"vs {self.theta_x.weights.shape}"
             )
         if self.prior is not None:
-            layers = tuple(self.prior)
-            if len(layers) != 3:
-                raise ValueError(f"prior branch needs 3 FC layers, got {len(layers)}")
+            layers = _mlp3_layers(self.prior)
             for i, layer in enumerate(layers):
                 width = layers[i - 1].out_features if i else 2
                 if layer.in_features != width:

@@ -406,11 +406,21 @@ def fc_forward(x, layer: FcLayer) -> np.ndarray:
     return (out + layer.bias.astype(np.float64)).astype(DTYPE)
 
 
-def mlp3_forward(x, layers) -> np.ndarray:
-    """Three chained FC layers with ReLU after the first two only."""
+def _mlp3_layers(layers) -> tuple:
+    """``layers`` as a tuple; ValueError unless it holds exactly 3.
+
+    The one layer-count check of a 3-layer FC stack: ``mlp3_forward``,
+    ``autograd.mlp3`` and fusion's prior branch all call it.
+    """
     layers = tuple(layers)
     if len(layers) != 3:
-        raise ValueError(f"mlp3 needs exactly 3 layers, got {len(layers)}")
+        raise ValueError(f"an mlp3 stack needs exactly 3 layers, got {len(layers)}")
+    return layers
+
+
+def mlp3_forward(x, layers) -> np.ndarray:
+    """Three chained FC layers with ReLU after the first two only."""
+    layers = _mlp3_layers(layers)
     hidden = relu(fc_forward(x, layers[0]))
     hidden = relu(fc_forward(hidden, layers[1]))
     return fc_forward(hidden, layers[2])

@@ -32,10 +32,7 @@ _HEADER = struct.Struct("<III")  # version, dtype code, ndim
 
 def as_tensor(values) -> np.ndarray:
     """Coerce ``values`` to a C-contiguous float32 array (rank preserved)."""
-    arr = np.asarray(values, dtype=DTYPE, order="C")
-    if not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)
-    return arr
+    return np.asarray(values, dtype=DTYPE, order="C")
 
 
 def _as_map(x, what: str) -> np.ndarray:

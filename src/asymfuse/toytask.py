@@ -249,13 +249,17 @@ def training_loss(tape: ag.Tape, model: ToyModel, sample: GridSample,
     return ag.softmax_xent(_logits(ag, leaf, model, fused), sample.label)
 
 
+def _hit_rate(samples: Sequence[GridSample], hit: Callable[[GridSample], bool]) -> float:
+    """Fraction of samples for which ``hit`` holds; EmptyDatasetError on none."""
+    if len(samples) == 0:
+        raise EmptyDatasetError("cannot evaluate on zero samples")
+    return sum(hit(s) for s in samples) / len(samples)
+
+
 def prediction_accuracy(predict: Callable[[GridSample], np.ndarray],
                         samples: Sequence[GridSample]) -> float:
     """Fraction of samples whose argmax logit (first on ties) is the label."""
-    if len(samples) == 0:
-        raise EmptyDatasetError("cannot evaluate on zero samples")
-    hits = sum(int(np.argmax(predict(s))) == s.label for s in samples)
-    return hits / len(samples)
+    return _hit_rate(samples, lambda s: int(np.argmax(predict(s))) == s.label)
 
 
 def toy_evaluate(model: ToyModel, samples: Sequence[GridSample],
@@ -274,10 +278,7 @@ def locality_rate(model: ToyModel, samples: Sequence[GridSample]) -> float:
     numbering as the index); a hit means the queried quadrant has the
     largest sum.
     """
-    if len(samples) == 0:
-        raise EmptyDatasetError("cannot evaluate on zero samples")
-    hits = 0
-    for sample in samples:
+    def hit(sample):
         strength = T.l1_map(fused_map(model, sample)).astype(np.float64)
         half_r = strength.shape[0] // 2
         half_c = strength.shape[1] // 2
@@ -287,8 +288,9 @@ def locality_rate(model: ToyModel, samples: Sequence[GridSample]) -> float:
             strength[half_r:, :half_c].sum(),
             strength[half_r:, half_c:].sum(),
         )
-        hits += int(np.argmax(sums)) == sample.index
-    return hits / len(samples)
+        return int(np.argmax(sums)) == sample.index
+
+    return _hit_rate(samples, hit)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from asymfuse.errors import (
     DisconnectedLossError,
     LabelOutOfRangeError,
     NonScalarLossError,
+    ShapeMismatchError,
 )
 
 
@@ -40,18 +41,22 @@ class TestBackwardRules:
         npt.assert_array_equal(a.grad, np.full((3, 1, 1), 4.0, np.float32))
         npt.assert_array_equal(b.grad, np.ones((3, 2, 2), np.float32))
 
-    def test_broadcast_backward_law_exact(self):
+    @pytest.mark.parametrize("a_shape, b_shape, reduce", [
+        ((4, 1, 3), (4, 5, 3), lambda g: g.sum(axis=1, keepdims=True)),
+        # Operands of different rank: the missing leading axes are summed away.
+        ((4,), (3, 2, 4), lambda g: g.sum(axis=0).sum(axis=0)),
+    ], ids=["replicated-axis", "leading-axes"])
+    def test_broadcast_backward_law_exact(self, a_shape, b_shape, reduce):
         # grad of the broadcast operand == full-shape grad summed over
         # the broadcast axes, exactly.
         rng = np.random.default_rng(80)
-        a = ag.Parameter(rand_f32(rng, (4, 1, 3)), "a")
-        b = ag.Parameter(rand_f32(rng, (4, 5, 3)), "b")
-        proj = rng.uniform(-1, 1, size=(4, 5, 3))
+        a = ag.Parameter(rand_f32(rng, a_shape), "a")
+        b = ag.Parameter(rand_f32(rng, b_shape), "b")
+        proj = rng.uniform(-1, 1, size=b_shape)
         tape = ag.Tape()
         loss = ag.weighted_sum(ag.add(tape.parameter(a), tape.parameter(b)), proj)
         ag.backward(tape, loss)
-        expected_a = proj.sum(axis=1, keepdims=True).astype(np.float32)
-        npt.assert_array_equal(a.grad, expected_a)
+        npt.assert_array_equal(a.grad, reduce(proj).astype(np.float32))
         npt.assert_array_equal(b.grad, proj.astype(np.float32))
 
     def test_conv_param_gradients_match_finite_differences(self):
@@ -276,7 +281,25 @@ class TestSoftmaxXent:
             ag.softmax_xent(tape.parameter(logits), -1)
 
 
+# The input contract of the taped ops. Each row records one op on a bad input;
+# recording it raises the row's class.
+TAPE_CONTRACT_ROWS = {
+    "mlp3 with 2 layers": (lambda t: ag.mlp3(t.constant(np.ones(2)), [
+        (t.constant(np.eye(2)), t.constant(np.zeros(2)))] * 2), ValueError),
+    "weighted_sum weights of another shape": (
+        lambda t: ag.weighted_sum(t.constant(np.ones(3)), np.ones(2)), ShapeMismatchError),
+    "softmax_xent on rank-2 logits": (
+        lambda t: ag.softmax_xent(t.constant(np.ones((2, 2))), 0), ShapeMismatchError),
+}
+
+
 class TestBackwardContract:
+    @pytest.mark.parametrize("row", TAPE_CONTRACT_ROWS)
+    def test_bad_op_input_raises_its_class(self, row):
+        record, error = TAPE_CONTRACT_ROWS[row]
+        with pytest.raises(error):
+            record(ag.Tape())
+
     def test_non_scalar_loss_rejected(self):
         x = ag.Parameter(np.ones((2, 2), np.float32), "x")
         tape = ag.Tape()

@@ -271,11 +271,13 @@ class TestAnalyze:
         assert code == 2
         assert "rank 3" in err
 
-    def test_bad_target_format(self, capsys, tmp_path):
+    @pytest.mark.parametrize("target", ["1", "1,x"])
+    def test_bad_target_format(self, capsys, tmp_path, target):
         path = crafted_map_file(tmp_path)
         code, _, err = run_cli(capsys, "analyze", "--map", str(path),
-                               "--target", "1", "--exclude", "0,0,1,1")
+                               "--target", target, "--exclude", "0,0,1,1")
         assert code == 2
+        assert "--target" in err
 
     def test_semantic_errors_map_to_usage(self, capsys, tmp_path):
         # Exclusion box covering the whole map leaves no distractor.

@@ -10,6 +10,7 @@ from asymfuse.errors import (
     MissingBoxError,
     NonFiniteMapError,
     NonPositiveBoxError,
+    RankError,
     ShapeMismatchError,
 )
 
@@ -421,13 +422,19 @@ def weights_of(theta_z=KERNEL, theta_x=KERNEL, prior=None, norm=None):
 
 # The error contract of the learned weights and of a template cache. Each row
 # builds one with a bad part; building it raises the row's class, before any
-# search map is seen. The last row's weights are sound, but their response is
-# not: it must raise rather than round to inf.
+# search map is seen. The last three rows build sound parts that fail when
+# used: a prior fed a rank-2 input, a cache whose depth the weights do not
+# produce, and a response that must raise rather than round to inf.
 WEIGHT_ROWS = {
+    "zero-size theta_x": (lambda: weights_of(theta_x=np.zeros((2, 2, 0, 5), np.float32)),
+                          ShapeMismatchError),
+    "prior with 2 layers": (lambda: weights_of(prior=prior_of()[:2]), ValueError),
     "prior layer 1 takes 3 inputs": (lambda: weights_of(prior=prior_of(w1=ones(4, 3))),
                                      ShapeMismatchError),
     "prior widths do not chain": (lambda: weights_of(prior=prior_of(w2=ones(4, 5))),
                                   ShapeMismatchError),
+    "rank-3 prior layer weights": (lambda: weights_of(prior=prior_of(w1=ones(4, 2, 1))),
+                                   RankError),
     "nan in theta_x": (lambda: weights_of(theta_x=with_first(KERNEL, np.nan)), NonFiniteMapError),
     "inf in theta_z": (lambda: weights_of(theta_z=with_first(KERNEL, np.inf)), NonFiniteMapError),
     "nan in prior weights": (lambda: weights_of(prior=prior_of(w2=with_first(ones(4, 4), np.nan))),
@@ -441,6 +448,10 @@ WEIGHT_ROWS = {
     "-inf running_mean": (lambda: weights_of(norm=norm_of(running_mean=with_first(ones(2),
                                                                                   -np.inf))),
                           NonFiniteMapError),
+    "rank-2 gamma": (lambda: weights_of(norm=norm_of(gamma=ones(2, 1))), RankError),
+    "norm lengths differ": (lambda: weights_of(norm=norm_of(beta=ones(3))), ShapeMismatchError),
+    "norm channels != kernels": (lambda: weights_of(norm=norm_of(*[ones(3)] * 4)),
+                                 ShapeMismatchError),
     # |gamma| / sqrt(0 + 1e-300) = 1e150 would overflow the float32 output.
     "folded norm scale beyond float32": (
         lambda: weights_of(norm=norm_of(running_var=np.zeros(2, np.float32), eps=1e-300)),
@@ -450,6 +461,14 @@ WEIGHT_ROWS = {
     "inf in prior_term": (lambda: fusion.TemplateCache(ones(2, 1, 1),
                                                        with_first(ones(2, 1, 1), np.inf)),
                           NonFiniteMapError),
+    "z_term not P x 1 x 1": (lambda: fusion.TemplateCache(ones(2, 2, 1)), ShapeMismatchError),
+    "prior_term shape != z_term": (lambda: fusion.TemplateCache(ones(2, 1, 1), ones(3, 1, 1)),
+                                   ShapeMismatchError),
+    "rank-2 prior input": (lambda: nn.mlp3_forward(ones(1, 2), prior_of()), RankError),
+    "cache channels != weights": (
+        lambda: fusion.acm_apply_search(fusion.TemplateCache(ones(3, 1, 1), ones(3, 1, 1)),
+                                        ones(2, 7, 7), weights_of()),
+        ShapeMismatchError),
     # A folded scale of 1e38 fits float32; 36 times it, from all-ones 3x3 kernels, does not.
     "response beyond float32": (
         lambda: fusion.acm_forward(ones(2, 3, 3), ones(2, 5, 5), fusion.FusionWeights(
