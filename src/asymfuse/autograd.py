@@ -318,8 +318,7 @@ def backward(tape: Tape, loss: Node) -> list[Parameter]:
 
 def sgd_step(params, lr: float) -> None:
     """One plain SGD update, in place: value -= lr * grad; grads zeroed."""
-    if not 0 < lr < np.inf:
-        raise ValueError(f"lr must be positive and finite, got {lr}")
+    T._check_positive(lr, "lr")
     rate = np.float32(lr)
     for p in params:
         p.value -= rate * p.grad
@@ -333,8 +332,7 @@ def finite_diff_grad(f, p: Parameter, eps: float) -> np.ndarray:
     entry is nudged by +-eps in place (and restored) around the stored
     value. Returns a float64 array shaped like ``p.value``.
     """
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    T._check_positive(eps, "eps")
     base = p.value.copy()
     grad = np.zeros(base.shape, dtype=np.float64)
     for idx in np.ndindex(*base.shape):

@@ -8,7 +8,8 @@ implementations are checked against each other; a disagreement aborts
 the run, so a benchmark can never report speed for wrong results.
 Results go to a JSON file that also records the environment (NumPy and
 BLAS, cores, BLAS threads); ``bench --configs`` reads the configs of such
-a file back in.
+a file back in. ``naive_scaling_slope`` times one fixed sweep,
+:data:`SLOPE_CONFIGS`.
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ def default_configs() -> list[BenchConfig]:
         BenchConfig(16, 5, 5, 21, 21, 16),
         BenchConfig(64, 5, 5, 29, 29, 64),
     ]
+
+
+SLOPE_CONFIGS = tuple(BenchConfig(8, 3, 3, side, side, 8) for side in (7, 10, 14, 20, 28))
 
 
 def _random_problem(config: BenchConfig, rng):
@@ -198,25 +202,21 @@ def bench_compare(configs=None, reps: int = MIN_REPS, seed: int = 0) -> list[Ben
     return results
 
 
-def naive_scaling_slope(channels: int = 8, eta: int = 3, omega: int = 3,
-                        out_channels: int = 8, sizes=(7, 10, 14, 20, 28),
-                        reps: int = MIN_REPS, seed: int = 0) -> float:
+def naive_scaling_slope() -> float:
     """Log-log slope of naive time against the number of output positions.
 
     The naive path does fixed work per window, so the slope should be
-    close to 1 once per-call overhead is amortized. Every size is gated
-    as in :func:`bench_compare`, then timed round-robin: each repetition
-    times every size once.
+    close to 1 once per-call overhead is amortized. Every size is drawn
+    from seed 0, gated as in :func:`bench_compare`, then timed round-robin:
+    each of :data:`MIN_REPS` repetitions times every size once.
     """
-    configs = [BenchConfig(channels, eta, omega, s, s, out_channels) for s in sizes]
-    _check_reps(reps)
-    streams = np.random.SeedSequence(seed).spawn(len(configs))
+    streams = np.random.SeedSequence(0).spawn(len(SLOPE_CONFIGS))
     calls = []
-    for config, stream in zip(configs, streams):
+    for config, stream in zip(SLOPE_CONFIGS, streams):
         template, search, weights, _, _ = _gated_problem(config, np.random.default_rng(stream))
         calls.append(lambda t=template, x=search, w=weights: fusion.naive_concat_corr(t, x, w))
-    samples = _samples_ns(calls, reps)
-    positions = np.array([c.positions for c in configs], dtype=np.float64)
+    samples = _samples_ns(calls, MIN_REPS)
+    positions = np.array([c.positions for c in SLOPE_CONFIGS], dtype=np.float64)
     times = np.array([np.median(t) for t in samples], dtype=np.float64)
     slope, _ = np.polyfit(np.log(positions), np.log(times), 1)
     return float(slope)

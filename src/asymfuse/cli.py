@@ -203,8 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", parents=[common],
                        help="central-difference check of every op's gradients")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-2)
-    p.add_argument("--tol", type=float, default=1e-2)
+    p.add_argument("--eps", type=float, default=gradcheck.EPS)
+    p.add_argument("--tol", type=float, default=gradcheck.TOL)
     p.add_argument("--inject-error", action="store_true",
                    help="corrupt one analytic gradient as a negative control")
     p.set_defaults(func=_cmd_gradcheck)
@@ -223,14 +223,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toytrain", parents=[common],
                        help="train the glyph-grid toy model")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.03)
-    p.add_argument("--train-samples", type=int, default=2000)
-    p.add_argument("--test-samples", type=int, default=1000)
-    p.add_argument("--glyph-size", type=int, default=7)
-    p.add_argument("--noise-std", type=float, default=0.05)
+    toy = toytask.ToyTrainConfig()
+    p.add_argument("--seed", type=int, default=toy.seed)
+    p.add_argument("--classes", type=int, default=toy.num_classes)
+    p.add_argument("--epochs", type=int, default=toy.epochs)
+    p.add_argument("--lr", type=float, default=toy.lr)
+    p.add_argument("--train-samples", type=int, default=toy.n_train)
+    p.add_argument("--test-samples", type=int, default=toy.n_test)
+    p.add_argument("--glyph-size", type=int, default=toy.glyph_size)
+    p.add_argument("--noise-std", type=float, default=toy.noise_std)
     p.add_argument("--ablate-index", action="store_true",
                    help="zero the index branch during training and evaluation")
     p.add_argument("--out-dir", type=str, default="",

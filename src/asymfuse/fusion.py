@@ -17,12 +17,12 @@ batch norm (always before the ReLU) and the ReLU then run in float64 as
 one epilogue and round to float32 once more.
 
 The optional prior branch feeds (box width, box height), divided by
-``box_scale``, through a 3-layer FC net into one extra bias per output
-channel. Inputs are checked by the package's shared helpers: a template
-or search map of the wrong rank or size raises ShapeMismatchError (a
-RankError is one), a search map smaller than the kernels
-KernelTooLargeError, and a NaN or infinite map or weight, or a response
-beyond the float32 range, NonFiniteMapError.
+:data:`BOX_SCALE` (255, SiamFC's search-image side), through a 3-layer
+FC net into one extra bias per output channel. Inputs are checked by the
+package's shared helpers: a template or search map of the wrong rank or
+size raises ShapeMismatchError (a RankError is one), a search map
+smaller than the kernels KernelTooLargeError, and a NaN or infinite map
+or weight, or a response beyond the float32 range, NonFiniteMapError.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .nn import (
     BatchNormParams, ConvKernel, FcLayer, _check_fit, _mlp3_layers, conv2d_valid, mlp3_forward,
 )
 from .tensor import DTYPE, _as_map, _check_finite, as_tensor
+
+BOX_SCALE = 255.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +58,6 @@ class FusionWeights:
     theta_x: ConvKernel
     prior: tuple[FcLayer, FcLayer, FcLayer] | None = None
     norm: BatchNormParams | None = None
-    box_scale: float = 255.0
 
     def __post_init__(self):
         if self.theta_z.weights.shape != self.theta_x.weights.shape:
@@ -86,8 +87,6 @@ class FusionWeights:
                 f"norm describes {self.norm.channels} channels, "
                 f"kernels produce {self.out_channels}"
             )
-        if not 0 < self.box_scale < np.inf:
-            raise ValueError(f"box_scale must be positive and finite: {self.box_scale!r}")
 
     @property
     def out_channels(self) -> int:
@@ -197,9 +196,7 @@ def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCa
         box_w, box_h = (float(side) for side in sides)
         if not all(0 < side < np.inf for side in (box_w, box_h)):
             raise NonPositiveBoxError(f"box sides must be positive and finite: {box}")
-        scaled = np.array(
-            [box_w / weights.box_scale, box_h / weights.box_scale], dtype=DTYPE
-        )
+        scaled = np.array([box_w / BOX_SCALE, box_h / BOX_SCALE], dtype=DTYPE)
         prior_term = mlp3_forward(scaled, weights.prior).reshape(-1, 1, 1)
     elif box is not None:
         raise ValueError("a box was given but the weights have no prior branch")

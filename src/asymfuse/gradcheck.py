@@ -23,6 +23,10 @@ import numpy as np
 from . import autograd as ag
 from . import tensor as T
 
+# Default difference step and relative-error bound, here and in ``asymfuse gradcheck``.
+EPS = 1e-2
+TOL = 1e-2
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -139,17 +143,15 @@ def _draw(case: _Case, rng, margin: float):
     raise RuntimeError(f"could not draw a {case.name} instance clear of ReLU kinks")
 
 
-def gradient_check_suite(seed: int = 0, eps: float = 1e-2, tol: float = 1e-2,
+def gradient_check_suite(seed: int = 0, eps: float = EPS, tol: float = TOL,
                          inject_error: bool = False) -> list[CheckResult]:
     """Compare analytic and central-difference gradients for every op.
 
     ``inject_error`` corrupts one analytic gradient on purpose, as a
     negative control that the comparison can actually fail.
     """
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    T._check_positive(eps, "eps")
+    T._check_positive(tol, "tol")
     margin = max(0.05, 4.0 * eps)
     streams = np.random.SeedSequence(seed).spawn(len(_CASES))
     results = []

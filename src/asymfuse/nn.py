@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelTooLargeError, RankError, ShapeMismatchError
-from .tensor import DTYPE, _as_map, _check_finite, as_tensor, relu
+from .tensor import DTYPE, _as_map, _check_finite, _check_positive, as_tensor, relu
 
 
 def _check_kernel(w: np.ndarray) -> np.ndarray:
@@ -148,8 +148,7 @@ class BatchNormParams:
         lengths = {a.shape[0] for a in arrays.values()}
         if len(lengths) != 1:
             raise ShapeMismatchError("batch norm parameter lengths differ")
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        _check_positive(self.eps, "eps")
         if (arrays["running_var"] < 0).any():
             raise ValueError("running_var must be non-negative")
         for name, arr in arrays.items():

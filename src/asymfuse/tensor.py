@@ -8,7 +8,6 @@ accumulate in float64 and round to float32 once, at the end.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from pathlib import Path
 
@@ -50,33 +49,32 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def broadcast_shape(shape_a, shape_b) -> tuple[int, ...]:
-    """Resolve two shapes under trailing-dimension alignment.
+def _check_positive(value, name: str) -> None:
+    """ValueError unless ``value`` is positive and finite."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
-    Dimensions are compared right-to-left; a pair is compatible when the
-    sizes match or either side is 1. Missing leading dimensions count
-    as 1.
+
+def broadcast_shape(shape_a, shape_b) -> tuple[int, ...]:
+    """Resolve two shapes by NumPy's rule: a size-1 axis takes any size, 0 included.
 
     Raises:
         ShapeMismatchError: some aligned pair differs with neither side 1.
     """
-    merged = []
-    pairs = itertools.zip_longest(reversed(tuple(shape_a)), reversed(tuple(shape_b)), fillvalue=1)
-    for dim_a, dim_b in pairs:
-        if dim_a != dim_b and dim_a != 1 and dim_b != 1:
-            raise ShapeMismatchError(
-                f"cannot broadcast {tuple(shape_a)} with {tuple(shape_b)}"
-            )
-        merged.append(max(dim_a, dim_b))
-    return tuple(reversed(merged))
+    try:
+        return np.broadcast_shapes(tuple(shape_a), tuple(shape_b))
+    except ValueError:
+        raise ShapeMismatchError(f"cannot broadcast {tuple(shape_a)} with {tuple(shape_b)}") from None
 
 
 def broadcast_add(a, b) -> np.ndarray:
     """Elementwise sum with size-1 dimensions virtually replicated."""
     a = as_tensor(a)
     b = as_tensor(b)
-    broadcast_shape(a.shape, b.shape)
-    return a + b
+    try:
+        return a + b
+    except ValueError:
+        raise ShapeMismatchError(f"cannot broadcast {a.shape} with {b.shape}") from None
 
 
 def relu(t) -> np.ndarray:

@@ -78,13 +78,10 @@ class TestScalingSlope:
         assert order == [0, 0, 0, 1, 1, 1, 2, 2, 2] + [0, 1, 2] * 4
         assert [len(times) for times in samples] == [4, 4, 4]
 
-    def test_slope_near_one_for_tiny_sweep(self):
-        # Undersized sweep keeps this fast; the acceptance suite runs the
-        # real one. Even here the trend should be clearly positive.
-        slope = bench.naive_scaling_slope(channels=2, eta=2, omega=2,
-                                          out_channels=2, sizes=(6, 12, 24),
-                                          reps=20, seed=3)
-        assert slope > 0.5
+    def test_slope_clearly_positive(self):
+        # The acceptance suite holds the same sweep to 0.9; this looser
+        # bound checks only the trend.
+        assert bench.naive_scaling_slope() > 0.5
 
 
 class TestJson:

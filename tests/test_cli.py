@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output contracts, artifacts."""
 
+import inspect
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from asymfuse import cli
+from asymfuse import cli, gradcheck, toytask
 from asymfuse import tensor as T
 
 
@@ -58,6 +59,22 @@ class TestParsing:
         lines = out.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("config: command=eqcheck")
+
+    def test_dump_config_echoes_library_defaults(self, capsys):
+        toy = toytask.ToyTrainConfig()
+        suite = inspect.signature(gradcheck.gradient_check_suite).parameters
+        defaults = {
+            "toytrain": {"ablate_index": toy.ablate_index, "classes": toy.num_classes,
+                         "epochs": toy.epochs, "glyph_size": toy.glyph_size, "lr": toy.lr,
+                         "noise_std": toy.noise_std, "out_dir": "", "seed": toy.seed,
+                         "test_samples": toy.n_test, "train_samples": toy.n_train},
+            "gradcheck": {name: p.default for name, p in suite.items()},
+        }
+        for command, pairs in defaults.items():
+            code, out, _ = run_cli(capsys, command, "--dump-config")
+            rendered = " ".join(f"{k}={pairs[k]}" for k in sorted(pairs))
+            assert code == 0
+            assert out == f"config: command={command} {rendered}\n"
 
 
 class TestEqcheck:

@@ -175,18 +175,6 @@ class TestAcmForward:
             assert float(delta[p].var()) <= 1e-6  # spatially constant shift
             npt.assert_allclose(delta[p].mean(), expected[p], atol=1e-5)
 
-    def test_box_scaling_is_configurable(self):
-        rng = np.random.default_rng(60)
-        template = rand_f32(rng, (1, 2, 2))
-        search = rand_f32(rng, (1, 4, 4))
-        w255 = make_weights(rng, 1, 2, 2, 2, with_prior=True)
-        w100 = fusion.FusionWeights(theta_z=w255.theta_z, theta_x=w255.theta_x,
-                                    prior=w255.prior, box_scale=100.0)
-        out_a = fusion.acm_forward(template, search, w255, box=(50.0, 50.0), apply_relu=False)
-        out_b = fusion.acm_forward(template, search, w100, box=(50.0 * 100 / 255,) * 2,
-                                   apply_relu=False)
-        npt.assert_allclose(out_a, out_b, atol=1e-6)
-
     def test_missing_box_rejected(self):
         rng = np.random.default_rng(61)
         weights = make_weights(rng, 2, 2, 2, 3, with_prior=True)
@@ -209,14 +197,6 @@ class TestAcmForward:
                     ("5", "5"), (b"5", 5), ((1, 2), 3), (True, False)]:
             with pytest.raises(ShapeMismatchError):
                 fusion.acm_cache_template(template, weights, box)
-
-    def test_non_finite_box_scale_rejected(self):
-        rng = np.random.default_rng(67)
-        base = make_weights(rng, 1, 2, 2, 2)
-        for scale in (np.nan, np.inf, 0.0):
-            with pytest.raises(ValueError):
-                fusion.FusionWeights(theta_z=base.theta_z, theta_x=base.theta_x,
-                                     box_scale=scale)
 
     def test_box_without_prior_rejected(self):
         rng = np.random.default_rng(63)

@@ -150,7 +150,7 @@ def test_fusion_with_prior_and_norm_equals_naive_concat(case, data):
                                    prior=prior, norm=norm)
     acm = fusion.acm_forward(template, search, weights, box)
 
-    scaled = np.array([box[0] / weights.box_scale, box[1] / weights.box_scale], np.float32)
+    scaled = np.array([box[0] / fusion.BOX_SCALE, box[1] / fusion.BOX_SCALE], np.float32)
     prior_term = nn.mlp3_forward(scaled, prior).astype(np.float64)[:, None, None]
     pre = fusion.naive_concat_corr(template, search, weights).astype(np.float64) + prior_term
     gamma, beta, mean, var = (a.astype(np.float64)[:, None, None] for a in (

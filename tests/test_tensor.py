@@ -78,10 +78,17 @@ class TestBroadcastShape:
         assert T.broadcast_shape((2, 1, 3), (4, 3)) == (2, 4, 3)
         assert T.broadcast_shape((5,), (5,)) == (5,)
         assert T.broadcast_shape((1,), (7, 1)) == (7, 1)
+        assert T.broadcast_shape((0,), (1,)) == (0,)
+        assert T.broadcast_shape((1, 0), (3, 1)) == (3, 0)
 
     def test_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             T.broadcast_shape((2, 3), (2, 4))
+
+    @pytest.mark.parametrize("a, b", [((0,), (1,)), ((1, 0), (3, 1)), ((2, 1, 3), (4, 3)),
+                                      ((4,), (3, 2, 4))])
+    def test_agrees_with_broadcast_add(self, a, b):
+        assert T.broadcast_shape(a, b) == T.broadcast_add(np.ones(a), np.ones(b)).shape
 
 
 class TestRelu:

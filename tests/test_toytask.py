@@ -248,7 +248,7 @@ class TestEvaluation:
     def test_perfect_and_constant_predictors(self):
         samples = small_samples(n=12)
         perfect = tt.prediction_accuracy(
-            lambda s: tt.one_hot(s.label, width=4), samples
+            lambda s: tt.one_hot(s.label), samples
         )
         assert perfect == 1.0
         always_zero = tt.prediction_accuracy(
