@@ -50,7 +50,6 @@ from .nn import (
 )
 from .tensor import (
     broadcast_add,
-    broadcast_shape,
     cosine_similarity,
     l1_map,
     relu,

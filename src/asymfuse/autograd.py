@@ -203,11 +203,11 @@ def mlp3(x: Node, layers) -> Node:
     return affine(out, layers[2][0], layers[2][1])
 
 
-def batchnorm(x: Node, gamma: Node, beta: Node, running_mean, running_var, eps: float = 1e-5) -> Node:
+def batchnorm(x: Node, gamma: Node, beta: Node, running_mean, running_var) -> Node:
     """Inference-time batch norm; running statistics are constants."""
-    params = nn.BatchNormParams(gamma.value, beta.value, running_mean, running_var, eps)
+    params = nn.BatchNormParams(gamma.value, beta.value, running_mean, running_var)
     value = nn.batchnorm_infer(x.value, params)
-    inv = 1.0 / np.sqrt(params.running_var.astype(np.float64) + eps)
+    inv = 1.0 / np.sqrt(params.running_var.astype(np.float64) + params.eps)
     centered = (
         x.value.astype(np.float64)
         - params.running_mean.astype(np.float64)[:, None, None]

@@ -3,9 +3,11 @@
 Timings use the monotonic nanosecond clock, take the median (and the
 10th/90th percentiles) over a fixed number of repetitions (at least
 :data:`MIN_REPS`, else ValueError naming ``reps``) after warm-up calls,
-and never overlap measured regions. Before anything is timed, all
-implementations are checked against each other; a disagreement aborts
-the run, so a benchmark can never report speed for wrong results.
+and never overlap measured regions. Before anything is timed, each
+problem passes one gate: the naive concatenation plus the cached prior
+term must match the cached decomposed path within :data:`TOL`, and a
+larger or NaN gap aborts the run, so a benchmark can never report speed
+for wrong results. ``asymfuse eqcheck`` runs the same comparison.
 Results go to a JSON file that also records the environment (NumPy and
 BLAS, cores, BLAS threads); ``bench --configs`` reads the configs of such
 a file back in. ``naive_scaling_slope`` times one fixed sweep,
@@ -19,7 +21,7 @@ import dataclasses
 import os
 import platform
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +31,8 @@ from . import nn
 from . import tensor as T
 
 MIN_REPS = 20
-# Untimed calls of each path before its samples, and the largest gap any
-# two implementations may show before a config is refused.
+# Untimed calls of each path before its samples, and the largest gap the
+# gate (and eqcheck by default) lets through.
 WARMUP = 3
 TOL = 1e-4
 
@@ -98,6 +100,14 @@ def default_configs() -> list[BenchConfig]:
 SLOPE_CONFIGS = tuple(BenchConfig(8, 3, 3, side, side, 8) for side in (7, 10, 14, 20, 28))
 
 
+def _random_config(rng) -> BenchConfig:
+    """eqcheck's size law: C and P in 1..8, kernel sides 1..5, map sides up to 12."""
+    channels = int(rng.integers(1, 9))
+    eta, omega = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    return BenchConfig(channels, eta, omega, int(rng.integers(eta, 13)),
+                       int(rng.integers(omega, 13)), int(rng.integers(1, 9)))
+
+
 def _random_problem(config: BenchConfig, rng):
     def draw(shape):
         return rng.uniform(-1.0, 1.0, size=shape).astype(T.DTYPE)
@@ -120,25 +130,24 @@ def _random_problem(config: BenchConfig, rng):
     return template, search, weights, box
 
 
-def _gated_problem(config: BenchConfig, rng):
-    """Draw one problem; raise RuntimeError unless every path agrees within TOL."""
-    template, search, weights, box = _random_problem(config, rng)
-    plain = replace(weights, prior=None)
-    out_naive = fusion.naive_concat_corr(template, search, weights)
-    out_plain = fusion.acm_forward(template, search, plain, apply_relu=False)
-    gap = float(np.abs(out_naive - out_plain).max())
-    if gap > TOL:
-        raise RuntimeError(
-            f"correctness gate failed for {config}: naive vs decomposed "
-            f"differ by {gap:.3e} (tol {TOL:g})"
-        )
+def _identity_gap(template, search, weights, box):
+    """The template cache and the largest |naive + prior - decomposed| entry.
+
+    A NaN on either side makes the gap NaN, which fails ``gap <= tol``.
+    """
     cache = fusion.acm_cache_template(template, weights, box)
-    out_uncached = fusion.acm_forward(template, search, weights, box, apply_relu=False)
-    out_cached = fusion.acm_apply_search(cache, search, weights, apply_relu=False)
-    gap = float(np.abs(out_uncached - out_cached).max())
-    if gap > TOL:
+    naive = fusion.naive_concat_corr(template, search, weights) + cache.prior_term
+    fused = fusion.acm_apply_search(cache, search, weights, apply_relu=False)
+    return cache, float(np.abs(naive - fused).max())
+
+
+def _gated_problem(config: BenchConfig, rng):
+    """Draw one problem; raise RuntimeError unless its identity gap is <= TOL."""
+    template, search, weights, box = _random_problem(config, rng)
+    cache, gap = _identity_gap(template, search, weights, box)
+    if not gap <= TOL:
         raise RuntimeError(
-            f"correctness gate failed for {config}: cached vs uncached "
+            f"correctness gate failed for {config}: naive + prior vs decomposed "
             f"differ by {gap:.3e} (tol {TOL:g})"
         )
     return template, search, weights, box, cache
@@ -172,9 +181,8 @@ def bench_compare(configs=None, reps: int = MIN_REPS, seed: int = 0) -> list[Ben
 
     Each problem carries a prior branch and a box. The template-side cache
     is built outside the timed region for the cached path; the decomposed
-    and cached paths are timed round-robin. Raises RuntimeError if any
-    pair of implementations disagrees beyond :data:`TOL` before timing
-    starts.
+    and cached paths are timed round-robin. Raises RuntimeError, before
+    timing starts, if a problem fails the gate of :func:`_gated_problem`.
     """
     if configs is None:
         configs = default_configs()

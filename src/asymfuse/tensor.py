@@ -55,18 +55,6 @@ def _check_positive(value, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def broadcast_shape(shape_a, shape_b) -> tuple[int, ...]:
-    """Resolve two shapes by NumPy's rule: a size-1 axis takes any size, 0 included.
-
-    Raises:
-        ShapeMismatchError: some aligned pair differs with neither side 1.
-    """
-    try:
-        return np.broadcast_shapes(tuple(shape_a), tuple(shape_b))
-    except ValueError:
-        raise ShapeMismatchError(f"cannot broadcast {tuple(shape_a)} with {tuple(shape_b)}") from None
-
-
 def broadcast_add(a, b) -> np.ndarray:
     """Elementwise sum with size-1 dimensions virtually replicated."""
     a = as_tensor(a)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from asymfuse import analysis, bench, cli, fusion, gradcheck, nn, toytask
+from asymfuse import analysis, bench, cli, fusion, gradcheck, toytask
 from asymfuse import tensor as T
 
 # Frozen calibrated bounds for the toy protocol (see test 4/5 docstrings).
@@ -36,26 +36,6 @@ def verdict(capsys):
     return announce
 
 
-def random_fusion_problem(rng):
-    channels = int(rng.integers(1, 9))
-    eta = int(rng.integers(1, 6))
-    omega = int(rng.integers(1, 6))
-    height = int(rng.integers(eta, 13))
-    width = int(rng.integers(omega, 13))
-    out_ch = int(rng.integers(1, 9))
-
-    def draw(shape):
-        return rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
-
-    weights = fusion.FusionWeights(
-        theta_z=nn.ConvKernel(draw((out_ch, channels, eta, omega))),
-        theta_x=nn.ConvKernel(draw((out_ch, channels, eta, omega))),
-    )
-    template = draw((channels, eta, omega))
-    search = draw((channels, height, width))
-    return template, search, weights
-
-
 class TestCriterion1:
     def test_equivalence_cli(self, capsys, verdict):
         start = time.perf_counter()
@@ -64,7 +44,7 @@ class TestCriterion1:
         out = capsys.readouterr().out
         ok = code == 0 and elapsed < 10.0 and out.splitlines()[-1].endswith("ok")
         verdict(1, ok, f"eqcheck --trials 100 --seed 7 exit={code} "
-                       f"in {elapsed:.1f}s (tol 1e-4, budget 10s)")
+                       f"in {elapsed:.1f}s (tol {bench.TOL:g}, budget 10s)")
 
 
 class TestCriterion2:
@@ -72,8 +52,8 @@ class TestCriterion2:
         rng = np.random.default_rng(2)
         ok = True
         for _ in range(50):
-            template, search, weights = random_fusion_problem(rng)
-            out = fusion.acm_forward(template, search, weights)
+            template, search, weights, box = bench._random_problem(bench._random_config(rng), rng)
+            out = fusion.acm_forward(template, search, weights, box)
             c, h, w = search.shape
             p, _, eta, omega = weights.theta_x.weights.shape
             expected = (p, h - eta + 1, w - omega + 1)

@@ -17,10 +17,7 @@ from asymfuse.errors import (
     NonScalarLossError,
     ShapeMismatchError,
 )
-
-
-def rand_f32(rng, shape, lo=-1.0, hi=1.0):
-    return rng.uniform(lo, hi, size=shape).astype(np.float32)
+from oracles import diagonal_kernel, rand_f32, window_loop, window_loop_grads
 
 
 class TestBackwardRules:
@@ -124,28 +121,6 @@ TAPED_OPS = {
 }
 
 
-def window_loop_grads(x, w, g):
-    """float64 dK and dx of out[p,i,j] = sum_{c,u,v} w[p,c,u,v] x[c,i+u,j+v],
-    one output window at a time, for output gradient g."""
-    kh, kw = w.shape[2:]
-    dw, dx = np.zeros(w.shape), np.zeros(x.shape)
-    for i in range(g.shape[1]):
-        for j in range(g.shape[2]):
-            dw += g[:, i, j, None, None, None] * x[None, :, i : i + kh, j : j + kw]
-            dx[:, i : i + kh, j : j + kw] += np.tensordot(g[:, i, j], w, axes=1)
-    return dw, dx
-
-
-def window_loop_forward(x, w):
-    """float64 out[p,i,j] = sum_{c,u,v} w[p,c,u,v] x[c,i+u,j+v], window by window."""
-    p, _, kh, kw = w.shape
-    out = np.empty((p, x.shape[1] - kh + 1, x.shape[2] - kw + 1))
-    for i in range(out.shape[1]):
-        for j in range(out.shape[2]):
-            out[:, i, j] = np.tensordot(w, x[:, i : i + kh, j : j + kw], axes=3)
-    return out
-
-
 def depthwise_loop_grads(x, z, g):
     """float64 dz and dx of out[c,i,j] = sum_{u,v} z[c,u,v] x[c,i+u,j+v]."""
     kh, kw = z.shape[1:]
@@ -191,9 +166,9 @@ class TestConvBackwardTable:
         g = rng.uniform(-1, 1, size=(channels, *out_shape))
         x64, k64 = x.astype(np.float64), k.astype(np.float64)
         if op == "conv2d":
-            want_k, want_x = window_loop_grads(x64, k64, g)
+            want_x, want_k = window_loop_grads(x64, k64, g)
         elif op == "xcorr":
-            want_k, want_x = window_loop_grads(x64, k64[None], g)
+            want_x, want_k = window_loop_grads(x64, k64[None], g)
             want_k = want_k[0]
         else:
             want_k, want_x = depthwise_loop_grads(x64, k64, g)
@@ -214,8 +189,8 @@ class TestConvBackwardTable:
             w = k.astype(np.float64)
         else:
             k = rand_f32(rng, (x_shape[0], *k_shape[2:]))
-            w = np.eye(x_shape[0])[:, :, None, None] * k[None].astype(np.float64)
-        out = window_loop_forward(x.astype(np.float64), w)
+            w = diagonal_kernel(k)
+        out = window_loop(x, w)
         g = rng.uniform(-1, 1, size=out.shape)
         _, adjoint = taped_grads(getattr(ag, op), x, k, g)
         npt.assert_allclose((out * g).sum(), (x * adjoint).sum(), rtol=1e-12)

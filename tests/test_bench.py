@@ -1,6 +1,7 @@
 """Benchmark harness mechanics (not absolute timings)."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,14 +61,30 @@ class TestBenchCompare:
 
     def test_correctness_gate_aborts_on_disagreement(self, monkeypatch):
         # Corrupt one path; the gate must refuse to time anything.
-        real = fusion.naive_concat_corr
+        naive, decomposed = fusion.naive_concat_corr, fusion.acm_apply_search
 
-        def wrong(template, search, weights):
-            return real(template, search, weights) + 1.0
+        def off_by_one(template, search, weights):
+            return naive(template, search, weights) + 1.0
 
-        monkeypatch.setattr(fusion, "naive_concat_corr", wrong)
-        with pytest.raises(RuntimeError, match="correctness gate"):
-            bench.bench_compare([bench.BenchConfig(2, 2, 2, 4, 4, 2)], reps=20)
+        def one_nan(cache, search, weights, apply_relu=True):
+            out = decomposed(cache, search, weights, apply_relu)
+            out[0, 0, 0] = np.nan
+            return out
+
+        def no_prior(cache, search, weights, apply_relu=True):
+            return decomposed(replace(cache, prior_term=None), search,
+                              replace(weights, prior=None), apply_relu)
+
+        def never_timed(calls, reps):
+            raise AssertionError("a path was timed")
+
+        monkeypatch.setattr(bench, "_samples_ns", never_timed)
+        for name, fault in [("naive_concat_corr", off_by_one),
+                            ("acm_apply_search", one_nan), ("acm_apply_search", no_prior)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(fusion, name, fault)
+                with pytest.raises(RuntimeError, match="correctness gate"):
+                    bench.bench_compare([bench.BenchConfig(2, 2, 2, 4, 4, 2)], reps=20)
 
 
 class TestScalingSlope:

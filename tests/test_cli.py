@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from asymfuse import cli, gradcheck, toytask
+from asymfuse import cli, fusion, gradcheck, toytask
 from asymfuse import tensor as T
 
 
@@ -92,6 +92,19 @@ class TestEqcheck:
         assert code == 1
         assert out.splitlines()[-1].endswith("FAIL")
 
+    def test_nan_in_decomposed_path_fails(self, capsys, monkeypatch):
+        real = fusion.acm_apply_search
+
+        def one_nan(cache, search, weights, apply_relu=True):
+            out = real(cache, search, weights, apply_relu)
+            out[0, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(fusion, "acm_apply_search", one_nan)
+        code, out, _ = run_cli(capsys, "eqcheck", "--trials", "3", "--seed", "7")
+        assert code == 1
+        assert out.splitlines()[-1].endswith("FAIL")
+
     def test_zero_trials_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eqcheck", "--trials", "0")
         assert code == 2
@@ -147,6 +160,12 @@ class TestBench:
         doc = json.loads(out_json.read_text())
         assert set(doc) == {"environment", "results"}
         assert [r["config"]["channels"] for r in doc["results"]] == [2, 3]
+
+    def test_unwritable_json_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "bench", "--configs", "2,2,2,4,4,2",
+                               "--json", str(tmp_path / "missing" / "b.json"))
+        assert code == 2
+        assert err.startswith("error:")
 
     def test_reps_below_floor(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--reps", "5")
@@ -223,6 +242,14 @@ class TestToytrain:
         assert "conv1.tsr" in tensors and "head_b.tsr" in tensors
         reloaded = T.tensor_read(out_dir / "model" / "conv1.tsr")
         assert reloaded.shape == (8, 1, 3, 3)
+
+    def test_unusable_out_dir_fails_before_training(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        code, out, err = run_cli(capsys, "toytrain", "--epochs", "1", "--train-samples", "4",
+                                 "--test-samples", "4", "--out-dir", str(tmp_path / "file" / "run"))
+        assert code == 2
+        assert err.startswith("error:")
+        assert "mean_loss" not in out
 
     def test_bad_lr(self, capsys):
         code, _, err = run_cli(capsys, "toytrain", "--lr", "0")
@@ -315,6 +342,13 @@ class TestHeatmap:
         assert (tmp_path / "strength.csv").exists()
         pgm = (tmp_path / "strength.pgm").read_bytes()
         assert pgm.startswith(b"P5\n3 3\n255\n")
+
+    def test_unwritable_prefix_is_usage_error(self, capsys, tmp_path):
+        path = crafted_map_file(tmp_path)
+        code, _, err = run_cli(capsys, "heatmap", "--map", str(path),
+                               "--out", str(tmp_path / "missing" / "strength"))
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestEntryPoint:

@@ -13,10 +13,7 @@ from asymfuse.errors import (
     RankError,
     ShapeMismatchError,
 )
-
-
-def rand_f32(rng, shape, lo=-1.0, hi=1.0):
-    return rng.uniform(lo, hi, size=shape).astype(np.float32)
+from oracles import rand_f32
 
 
 def make_weights(rng, channels, eta, omega, out_ch, with_prior=False, hidden=4):

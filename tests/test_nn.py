@@ -9,6 +9,7 @@ import pytest
 from asymfuse import nn
 from asymfuse import tensor as T
 from asymfuse.errors import KernelTooLargeError, RankError, ShapeMismatchError
+from oracles import rand_f32, window_loop
 
 
 def conv_loop_oracle(x, w):
@@ -26,10 +27,6 @@ def conv_loop_oracle(x, w):
                             acc += float(w[po, ci, u, v]) * float(x[ci, i + u, j + v])
                 out[po, i, j] = acc
     return out
-
-
-def rand_f32(rng, shape, lo=-1.0, hi=1.0):
-    return rng.uniform(lo, hi, size=shape).astype(np.float32)
 
 
 class TestConv2dValid:
@@ -111,22 +108,10 @@ class TestConv2dValid:
             nn.conv2d_valid(np.zeros((1, 4, 4), np.float32), np.zeros((1, 2, 2), np.float32))
 
 
-def window_loop_f64(x, w):
-    """Valid cross-correlation in float64, one GEMV per output window."""
-    p, _, kh, kw = w.shape
-    x = x.astype(np.float64)
-    rows = w.astype(np.float64).reshape(p, -1)
-    out = np.empty((p, x.shape[1] - kh + 1, x.shape[2] - kw + 1))
-    for i in range(out.shape[1]):
-        for j in range(out.shape[2]):
-            out[:, i, j] = rows @ x[:, i : i + kh, j : j + kw].ravel()
-    return out
-
-
 def assert_float32_rounding_of(out, x, w):
     """out is the float64 result rounded once to float32, up to 1e-12 of its scale."""
-    ref = window_loop_f64(x, w)
-    scale = window_loop_f64(np.abs(x), np.abs(w))
+    ref = window_loop(x, w)
+    scale = window_loop(np.abs(x), np.abs(w))
     assert out.dtype == np.float32 and out.shape == ref.shape and out.flags.c_contiguous
     assert np.all(np.abs(out - ref) <= 2.0**-24 * np.abs(ref) + 1e-12 * scale)
 

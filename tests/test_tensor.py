@@ -74,21 +74,17 @@ class TestBroadcastAdd:
 
 
 class TestBroadcastShape:
+    """broadcast_add's output shape follows NumPy's rule, zero-size axes included."""
+
     def test_examples(self):
-        assert T.broadcast_shape((2, 1, 3), (4, 3)) == (2, 4, 3)
-        assert T.broadcast_shape((5,), (5,)) == (5,)
-        assert T.broadcast_shape((1,), (7, 1)) == (7, 1)
-        assert T.broadcast_shape((0,), (1,)) == (0,)
-        assert T.broadcast_shape((1, 0), (3, 1)) == (3, 0)
+        for a, b, shape in [((2, 1, 3), (4, 3), (2, 4, 3)), ((5,), (5,), (5,)),
+                            ((1,), (7, 1), (7, 1)), ((0,), (1,), (0,)),
+                            ((1, 0), (3, 1), (3, 0)), ((4,), (3, 2, 4), (3, 2, 4))]:
+            assert T.broadcast_add(np.ones(a), np.ones(b)).shape == shape
 
     def test_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            T.broadcast_shape((2, 3), (2, 4))
-
-    @pytest.mark.parametrize("a, b", [((0,), (1,)), ((1, 0), (3, 1)), ((2, 1, 3), (4, 3)),
-                                      ((4,), (3, 2, 4))])
-    def test_agrees_with_broadcast_add(self, a, b):
-        assert T.broadcast_shape(a, b) == T.broadcast_add(np.ones(a), np.ones(b)).shape
+            T.broadcast_add(np.ones((2, 3)), np.ones((2, 4)))
 
 
 class TestRelu:
