@@ -107,6 +107,8 @@ def _bench_configs(text: str) -> list[bench.BenchConfig]:
 
 def _cmd_bench(args) -> int:
     configs = _bench_configs(args.configs) if args.configs else None
+    if args.json:  # before timing, so an unwritable path costs no timing
+        open(args.json, "a").close()
     results = bench.bench_compare(configs, reps=args.reps, seed=args.seed)
     print(" ".join(f"{c:>10}" for c in ("C", "eta", "omega", "H", "W", "P", "reps",
                                         "naive_ns", "acm_ns", "cached_ns", "speedup")))

@@ -12,9 +12,10 @@ with the joined kernel [theta_z | theta_x], which is what
 :func:`naive_concat_corr` does window by window; the decomposed form
 replaces the per-window concatenation with two independent convolutions
 and an add, and lets the template side be cached across search maps.
-Each convolution rounds to float32 once; the add, the prior, the optional
-batch norm (always before the ReLU) and the ReLU then run in float64 as
-one epilogue and round to float32 once more.
+The template convolution rounds to float32 once, when it is cached. The
+search convolution does not: the cached terms, the prior, the optional
+batch norm (always before the ReLU) and the ReLU run as one per-channel
+epilogue on its float64 accumulator, which rounds to float32 once.
 
 The optional prior branch feeds (box width, box height), divided by
 :data:`BOX_SCALE` (255, SiamFC's search-image side), through a 3-layer
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingBoxError, NonFiniteMapError, NonPositiveBoxError, ShapeMismatchError
+from .errors import MissingBoxError, NonPositiveBoxError, ShapeMismatchError
 from .nn import (
     BatchNormParams, ConvKernel, FcLayer, _check_fit, _mlp3_layers, conv2d_valid, mlp3_forward,
 )
@@ -210,8 +211,9 @@ def acm_apply_search(
 
     Runs exactly one convolution (the search side). The cached terms, the
     norm (folded into a per-channel scale and bias) and the activation
-    then run in float64 on one buffer and round to float32 once at the end;
-    a response beyond the float32 range raises NonFiniteMapError.
+    are its ``epilogue``: they run on the conv's float64 accumulator, and
+    the response rounds to float32 once; a response beyond the float32
+    range raises NonFiniteMapError.
     """
     x = _check_search(search, weights)
     if cache.out_channels != weights.out_channels:
@@ -221,23 +223,15 @@ def acm_apply_search(
         )
     if (cache.prior_term is None) != (weights.prior is None):
         raise ShapeMismatchError("cache and weights disagree about the prior branch")
-    out = conv2d_valid(x, weights.theta_x).astype(np.float64)
-    bias = cache.z_term.astype(np.float64)
+    bias = cache.z_term.astype(np.float64).reshape(-1)
     if cache.prior_term is not None:
-        bias += cache.prior_term
+        bias += cache.prior_term.reshape(-1)
+    scale = None
     if weights.norm is not None:
-        scale, shift = weights.norm.scale_shift()
+        scale, shift = (a.reshape(-1) for a in weights.norm.scale_shift())
         # norm(conv + bias) = conv * scale + (bias * scale + shift)
-        out *= scale
         bias = bias * scale + shift
-    out += bias
-    if apply_relu:
-        np.maximum(out, 0.0, out=out)
-    try:
-        with np.errstate(over="raise"):
-            return out.astype(DTYPE)
-    except FloatingPointError:
-        raise NonFiniteMapError("the fused response exceeds the float32 range") from None
+    return conv2d_valid(x, weights.theta_x, epilogue=(scale, bias, apply_relu))
 
 
 def acm_forward(
@@ -246,8 +240,8 @@ def acm_forward(
     """Decomposed fusion in one call: cache the template, then apply.
 
     Matches :func:`naive_concat_corr` (with ``apply_relu=False`` and no
-    prior branch) up to the float32 rounding of the two convolutions and
-    of the sum.
+    prior branch) up to the float32 rounding of the template convolution
+    and of the response.
     """
     cache = acm_cache_template(template, weights, box)
     return acm_apply_search(cache, search, weights, apply_relu)

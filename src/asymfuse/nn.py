@@ -24,9 +24,14 @@ above, and the Winograd-domain kernel. ``conv2d_valid`` with a
 ConvKernel takes Winograd minimal filtering (Lavin & Gray, CVPR 2016)
 over 9 x 9 tiles when that measured faster: both kernel sides in 4..7,
 at least one whole output tile per axis, and at least
-``_WINOGRAD_MIN_MULTS`` multiplies of direct work. Everything else,
-raw-array kernels from the tape and the toy model included, takes the
-im2col GEMM.
+``_WINOGRAD_MIN_MULTS`` multiplies of direct work. Its transforms run
+one axis at a time, the input one over a view of overlapping row
+windows. Everything else, raw-array kernels from the tape and the toy
+model included, takes the im2col GEMM.
+
+``conv2d_valid``'s ``epilogue`` folds a per-output-channel scale, bias
+and ReLU into the float64 result before its one rounding; fusion's
+response uses it, so the search conv and its epilogue round once.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KernelTooLargeError, RankError, ShapeMismatchError
+from .errors import KernelTooLargeError, NonFiniteMapError, RankError, ShapeMismatchError
 from .tensor import DTYPE, _as_map, _check_finite, _check_positive, as_tensor, relu
 
 
@@ -191,7 +196,7 @@ def _check_fit(x: np.ndarray, channels: int, kh: int, kw: int) -> None:
         )
 
 
-def conv2d_valid(inputs, kernel) -> np.ndarray:
+def conv2d_valid(inputs, kernel, *, epilogue=None) -> np.ndarray:
     """Valid cross-correlation of a C x H x W map with a P x C x kh x kw kernel.
 
     Returns a P x (H-kh+1) x (W-kw+1) float32 map. Two paths compute it,
@@ -205,6 +210,12 @@ def conv2d_valid(inputs, kernel) -> np.ndarray:
       Ho*Wo*C*P*kh*kw is at least ``_WINOGRAD_MIN_MULTS``.
 
     A raw-array kernel always takes the im2col path.
+
+    ``epilogue``, a ``(scale, bias, relu)`` triple, is a per-output-channel
+    fold run in place on the float64 result before that one rounding:
+    ``out * scale + bias`` (no product when ``scale`` is None; both are
+    length-P float64 vectors), then a ReLU when ``relu`` is true. With an
+    epilogue, an output beyond the float32 range raises NonFiniteMapError.
 
     Raises:
         ShapeMismatchError: kernel input channels differ from the map's.
@@ -220,11 +231,39 @@ def conv2d_valid(inputs, kernel) -> np.ndarray:
     elif (4 <= min(kh, kw) and max(kh, kw) <= 7
           and out_h >= _ALPHA + 1 - kh and out_w >= _ALPHA + 1 - kw
           and out_h * out_w * w.size >= _WINOGRAD_MIN_MULTS):
-        return _winograd_conv(x, kernel)
+        return _winograd_conv(x, kernel, epilogue)
     else:
         matrix = kernel._gemm_matrix
     flat = matrix @ im2col(x, kh, kw)
-    return flat.reshape(out_ch, out_h, out_w).astype(DTYPE)
+    if epilogue is not None:
+        _apply_epilogue(flat.T, epilogue)
+    return _to_float32(flat.reshape(out_ch, out_h, out_w), epilogue)
+
+
+def _apply_epilogue(acc: np.ndarray, epilogue) -> None:
+    """Run conv2d_valid's (scale, bias, relu) fold in place on a (positions, P) float64 view."""
+    scale, bias, apply_relu = epilogue
+    if scale is not None:
+        acc *= scale
+    acc += bias
+    if apply_relu:
+        np.maximum(acc, 0.0, out=acc)
+
+
+def _to_float32(acc: np.ndarray, epilogue) -> np.ndarray:
+    """The one rounding of conv2d_valid: a C-ordered float32 copy of ``acc``.
+
+    With an epilogue, an output beyond the float32 range raises
+    NonFiniteMapError. Without one, no error state is entered: that costs
+    ~2 us, which per-call-bound callers such as the toy model would feel.
+    """
+    if epilogue is None:
+        return acc.astype(DTYPE, order="C")
+    try:
+        with np.errstate(over="raise"):
+            return acc.astype(DTYPE, order="C")
+    except FloatingPointError:
+        raise NonFiniteMapError("the fused response exceeds the float32 range") from None
 
 
 # Winograd minimal filtering F(m, r) on tiles of _ALPHA = m + r - 1 = 9
@@ -241,15 +280,20 @@ def conv2d_valid(inputs, kernel) -> np.ndarray:
 #   a side of 3       any                    64     0.22-1.94x (won 27)
 #   a side of 2       any                    16     0.18-0.64x
 #
-# On the 41 shapes the rule admits, these 9 x 9 tiles beat the 8 x 8
-# tiles they replaced on 39 and tied on one (median 1.53x -> 2.09x against
-# im2col); the one loss, 0.81x at 64x17x17 with 4x4, needs as many tiles
-# either way. The input transform's banded GEMMs grow with the map size
-# cubed, which is why side-2 kernels never pay; side-3 kernels won and
-# lost by shape (3x3: 1.51x at 64x29x29, 0.67x at 64x17x17) and stay on
-# im2col until a rule for them is measured. The threshold stays above
-# the redetect shape, 64x9x9 with 5x5 (2.6e6 multiplies): its Winograd
-# kernel would outlive the call and raise that workload's peak memory.
+# The table was measured with an earlier form of _winograd_conv: a banded
+# input transform (one dense GEMM per axis over the whole map) and a
+# kron(A^T, A^T) output GEMM. The row-window and per-axis transforms that
+# replaced them took 0.73-0.90x its time at eight multi-tile shapes, 0.98x
+# at one whole tile (128x9x9 with 7x4) and 1.02x at C = 1, P = 256 (40x40
+# with 5x5, where faulting in the 21 MB workspace dominates both), so the
+# rule has not been re-measured. On the 41 shapes the rule admits, 9 x 9
+# tiles beat the 8 x 8 tiles they replaced on 39 and tied on one (median
+# 1.53x -> 2.09x against im2col); the one loss, 0.81x at 64x17x17 with
+# 4x4, needs as many tiles either way. Side-3 kernels won and lost by
+# shape (3x3: 1.51x at 64x29x29, 0.67x at 64x17x17) and stay on im2col
+# until a rule for them is measured. The threshold stays above the
+# redetect shape, 64x9x9 with 5x5 (2.6e6 multiplies): its Winograd kernel
+# would outlive the call and raise that workload's peak memory.
 _ALPHA = 9
 _POINTS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 4.0)
 _WINOGRAD_MIN_MULTS = 8_000_000
@@ -282,70 +326,75 @@ def _cook_toom(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bt, g, at
 
 
-@functools.lru_cache(maxsize=64)
-def _banded_input_transform(r: int, tiles: int) -> np.ndarray:
-    """B^T of every tile along one axis as one (9 * tiles, 9 + m*(tiles-1)) matrix.
+def _row_windows(a: np.ndarray, count: int, step: int) -> np.ndarray:
+    """Read-only (count, 9, rest) view of C-contiguous ``a``, no copy.
 
-    Tile t's 9 x 9 block sits at columns t*m .. t*m+8, so the tiles
-    overlap by r - 1 samples. Rows run (a, t), transform index first.
+    Window t holds rows t*step .. t*step+8 of ``a``, each flattened.
     """
-    m = _ALPHA + 1 - r
-    bt = _cook_toom(r)[0]
-    banded = np.zeros((_ALPHA, tiles, m * tiles + r - 1))
-    for t in range(tiles):
-        banded[:, t, t * m : t * m + _ALPHA] = bt
-    banded = banded.reshape(_ALPHA * tiles, -1)
-    banded.flags.writeable = False
-    return banded
+    row = a.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        a, (count, _ALPHA, a.size // a.shape[0]), (step * row, row, a.itemsize), writeable=False)
 
 
-def _winograd_conv(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
+def _winograd_conv(x: np.ndarray, kernel: ConvKernel, epilogue=None) -> np.ndarray:
     """conv2d_valid of a float32 map by Winograd F(m x m', kh x kw) tiles.
 
-    Needs 2 <= kh, kw <= 8. The map is zero-padded to whole tiles. The
-    input transform is two banded GEMMs over the whole map (no gather of
-    overlapping tiles) and one layout copy to (81, tiles, C); then one
-    batched ``V @ U`` over the 81 transform points; the output transform
-    is one ``kron(A^T, A^T)`` GEMM, cropped and cast to float32 once.
+    Needs 2 <= kh, kw <= 8. The map is zero-padded to whole tiles and laid
+    out (y, x, c). The input transform runs one axis at a time as one
+    batched ``B^T @ windows`` over a read-only view of the overlapping
+    9-row windows, so no tile is copied: th GEMMs along y, one transposing
+    copy, tw GEMMs along x, then one layout copy to (81, tiles, C). One
+    batched ``V @ U`` over the 81 transform points follows, and the output
+    transform applies A^T per axis. ``epilogue`` (see :func:`conv2d_valid`)
+    runs on the float64 (positions, P) result before the one cast to float32.
     """
     channels, height, width = x.shape
     out_ch = kernel.out_channels
     kh, kw = kernel.spatial
+    bth, _, ath = _cook_toom(kh)
+    btw, _, atw = _cook_toom(kw)
     mh, mw = _ALPHA + 1 - kh, _ALPHA + 1 - kw
     out_h, out_w = height - kh + 1, width - kw + 1
     th, tw = -(-out_h // mh), -(-out_w // mw)
-    bh, bw = _banded_input_transform(kh, th), _banded_input_transform(kw, tw)
-    hp, wp = bh.shape[1], bw.shape[1]
+    hp, wp = mh * th + kh - 1, mw * tw + kw - 1
     points, tiles = _ALPHA * _ALPHA, th * tw
     # Every step reads one half of a single per-call block and writes the
     # other. With a fresh temporary per step instead, glibc handed the
     # pages back and faulted ~5 MB in again on every call of a fresh
     # process (~1270 faults, 7.5 against 3.6 ms at the track shape).
-    size_a = max(channels * hp * wp, points * tiles * max(channels, out_ch))
-    size_b = max(_ALPHA * tw * channels * hp, points * tiles * channels, mh * mw * tiles * out_ch)
-    work = np.empty(size_a + size_b)
+    size = points * tiles * max(channels, out_ch)  # the largest stage; the rest fit
+    work = np.empty(2 * size)
 
-    def half(offset, *shape):
-        return work[offset : offset + math.prod(shape)].reshape(shape)
+    def half(index, *shape):
+        return work[index * size : index * size + math.prod(shape)].reshape(shape)
 
-    padded = half(0, channels, hp, wp)
+    padded = half(0, hp, wp, channels)
     # The margin only feeds cropped outputs, but it must be finite: stale
     # values cancel only in exact arithmetic, and a stale NaN never does.
-    padded[:, height:] = 0.0
-    padded[:, :height, width:] = 0.0
-    padded[:, :height, :width] = x
-    v = np.matmul(bw, padded.reshape(-1, wp).T,                    # (b, tw), (c, y)
-                  out=half(size_a, _ALPHA * tw, channels * hp))
-    v = np.matmul(bh, v.reshape(-1, hp).T,                         # (a, th), (b, tw, c)
-                  out=half(0, _ALPHA * th, _ALPHA * tw * channels))
-    grouped = half(size_a, _ALPHA, _ALPHA, th, tw * channels)      # (a, b), tiles, c
-    grouped[...] = v.reshape(_ALPHA, th, _ALPHA, tw * channels).transpose(0, 2, 1, 3)
+    padded[height:] = 0.0
+    padded[:height, width:] = 0.0
+    padded[:height, :width] = x.transpose(1, 2, 0)
+    v = np.matmul(bth, _row_windows(padded, th, mh),                # ty, a, (x, c)
+                  out=half(1, th, _ALPHA, wp * channels))
+    rows = half(0, wp, th, _ALPHA, channels)                        # x, (ty, a, c)
+    rows[...] = v.reshape(th, _ALPHA, wp, channels).transpose(2, 0, 1, 3)
+    v = np.matmul(btw, _row_windows(rows, tw, mw),                  # tx, b, (ty, a, c)
+                  out=half(1, tw, _ALPHA, th * _ALPHA * channels))
+    grouped = half(0, _ALPHA, _ALPHA, th, tw, channels)             # (a, b), (ty, tx), c
+    grouped[...] = v.reshape(tw, _ALPHA, th, _ALPHA, channels).transpose(3, 1, 2, 0, 4)
     products = np.matmul(grouped.reshape(points, tiles, channels), kernel._winograd_kernel,
-                         out=half(0, points, tiles, out_ch))
-    y = np.matmul(np.kron(_cook_toom(kh)[2], _cook_toom(kw)[2]), products.reshape(points, -1),
-                  out=half(size_a, mh * mw, tiles * out_ch))
-    out = np.empty((out_ch, th, mh, tw, mw), dtype=DTYPE)
-    out[...] = y.reshape(mh, mw, th, tw, out_ch).transpose(4, 2, 0, 3, 1)
+                         out=half(1, points, tiles, out_ch))
+    y = np.matmul(ath, products.reshape(_ALPHA, -1),                # i, (b, ty, tx, p)
+                  out=half(0, mh, _ALPHA * tiles * out_ch))
+    y = np.matmul(atw, y.reshape(mh, _ALPHA, -1),                   # i, j, (ty, tx, p)
+                  out=half(1, mh, mw, tiles * out_ch)).reshape(mh, mw, th, tw, out_ch)
+    if epilogue is not None:
+        _apply_epilogue(y.reshape(-1, out_ch), epilogue)
+    # Outputs past the map are cropped below. Zeroed first, they cannot
+    # overflow in the cast, where only the valid outputs may.
+    y[out_h - mh * (th - 1):, :, -1] = 0.0
+    y[:, out_w - mw * (tw - 1):, :, -1] = 0.0
+    out = _to_float32(y.transpose(4, 2, 0, 3, 1), epilogue)
     return np.ascontiguousarray(out.reshape(out_ch, th * mh, tw * mw)[:, :out_h, :out_w])
 
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from asymfuse import cli, fusion, gradcheck, toytask
+from asymfuse import bench, cli, fusion, gradcheck, toytask
 from asymfuse import tensor as T
 
 
@@ -161,11 +161,17 @@ class TestBench:
         assert set(doc) == {"environment", "results"}
         assert [r["config"]["channels"] for r in doc["results"]] == [2, 3]
 
-    def test_unwritable_json_is_usage_error(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "bench", "--configs", "2,2,2,4,4,2",
-                               "--json", str(tmp_path / "missing" / "b.json"))
+    def test_unwritable_json_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        # The path is checked before timing: nothing is timed, no table printed.
+        def never_timed(calls, reps):
+            raise AssertionError("a path was timed")
+
+        monkeypatch.setattr(bench, "_samples_ns", never_timed)
+        code, out, err = run_cli(capsys, "bench", "--configs", "2,2,2,4,4,2",
+                                 "--json", str(tmp_path / "missing" / "b.json"))
         assert code == 2
         assert err.startswith("error:")
+        assert "speedup" not in out
 
     def test_reps_below_floor(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--reps", "5")

@@ -13,7 +13,7 @@ from asymfuse.errors import (
     RankError,
     ShapeMismatchError,
 )
-from oracles import rand_f32
+from oracles import rand_f32, window_loop
 
 
 def make_weights(rng, channels, eta, omega, out_ch, with_prior=False, hidden=4):
@@ -260,7 +260,7 @@ class TestTemplateCache:
         conv_calls, fast_calls = [], []
         real_conv, real_fast = fusion.conv2d_valid, nn._winograd_conv
         monkeypatch.setattr(fusion, "conv2d_valid",
-                            lambda *args: conv_calls.append(1) or real_conv(*args))
+                            lambda *a, **kw: conv_calls.append(1) or real_conv(*a, **kw))
         monkeypatch.setattr(nn, "_winograd_conv",
                             lambda *args: fast_calls.append(1) or real_fast(*args))
         fusion.acm_apply_search(cache, rand_f32(rng, (channels, search, search)), weights)
@@ -293,6 +293,51 @@ class TestNormPlacement:
         expected = np.maximum(nn.batchnorm_infer(pre, weights.norm), 0.0)
         npt.assert_allclose(out, expected, atol=1e-6)
         assert (out >= 0).all()
+
+
+# (C, kernel sides, search sides, P, search conv takes Winograd): the track
+# shape, a non-square shape whose output is not a whole number of tiles,
+# and a small im2col shape.
+ROUNDING_ROWS = [
+    pytest.param(64, (5, 5), (29, 29), 64, True, id="track-winograd"),
+    pytest.param(32, (7, 4), (23, 26), 48, True, id="non-square-7x4-winograd"),
+    pytest.param(3, (3, 2), (8, 9), 4, False, id="small-im2col"),
+]
+
+
+class TestResponseRounding:
+    @pytest.mark.parametrize("apply_relu", [False, True])
+    @pytest.mark.parametrize("channels,kernel,search,out_ch,winograd", ROUNDING_ROWS)
+    def test_response_is_rounded_once(self, monkeypatch, channels, kernel, search, out_ch,
+                                      winograd, apply_relu):
+        # The float64 response from the window loop and the cache's terms,
+        # rounded to float32 once: the bound of test_nn.assert_float32_rounding_of.
+        rng = np.random.default_rng(channels + out_ch)
+        base = make_weights(rng, channels, *kernel, out_ch, with_prior=True)
+        norm = nn.BatchNormParams(
+            gamma=rand_f32(rng, (out_ch,), 0.5, 1.5), beta=rand_f32(rng, (out_ch,)),
+            running_mean=rand_f32(rng, (out_ch,)), running_var=rand_f32(rng, (out_ch,), 0.5, 1.5),
+        )
+        weights = fusion.FusionWeights(base.theta_z, base.theta_x, base.prior, norm)
+        cache = fusion.acm_cache_template(rand_f32(rng, (channels, *kernel)), weights,
+                                          box=(30.0, 50.0))
+        x = rand_f32(rng, (channels, *search))
+        fast_calls = []
+        real_fast = nn._winograd_conv
+        monkeypatch.setattr(nn, "_winograd_conv",
+                            lambda *args: fast_calls.append(1) or real_fast(*args))
+        out = fusion.acm_apply_search(cache, x, weights, apply_relu)
+        assert len(fast_calls) == int(winograd)
+        theta = weights.theta_x.weights
+        bias = cache.z_term.astype(np.float64) + cache.prior_term
+        scale, shift = norm.scale_shift()
+        ref = (window_loop(x, theta) + bias) * scale + shift
+        if apply_relu:
+            ref = np.maximum(ref, 0.0)
+        magnitude = (window_loop(np.abs(x), np.abs(theta)) + np.abs(bias)) * np.abs(scale)
+        magnitude += np.abs(shift)
+        assert out.dtype == np.float32 and out.shape == ref.shape
+        assert np.all(np.abs(out - ref) <= 2.0**-24 * np.abs(ref) + 1e-12 * magnitude)
 
 
 def with_pixel(good, value):

@@ -200,6 +200,31 @@ class TestConvPaths:
         x, k = rand_f32(rng, (c, h, w)), rand_f32(rng, (p, c, kh, kw))
         assert_float32_rounding_of(nn._winograd_conv(x, nn.ConvKernel(k)), x, k)
 
+    @pytest.mark.parametrize("c,h,w,p,kh,kw,winograd", [
+        row for row in CONV_PATH_ROWS if row.id in ("non-square-7x4", "6x6", "C=1", "P=1")])
+    def test_stale_workspace_cannot_reach_the_output(self, monkeypatch, c, h, w, p, kh, kw,
+                                                     winograd):
+        # Each row pads its map to whole tiles. With every fresh buffer NaN,
+        # a margin left unwritten would spread NaN into valid outputs.
+        rng = np.random.default_rng(c * h + p * kw)
+        x, k = rand_f32(rng, (c, h, w)), rand_f32(rng, (p, c, kh, kw))
+        kernel = nn.ConvKernel(k)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", lambda shape, dtype=float: np.full(shape, np.nan, dtype))
+            out = nn._winograd_conv(x, kernel)
+        assert_float32_rounding_of(out, x, k)
+
+    def test_cropped_margin_never_reaches_the_cast(self):
+        # 6x6 on 15x15 pads 10 output rows to 12. Map row 14 meets only the
+        # zero last kernel row in valid windows, but overflows float32 in
+        # the two padded rows, which must not warn or raise.
+        x = np.zeros((64, 15, 15), np.float32)
+        x[:, 14] = 1e37
+        k = np.ones((64, 64, 6, 6), np.float32)
+        k[:, :, 5] = 0.0
+        out = nn.conv2d_valid(x, nn.ConvKernel(k))
+        assert out.shape == (64, 10, 10) and np.isfinite(out).all()
+
     @pytest.mark.parametrize("side", [5, 3])
     @pytest.mark.parametrize("source", ["array", "memoryview"])
     def test_kernel_ignores_later_writes_to_its_source(self, side, source):
