@@ -21,8 +21,8 @@ print(f"{'size':<22} {'naive':>12} {'decomposed':>12} {'cached':>12} {'speedup':
 for r in results:
     c = r.config
     label = f"C={c.channels} {c.eta}x{c.omega} on {c.height}x{c.width}"
-    print(f"{label:<22} {r.naive_ns:>12.0f} {r.acm_ns:>12.0f} "
-          f"{r.cached_ns:>12.0f} {r.speedup:>8.2f}x")
+    print(f"{label:<22} {r.naive.median_ns:>12.0f} {r.acm.median_ns:>12.0f} "
+          f"{r.cached.median_ns:>12.0f} {r.speedup:>8.2f}x")
 
 path = write_json(results, "bench_results.json")
 print(f"\nwrote {path}")

@@ -21,6 +21,7 @@ from .autograd import Parameter, Tape, backward, finite_diff_grad, sgd_step
 from .bench import (
     BenchConfig,
     BenchResult,
+    PathTiming,
     bench_compare,
     naive_scaling_slope,
     write_json,

@@ -1,17 +1,17 @@
 """Wall-clock comparison of the naive and decomposed fusion paths.
 
-Timings use the monotonic nanosecond clock, take the median (and the
-10th/90th percentiles) over a fixed number of repetitions (at least
-:data:`MIN_REPS`, else ValueError naming ``reps``) after warm-up calls,
-and never overlap measured regions. Before anything is timed, each
-problem passes one gate: the naive concatenation plus the cached prior
-term must match the cached decomposed path within :data:`TOL`, and a
+Timings use the monotonic nanosecond clock over a fixed number of
+repetitions (at least :data:`MIN_REPS`, else ValueError naming ``reps``)
+after warm-up calls, never overlap measured regions, and keep one
+:class:`PathTiming` (median, p10, p90) per path. Before anything is timed,
+each problem passes one gate: the naive concatenation plus the cached
+prior term must match the cached decomposed path within :data:`TOL`, and a
 larger or NaN gap aborts the run, so a benchmark can never report speed
-for wrong results. ``asymfuse eqcheck`` runs the same comparison.
-Results go to a JSON file that also records the environment (NumPy and
-BLAS, cores, BLAS threads); ``bench --configs`` reads the configs of such
-a file back in. ``naive_scaling_slope`` times one fixed sweep,
-:data:`SLOPE_CONFIGS`.
+for wrong results. ``asymfuse eqcheck`` runs the same comparison. This
+module alone writes and reads the bench file: :func:`write_json` records
+the environment too, and :func:`read_configs` reads its configs back, or
+a claim file's ``after`` side. ``naive_scaling_slope`` times one fixed
+sweep, :data:`SLOPE_CONFIGS`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,9 @@ class BenchConfig:
     out_channels: int
 
     def __post_init__(self):
-        if min(self.channels, self.eta, self.omega, self.height, self.width,
-               self.out_channels) < 1:
+        if any(type(v) is not int for v in dataclasses.astuple(self)):
+            raise TypeError(f"dimensions must be integers: {self}")
+        if min(dataclasses.astuple(self)) < 1:
             raise ValueError(f"all dimensions must be positive: {self}")
         if self.eta > self.height or self.omega > self.width:
             raise ValueError(f"template must fit inside the search map: {self}")
@@ -62,39 +64,38 @@ class BenchConfig:
         return (self.height - self.eta + 1) * (self.width - self.omega + 1)
 
 
+class PathTiming(NamedTuple):
+    """Median and 10th/90th percentile wall times (ns per call) of one path."""
+
+    median_ns: float
+    p10_ns: float
+    p90_ns: float
+
+
 @dataclass(frozen=True)
 class BenchResult:
-    """Median wall times (ns per call) for one configuration.
-
-    ``spread_ns`` maps each of :data:`PATHS` to the (p10, p90) of its
-    samples, when they were measured.
-    """
+    """The timings of each of :data:`PATHS` for one configuration."""
 
     config: BenchConfig
     reps: int
-    naive_ns: float
-    acm_ns: float
-    cached_ns: float
-    spread_ns: dict = dataclasses.field(default_factory=dict, compare=False)
+    naive: PathTiming
+    acm: PathTiming
+    cached: PathTiming
 
     def __post_init__(self):
         _check_reps(self.reps)
-        if min(self.naive_ns, self.acm_ns, self.cached_ns) <= 0:
+        if min(min(getattr(self, name)) for name in PATHS) <= 0:
             raise ValueError("measured times must be positive")
 
     @property
     def speedup(self) -> float:
-        """Naive time over decomposed time; > 1 means the split is faster."""
-        return self.naive_ns / self.acm_ns
+        """Naive median over decomposed median; > 1 means the split is faster."""
+        return self.naive.median_ns / self.acm.median_ns
 
 
 def default_configs() -> list[BenchConfig]:
-    return [
-        BenchConfig(4, 3, 3, 10, 10, 4),
-        BenchConfig(8, 3, 3, 16, 16, 8),
-        BenchConfig(16, 5, 5, 21, 21, 16),
-        BenchConfig(64, 5, 5, 29, 29, 64),
-    ]
+    return [BenchConfig(4, 3, 3, 10, 10, 4), BenchConfig(8, 3, 3, 16, 16, 8),
+            BenchConfig(16, 5, 5, 21, 21, 16), BenchConfig(64, 5, 5, 29, 29, 64)]
 
 
 SLOPE_CONFIGS = tuple(BenchConfig(8, 3, 3, side, side, 8) for side in (7, 10, 14, 20, 28))
@@ -115,18 +116,12 @@ def _random_problem(config: BenchConfig, rng):
     template = draw((config.channels, config.eta, config.omega))
     search = draw((config.channels, config.height, config.width))
     dims = (2, 16, 16, config.out_channels)
-    prior = tuple(
-        nn.FcLayer(draw((dims[i + 1], dims[i])), draw((dims[i + 1],)))
-        for i in range(3)
-    )
+    prior = tuple(nn.FcLayer(draw((dims[i + 1], dims[i])), draw((dims[i + 1],)))
+                  for i in range(3))
     box = (float(rng.uniform(10.0, 200.0)), float(rng.uniform(10.0, 200.0)))
-    weights = fusion.FusionWeights(
-        theta_z=nn.ConvKernel(draw((config.out_channels, config.channels,
-                                    config.eta, config.omega))),
-        theta_x=nn.ConvKernel(draw((config.out_channels, config.channels,
-                                    config.eta, config.omega))),
-        prior=prior,
-    )
+    kernel = (config.out_channels, config.channels, config.eta, config.omega)
+    weights = fusion.FusionWeights(theta_z=nn.ConvKernel(draw(kernel)),
+                                   theta_x=nn.ConvKernel(draw(kernel)), prior=prior)
     return template, search, weights, box
 
 
@@ -146,10 +141,8 @@ def _gated_problem(config: BenchConfig, rng):
     template, search, weights, box = _random_problem(config, rng)
     cache, gap = _identity_gap(template, search, weights, box)
     if not gap <= TOL:
-        raise RuntimeError(
-            f"correctness gate failed for {config}: naive + prior vs decomposed "
-            f"differ by {gap:.3e} (tol {TOL:g})"
-        )
+        raise RuntimeError(f"correctness gate failed for {config}: naive + prior vs "
+                           f"decomposed differ by {gap:.3e} (tol {TOL:g})")
     return template, search, weights, box, cache
 
 
@@ -201,12 +194,9 @@ def bench_compare(configs=None, reps: int = MIN_REPS, seed: int = 0) -> list[Ben
             [lambda: fusion.acm_forward(template, search, weights, box, apply_relu=False),
              lambda: fusion.acm_apply_search(cache, search, weights, apply_relu=False)],
             reps)
-        stats = {path: np.percentile(times, (50, 10, 90))
-                 for path, times in zip(PATHS, [naive, *fused])}
-        results.append(BenchResult(
-            config=config, reps=reps, naive_ns=float(stats["naive"][0]),
-            acm_ns=float(stats["acm"][0]), cached_ns=float(stats["cached"][0]),
-            spread_ns={path: (float(q[1]), float(q[2])) for path, q in stats.items()}))
+        timings = [PathTiming(*np.percentile(times, (50, 10, 90)).tolist())
+                   for times in (naive, *fused)]
+        results.append(BenchResult(config, reps, *timings))
     return results
 
 
@@ -263,16 +253,33 @@ def write_json(results, path) -> Path:
     """Write the environment and, per config, median/p10/p90 of each path."""
     import json  # here, not at the top: it adds ~3 ms to every package import
 
-    rows = []
-    for r in results:
-        paths = {}
-        for name in PATHS:
-            p10, p90 = r.spread_ns.get(name, (None, None))
-            paths[name] = {"median_ns": getattr(r, f"{name}_ns"),
-                           "p10_ns": p10, "p90_ns": p90}
-        rows.append({"config": dataclasses.asdict(r.config), "reps": r.reps,
-                     "paths": paths, "speedup": r.speedup})
+    rows = [{"config": dataclasses.asdict(r.config), "reps": r.reps,
+             "paths": {name: getattr(r, name)._asdict() for name in PATHS},
+             "speedup": r.speedup} for r in results]
     path = Path(path)
     path.write_text(json.dumps({"environment": _environment(), "results": rows},
                                indent=2) + "\n")
     return path
+
+
+def read_configs(path) -> list[BenchConfig]:
+    """The configs of a :func:`write_json` file, in the order it lists them.
+
+    A claim file holds two such files under ``before`` and ``after``; its
+    ``after`` configs are read, and the two sides must list the same ones.
+    Raises ValueError for anything else, or for a file with no configs.
+    """
+    import json  # as in write_json
+
+    try:
+        doc = json.loads(Path(path).read_text())
+        sides = [doc["before"], doc["after"]] if "after" in doc else [doc]
+        configs = [[BenchConfig(**row["config"]) for row in side["results"]]
+                   for side in sides]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{str(path)!r} is not a bench --json file: {exc!r}") from exc
+    if configs[0] != configs[-1]:
+        raise ValueError(f"{str(path)!r}: 'before' and 'after' list different configs")
+    if not configs[-1]:
+        raise ValueError(f"no benchmark configurations found in {str(path)!r}")
+    return configs[-1]

@@ -3,11 +3,12 @@
 Subcommands: eqcheck, gradcheck, bench, toytrain, analyze, heatmap.
 Every run echoes its fully resolved configuration (defaults included)
 before doing anything. Exit codes: 0 success, 1 a verification check
-failed, 2 bad usage or configuration, or an output path that cannot be
-written (an OSError). A flag that reaches a library function is checked
-there, before any work, and the ValueError it raises is printed unchanged
-(``error: reps must be at least 20, got 5``). ``eqcheck`` runs
-``bench``'s correctness gate on random problems; a NaN gap fails it.
+failed (``bench``'s gate too, leaving no new ``--json`` file), 2 bad usage
+or configuration, or an output path that cannot be written (an OSError).
+A flag that reaches a library function is checked there, before any
+work, and the ValueError it raises is printed unchanged (``error: reps
+must be at least 20, got 5``). ``eqcheck`` runs ``bench``'s correctness
+gate on random problems; a NaN gap fails it.
 """
 
 from __future__ import annotations
@@ -80,44 +81,33 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _bench_configs(text: str) -> list[bench.BenchConfig]:
-    """Inline C,eta,omega,H,W,P sextuples, or the configs of a ``--json`` file.
-
-    A file's ``results[].config`` entries are read in order, so an earlier
-    run can be repeated by feeding its JSON straight back in.
-    """
-    path = Path(text)
-    if not path.exists():
-        if "," not in text:  # every sextuple has commas
-            raise ValueError(f"--configs file {text!r} does not exist")
-        return [bench.BenchConfig(*_parse_ints(chunk, 6, "--configs entry"))
-                for chunk in text.split(";")]
-    import json  # here, not at the top: only a --configs file needs it
-
-    try:
-        configs = [bench.BenchConfig(**row["config"])
-                   for row in json.loads(path.read_text())["results"]]
-        if any(type(v) is not int for c in configs for v in dataclasses.astuple(c)):
-            raise TypeError("config dimensions must be integers")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{text!r} is not a bench --json file: {exc!r}") from exc
-    if not configs:
-        raise ValueError(f"no benchmark configurations found in {text!r}")
-    return configs
+    """Inline C,eta,omega,H,W,P sextuples, or the configs of a bench file."""
+    if Path(text).exists():
+        return bench.read_configs(text)
+    if "," not in text:  # every sextuple has commas
+        raise ValueError(f"--configs file {text!r} does not exist")
+    return [bench.BenchConfig(*_parse_ints(chunk, 6, "--configs entry"))
+            for chunk in text.split(";")]
 
 
 def _cmd_bench(args) -> int:
     configs = _bench_configs(args.configs) if args.configs else None
-    if args.json:  # before timing, so an unwritable path costs no timing
+    if args.json:  # an unwritable path fails here, before any timing
+        existed = Path(args.json).exists()
         open(args.json, "a").close()
-    results = bench.bench_compare(configs, reps=args.reps, seed=args.seed)
+        if not existed:  # write_json makes it again; a failed run leaves none
+            Path(args.json).unlink()
+    try:
+        results = bench.bench_compare(configs, reps=args.reps, seed=args.seed)
+    except RuntimeError as exc:  # the correctness gate failed; nothing was timed
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CHECK_FAILED
     print(" ".join(f"{c:>10}" for c in ("C", "eta", "omega", "H", "W", "P", "reps",
-                                        "naive_ns", "acm_ns", "cached_ns", "speedup")))
+                                        *(f"{n}_ns" for n in bench.PATHS), "speedup")))
     for r in results:
-        c = r.config
         print(" ".join(f"{v:>10}" for v in (
-            c.channels, c.eta, c.omega, c.height, c.width, c.out_channels, r.reps,
-            f"{r.naive_ns:.0f}", f"{r.acm_ns:.0f}", f"{r.cached_ns:.0f}",
-            f"{r.speedup:.3f}")))
+            *dataclasses.astuple(r.config), r.reps,
+            *(f"{getattr(r, n).median_ns:.0f}" for n in bench.PATHS), f"{r.speedup:.3f}")))
     if args.json:
         bench.write_json(results, args.json)
         print(f"wrote {args.json}")

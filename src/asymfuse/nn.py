@@ -211,6 +211,18 @@ def conv2d_valid(inputs, kernel, *, epilogue=None) -> np.ndarray:
 
     A raw-array kernel always takes the im2col path.
 
+    Accuracy: with ``ref`` the exact correlation, im2col's float64 error is
+    relative to each output's own window. Winograd's is relative to the
+    output's whole tile: ``|out - ref| <= 2**-24 * |ref| + 4096 * 2**-52 *
+    T * S``, with T the largest |x| in the zero-padded 9 x 9 input tile that
+    holds the output and S the sum of |theta_p| over output channel p's
+    kernel. So one large value (a row, column or pixel of 1e12) moves
+    outputs whose windows never see it by far more than ``bench.TOL``. The
+    constant is fitted, not proven: over outlier rows, columns and pixels
+    of 1e6 to 1e30, the largest ratio to ``2**-52 * T * S`` was ~80 for
+    uniform kernels and ~2000 for kernels that put their weight on the tap
+    the transforms amplify most.
+
     ``epilogue``, a ``(scale, bias, relu)`` triple, is a per-output-channel
     fold run in place on the float64 result before that one rounding:
     ``out * scale + bias`` (no product when ``scale`` is None; both are

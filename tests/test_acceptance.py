@@ -193,14 +193,14 @@ class TestCriterion7:
         # small per-frame search extent. The saving there is ~35%.
         small = bench.BenchConfig(64, 5, 5, 9, 9, 64)
         (cached,) = bench.bench_compare([small], reps=50, seed=0)
-        ok = (result.naive_ns > result.acm_ns
-              and cached.cached_ns < cached.acm_ns
+        ok = (result.naive.median_ns > result.acm.median_ns
+              and cached.cached.median_ns < cached.acm.median_ns
               and slope >= 0.9)
         verdict(7, ok,
-                f"C=64 5x5 on 29x29: naive {result.naive_ns / 1e6:.1f}ms > "
-                f"decomposed {result.acm_ns / 1e6:.2f}ms; on 9x9 cached "
-                f"{cached.cached_ns / 1e3:.0f}us < uncached "
-                f"{cached.acm_ns / 1e3:.0f}us; naive scaling slope "
+                f"C=64 5x5 on 29x29: naive {result.naive.median_ns / 1e6:.1f}ms > "
+                f"decomposed {result.acm.median_ns / 1e6:.2f}ms; on 9x9 cached "
+                f"{cached.cached.median_ns / 1e3:.0f}us < uncached "
+                f"{cached.acm.median_ns / 1e3:.0f}us; naive scaling slope "
                 f"{slope:.2f} >= 0.9")
 
 

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,11 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             bench.BenchConfig(4, 6, 3, 5, 10, 4)
 
+    @pytest.mark.parametrize("bad", [2.0, True, np.int64(2), "2"])
+    def test_dimensions_must_be_ints(self, bad):
+        with pytest.raises(TypeError, match="integers"):
+            bench.BenchConfig(bad, 2, 2, 4, 4, 2)
+
     def test_default_configs_are_valid(self):
         configs = bench.default_configs()
         assert len(configs) >= 3
@@ -29,7 +35,9 @@ class TestBenchConfig:
 class TestBenchResult:
     def make(self, **overrides):
         fields = dict(config=bench.BenchConfig(2, 2, 2, 4, 4, 2), reps=20,
-                      naive_ns=400.0, acm_ns=100.0, cached_ns=50.0)
+                      naive=bench.PathTiming(400.0, 380.0, 420.0),
+                      acm=bench.PathTiming(100.0, 95.0, 105.0),
+                      cached=bench.PathTiming(50.0, 45.0, 55.0))
         fields.update(overrides)
         return bench.BenchResult(**fields)
 
@@ -41,8 +49,10 @@ class TestBenchResult:
             self.make(reps=19)
 
     def test_non_positive_times_rejected(self):
-        with pytest.raises(ValueError):
-            self.make(naive_ns=0.0)
+        for path in bench.PATHS:
+            for times in [(0.0, 1.0, 2.0), (1.0, 0.0, 2.0), (1.0, 1.0, -2.0)]:
+                with pytest.raises(ValueError, match="positive"):
+                    self.make(**{path: bench.PathTiming(*times)})
 
 
 class TestBenchCompare:
@@ -52,7 +62,7 @@ class TestBenchCompare:
         config = bench.BenchConfig(4, 3, 3, 3, 3, 4)
         (result,) = bench.bench_compare([config], reps=20, seed=1)
         assert result.reps == 20
-        assert result.naive_ns > 0 and result.acm_ns > 0 and result.cached_ns > 0
+        assert all(getattr(result, name).median_ns > 0 for name in bench.PATHS)
         assert 0.05 < result.speedup < 20.0
 
     def test_reps_floor_enforced(self):
@@ -116,5 +126,29 @@ class TestJson:
         assert row["reps"] == 20
         assert set(row["paths"]) == {"naive", "acm", "cached"}
         for name, stats in row["paths"].items():
-            assert stats["median_ns"] == getattr(result, f"{name}_ns")
+            assert stats == getattr(result, name)._asdict()
             assert 0 < stats["p10_ns"] <= stats["median_ns"] <= stats["p90_ns"]
+
+    @pytest.mark.parametrize("name", ["BENCH_6.json", "BENCH_7.json"])
+    def test_committed_claim_files_read_back(self, name):
+        # Each wraps two write_json outputs of the default configs under
+        # "before" and "after"; a format change must not strand them.
+        path = Path(__file__).resolve().parent.parent / name
+        assert bench.read_configs(path) == bench.default_configs()
+
+    def test_claim_file_sides_must_agree(self, tmp_path):
+        timing = bench.PathTiming(2.0, 1.0, 3.0)
+
+        def side(config):
+            result = bench.BenchResult(config, 20, timing, timing, timing)
+            return json.loads(bench.write_json([result], tmp_path / "side.json").read_text())
+
+        sides = {"before": side(bench.BenchConfig(2, 2, 2, 4, 4, 2)),
+                 "after": side(bench.BenchConfig(3, 2, 2, 4, 4, 2))}
+        claim = tmp_path / "claim.json"
+        claim.write_text(json.dumps(sides))
+        with pytest.raises(ValueError, match="different configs"):
+            bench.read_configs(claim)
+        sides["before"] = sides["after"]
+        claim.write_text(json.dumps(sides))
+        assert bench.read_configs(claim) == [bench.BenchConfig(3, 2, 2, 4, 4, 2)]

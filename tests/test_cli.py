@@ -27,6 +27,18 @@ def crafted_map_file(tmp_path):
     return path
 
 
+def inject_nan(monkeypatch):
+    """Put one NaN into every acm_apply_search output, so the identity gate fails."""
+    real = fusion.acm_apply_search
+
+    def one_nan(cache, search, weights, apply_relu=True):
+        out = real(cache, search, weights, apply_relu)
+        out[0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(fusion, "acm_apply_search", one_nan)
+
+
 class TestParsing:
     def test_missing_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)
@@ -93,14 +105,7 @@ class TestEqcheck:
         assert out.splitlines()[-1].endswith("FAIL")
 
     def test_nan_in_decomposed_path_fails(self, capsys, monkeypatch):
-        real = fusion.acm_apply_search
-
-        def one_nan(cache, search, weights, apply_relu=True):
-            out = real(cache, search, weights, apply_relu)
-            out[0, 0, 0] = np.nan
-            return out
-
-        monkeypatch.setattr(fusion, "acm_apply_search", one_nan)
+        inject_nan(monkeypatch)
         code, out, _ = run_cli(capsys, "eqcheck", "--trials", "3", "--seed", "7")
         assert code == 1
         assert out.splitlines()[-1].endswith("FAIL")
@@ -173,6 +178,21 @@ class TestBench:
         assert err.startswith("error:")
         assert "speedup" not in out
 
+    def test_gate_failure_leaves_no_new_json_file(self, capsys, monkeypatch, tmp_path):
+        # Exit 1 with an error line; a file the run created is removed, one
+        # that was there before keeps its bytes.
+        inject_nan(monkeypatch)
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_text("kept\n")
+        for path in (new, old):
+            code, out, err = run_cli(capsys, "bench", "--configs", "2,2,2,4,4,2",
+                                     "--json", str(path))
+            assert code == 1
+            assert err.startswith("error: correctness gate failed")
+            assert "speedup" not in out
+        assert not new.exists()
+        assert old.read_text() == "kept\n"
+
     def test_reps_below_floor(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--reps", "5")
         assert code == 2
@@ -214,6 +234,10 @@ class TestBench:
         ('{"results": [{"config": {"channels": 2.0, "eta": 2, "omega": 2, '
          '"height": 4, "width": 4, "out_channels": 2}}]}', "not a bench --json file"),
         ('{"environment": {}}', "not a bench --json file"),
+        ('{"before": {"results": []}}', "not a bench --json file"),  # no "after"
+        ('{"before": {"results": []}, "after": {"results": [{"config": {"channels": 2, '
+         '"eta": 2, "omega": 2, "height": 4, "width": 4, "out_channels": 2}}]}}',
+         "different configs"),
         ("[]", "not a bench --json file"),
         (None, "does not exist"),  # no file is written
     ])

@@ -140,6 +140,28 @@ CONV_PATH_ROWS = [
 ]
 
 
+# The constant of conv2d_valid's Winograd accuracy contract (see its docstring).
+WINOGRAD_TILE_CONSTANT = 4096
+
+
+def assert_within_tile_bound(out, x, w):
+    """|out - ref| <= 2^-24 |ref| + WINOGRAD_TILE_CONSTANT * 2^-52 * T * S per output.
+
+    T is the largest |x| in the zero-padded 9x9 Winograd input tile that
+    holds the output, S the sum of |w| over its output channel's kernel.
+    """
+    kh, kw = w.shape[2:]
+    mh, mw = nn._ALPHA + 1 - kh, nn._ALPHA + 1 - kw
+    peak = np.abs(x.astype(np.float64)).max(axis=0)
+    tile = np.array([[peak[i - i % mh : i - i % mh + nn._ALPHA,
+                           j - j % mw : j - j % mw + nn._ALPHA].max()
+                      for j in range(x.shape[2] - kw + 1)] for i in range(x.shape[1] - kh + 1)])
+    total = np.abs(w.astype(np.float64)).sum(axis=(1, 2, 3))[:, None, None]
+    ref = window_loop(x, w)
+    bound = 2.0**-24 * np.abs(ref) + WINOGRAD_TILE_CONSTANT * 2.0**-52 * tile * total
+    assert out.dtype == np.float32 and np.all(np.abs(out - ref) <= bound)
+
+
 def exact_cook_toom(r):
     """B^T and A^T of F(10 - r, r) from nn._POINTS in rational arithmetic."""
     points = [Fraction(p) for p in nn._POINTS]
@@ -213,6 +235,43 @@ class TestConvPaths:
             patch.setattr(np, "empty", lambda shape, dtype=float: np.full(shape, np.nan, dtype))
             out = nn._winograd_conv(x, kernel)
         assert_float32_rounding_of(out, x, k)
+
+    @pytest.mark.parametrize("magnitude", [1e6, 1e12, 1e30])
+    @pytest.mark.parametrize("outlier", ["row", "column", "pixel"])
+    @pytest.mark.parametrize("c,h,w,p,kh,kw,winograd", [
+        row for row in CONV_PATH_ROWS if row.id in ("track-5x5", "non-square-7x4", "6x6", "7x7")])
+    def test_outliers_stay_within_the_tile_bound(self, c, h, w, p, kh, kw, winograd,
+                                                 outlier, magnitude):
+        # One large row, column or pixel in the last row and column of the
+        # map, all channels. With the 6x6 kernel's last row zero, no valid
+        # window sees map row 14, yet the last tile row mixes it in.
+        rng = np.random.default_rng(c * h + p * kh + kw)
+        x, k = rand_f32(rng, (c, h, w)), rand_f32(rng, (p, c, kh, kw))
+        if kh == kw == 6:
+            k[:, :, -1] = 0.0
+        x[(slice(None), -1) if outlier == "row" else
+          (slice(None), slice(None), -1) if outlier == "column" else
+          (slice(None), -1, -1)] = magnitude
+        assert_within_tile_bound(nn.conv2d_valid(x, nn.ConvKernel(k)), x, k)
+
+    @pytest.mark.parametrize("r", [4, 5, 6, 7])
+    def test_worst_amplifying_tap_stays_within_the_tile_bound(self, r):
+        # All weight on the kernel tap that the transforms amplify most, so
+        # rounding errors of a 1e12 pixel reach the output least damped.
+        # Here |out - ref| - 2^-24 |ref| reaches 420-1620 times 2^-52 T S;
+        # uniform kernels, as in the rows above, stay below ~100.
+        bt, g, at = nn._cook_toom(r)
+        gain = np.einsum("ia,a,au->u", np.abs(at), np.abs(bt).sum(axis=1), np.abs(g))
+        rng = np.random.default_rng(r)
+        k = rand_f32(rng, (8, 8, r, r), -1e-3, 1e-3)
+        k[:, :, gain.argmax(), gain.argmax()] = rand_f32(rng, (8, 8), 0.5, 1.0)
+        side = 2 * (nn._ALPHA + 1 - r) + r + 2  # two tiles and a partial third
+        base = rand_f32(rng, (8, side, side))
+        for i in range(nn._ALPHA):  # every pixel of the first tile
+            for j in range(nn._ALPHA):
+                x = base.copy()
+                x[:, i, j] = 1e12
+                assert_within_tile_bound(nn._winograd_conv(x, nn.ConvKernel(k)), x, k)
 
     def test_cropped_margin_never_reaches_the_cast(self):
         # 6x6 on 15x15 pads 10 output rows to 12. Map row 14 meets only the
