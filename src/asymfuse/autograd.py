@@ -207,14 +207,10 @@ def batchnorm(x: Node, gamma: Node, beta: Node, running_mean, running_var) -> No
     """Inference-time batch norm; running statistics are constants."""
     params = nn.BatchNormParams(gamma.value, beta.value, running_mean, running_var)
     value = nn.batchnorm_infer(x.value, params)
-    inv = 1.0 / np.sqrt(params.running_var.astype(np.float64) + params.eps)
-    centered = (
-        x.value.astype(np.float64)
-        - params.running_mean.astype(np.float64)[:, None, None]
-    ) * inv[:, None, None]
+    centered = (x.value.astype(np.float64) - params.running_mean[:, None, None]) * params.inv_std
 
     def backward_fn(grad):
-        _accum(x, grad * (gamma.value.astype(np.float64) * inv)[:, None, None])
+        _accum(x, grad * params.scale)
         _accum(gamma, (grad * centered).sum(axis=(1, 2)))
         _accum(beta, grad.sum(axis=(1, 2)))
 

@@ -136,14 +136,18 @@ def _identity_gap(template, search, weights, box):
     return cache, float(np.abs(naive - fused).max())
 
 
-def _gated_problem(config: BenchConfig, rng):
-    """Draw one problem; raise RuntimeError unless its identity gap is <= TOL."""
-    template, search, weights, box = _random_problem(config, rng)
-    cache, gap = _identity_gap(template, search, weights, box)
-    if not gap <= TOL:
-        raise RuntimeError(f"correctness gate failed for {config}: naive + prior vs "
-                           f"decomposed differ by {gap:.3e} (tol {TOL:g})")
-    return template, search, weights, box, cache
+def _gated_problems(configs, seed: int):
+    """Per config: the config, a problem drawn from its own stream of ``seed``, its cache.
+
+    Raises RuntimeError unless the problem's identity gap is <= TOL.
+    """
+    for config, stream in zip(configs, np.random.SeedSequence(seed).spawn(len(configs))):
+        template, search, weights, box = _random_problem(config, np.random.default_rng(stream))
+        cache, gap = _identity_gap(template, search, weights, box)
+        if not gap <= TOL:
+            raise RuntimeError(f"correctness gate failed for {config}: naive + prior vs "
+                               f"decomposed differ by {gap:.3e} (tol {TOL:g})")
+        yield config, template, search, weights, box, cache
 
 
 def _check_reps(reps: int) -> None:
@@ -175,16 +179,13 @@ def bench_compare(configs=None, reps: int = MIN_REPS, seed: int = 0) -> list[Ben
     Each problem carries a prior branch and a box. The template-side cache
     is built outside the timed region for the cached path; the decomposed
     and cached paths are timed round-robin. Raises RuntimeError, before
-    timing starts, if a problem fails the gate of :func:`_gated_problem`.
+    timing starts, if a problem fails the gate of :func:`_gated_problems`.
     """
     if configs is None:
         configs = default_configs()
     _check_reps(reps)
-    streams = np.random.SeedSequence(seed).spawn(len(configs))
     results = []
-    for config, stream in zip(configs, streams):
-        rng = np.random.default_rng(stream)
-        template, search, weights, box, cache = _gated_problem(config, rng)
+    for config, template, search, weights, box, cache in _gated_problems(configs, seed):
         # The naive loop evicts the caches of whatever call follows it (at
         # 64x9x9 the next fused call ran ~1.6x slower), so it is timed on its
         # own; the two fused paths, whose ratio matters, are interleaved.
@@ -208,11 +209,8 @@ def naive_scaling_slope() -> float:
     from seed 0, gated as in :func:`bench_compare`, then timed round-robin:
     each of :data:`MIN_REPS` repetitions times every size once.
     """
-    streams = np.random.SeedSequence(0).spawn(len(SLOPE_CONFIGS))
-    calls = []
-    for config, stream in zip(SLOPE_CONFIGS, streams):
-        template, search, weights, _, _ = _gated_problem(config, np.random.default_rng(stream))
-        calls.append(lambda t=template, x=search, w=weights: fusion.naive_concat_corr(t, x, w))
+    calls = [lambda t=template, x=search, w=weights: fusion.naive_concat_corr(t, x, w)
+             for _, template, search, weights, _, _ in _gated_problems(SLOPE_CONFIGS, 0)]
     samples = _samples_ns(calls, MIN_REPS)
     positions = np.array([c.positions for c in SLOPE_CONFIGS], dtype=np.float64)
     times = np.array([np.median(t) for t in samples], dtype=np.float64)

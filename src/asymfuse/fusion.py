@@ -36,7 +36,7 @@ from .errors import MissingBoxError, NonPositiveBoxError, ShapeMismatchError
 from .nn import (
     BatchNormParams, ConvKernel, FcLayer, _check_fit, _mlp3_layers, conv2d_valid, mlp3_forward,
 )
-from .tensor import DTYPE, _as_map, _check_finite, as_tensor
+from .tensor import DTYPE, _as_map, _check_finite, _read_only
 
 BOX_SCALE = 255.0
 
@@ -51,8 +51,9 @@ class FusionWeights:
     box sides, each layer's width chains into the next (else
     ShapeMismatchError), it ends in that same channel count, and its
     weights and biases are finite (else NonFiniteMapError); a box must
-    then accompany every template. ``norm`` optionally batch-normalizes
-    the summed response before the ReLU.
+    then accompany every template. The weights keep read-only copies of
+    those arrays, as the kernels and ``norm`` keep theirs. ``norm``
+    optionally batch-normalizes the summed response before the ReLU.
     """
 
     theta_z: ConvKernel
@@ -67,22 +68,22 @@ class FusionWeights:
                 f"vs {self.theta_x.weights.shape}"
             )
         if self.prior is not None:
-            layers = _mlp3_layers(self.prior)
-            for i, layer in enumerate(layers):
+            layers = []
+            for i, layer in enumerate(_mlp3_layers(self.prior)):
                 width = layers[i - 1].out_features if i else 2
                 if layer.in_features != width:
                     raise ShapeMismatchError(
                         f"prior layer {i + 1} takes {layer.in_features} inputs, "
                         f"expected {width}"
                     )
-                _check_finite(layer.weights, f"prior layer {i + 1} weights")
-                _check_finite(layer.bias, f"prior layer {i + 1} bias")
+                layers.append(FcLayer(_read_only(layer.weights, f"prior layer {i + 1} weights"),
+                                      _read_only(layer.bias, f"prior layer {i + 1} bias")))
             if layers[2].out_features != self.out_channels:
                 raise ShapeMismatchError(
                     f"prior branch ends in {layers[2].out_features} features, "
                     f"kernels produce {self.out_channels} channels"
                 )
-            object.__setattr__(self, "prior", layers)
+            object.__setattr__(self, "prior", tuple(layers))
         if self.norm is not None and self.norm.channels != self.out_channels:
             raise ShapeMismatchError(
                 f"norm describes {self.norm.channels} channels, "
@@ -106,19 +107,20 @@ class FusionWeights:
 class TemplateCache:
     """Search-independent half of the fusion: z term plus optional prior.
 
-    Both terms must be finite (else NonFiniteMapError).
+    Both terms are read-only float32 copies the cache owns, so a later
+    write cannot reach a response, and must be finite (NonFiniteMapError).
     """
 
     z_term: np.ndarray
     prior_term: np.ndarray | None = None
 
     def __post_init__(self):
-        z = _as_map(self.z_term, "z_term")
+        z = _as_map(_read_only(self.z_term, "z_term"), "z_term")
         if z.shape[1:] != (1, 1):
             raise ShapeMismatchError(f"z_term must be P x 1 x 1, got {z.shape}")
-        object.__setattr__(self, "z_term", _check_finite(z, "z_term"))
+        object.__setattr__(self, "z_term", z)
         if self.prior_term is not None:
-            p = _check_finite(as_tensor(self.prior_term), "prior_term")
+            p = _read_only(self.prior_term, "prior_term")
             if p.shape != z.shape:
                 raise ShapeMismatchError(
                     f"prior term {p.shape} does not match z term {z.shape}"
@@ -228,7 +230,7 @@ def acm_apply_search(
         bias += cache.prior_term.reshape(-1)
     scale = None
     if weights.norm is not None:
-        scale, shift = (a.reshape(-1) for a in weights.norm.scale_shift())
+        scale, shift = weights.norm.scale.reshape(-1), weights.norm.shift.reshape(-1)
         # norm(conv + bias) = conv * scale + (bias * scale + shift)
         bias = bias * scale + shift
     return conv2d_valid(x, weights.theta_x, epilogue=(scale, bias, apply_relu))

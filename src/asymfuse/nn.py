@@ -18,16 +18,17 @@ times that channel's block of rows. The taped backward in ``autograd``
 runs on the same matrix: the kernel adjoint on the patches of the input,
 the input adjoint on the patches of the zero-padded output gradient.
 
-A :class:`ConvKernel` owns a read-only copy of its weights and builds the
-float64 operands derived from them once, on first use: the GEMM matrix
-above, and the Winograd-domain kernel. ``conv2d_valid`` with a
-ConvKernel takes Winograd minimal filtering (Lavin & Gray, CVPR 2016)
-over 9 x 9 tiles when that measured faster: both kernel sides in 4..7,
-at least one whole output tile per axis, and at least
-``_WINOGRAD_MIN_MULTS`` multiplies of direct work. Its transforms run
-one axis at a time, the input one over a view of overlapping row
-windows. Everything else, raw-array kernels from the tape and the toy
-model included, takes the im2col GEMM.
+A :class:`ConvKernel` and a :class:`BatchNormParams` own read-only copies
+of their arrays (``tensor._read_only``), so no later write by the caller
+reaches what is derived from them once: the params' float64 batch-norm
+fold, when built, and the kernel's GEMM matrix above and Winograd-domain
+kernel, on first use. ``conv2d_valid`` with a ConvKernel takes Winograd
+minimal filtering (Lavin & Gray, CVPR 2016) over 9 x 9 tiles when that
+measured faster: both kernel sides in 4..7, at least one whole output tile
+per axis, and at least ``_WINOGRAD_MIN_MULTS`` multiplies of direct work.
+Its transforms run one axis at a time, the input one over a view of
+overlapping row windows. Everything else, raw-array kernels from the tape
+and the toy model included, takes the im2col GEMM.
 
 ``conv2d_valid``'s ``epilogue`` folds a per-output-channel scale, bias
 and ReLU into the float64 result before its one rounding; fusion's
@@ -38,12 +39,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import KernelTooLargeError, NonFiniteMapError, RankError, ShapeMismatchError
-from .tensor import DTYPE, _as_map, _check_finite, _check_positive, as_tensor, relu
+from .tensor import DTYPE, _as_map, _check_positive, _read_only, as_tensor, relu
 
 
 def _check_kernel(w: np.ndarray) -> np.ndarray:
@@ -58,21 +59,15 @@ def _check_kernel(w: np.ndarray) -> np.ndarray:
 class ConvKernel:
     """Convolution weights shaped out_channels x in_channels x kh x kw.
 
-    ``weights`` is a read-only float32 array the kernel owns: it copies
-    the caller's array when :func:`as_tensor` hands that array (or a view
-    of the caller's memory) back, so later writes by the caller cannot
-    reach the float64 operands cached here. A NaN or infinite weight
+    ``weights`` is a read-only float32 copy the kernel owns, so later writes
+    cannot reach the float64 operands cached here. A NaN or infinite weight
     raises NonFiniteMapError, checked once here rather than per conv.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = as_tensor(self.weights)
-        if w is self.weights or not w.flags.owndata:
-            w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", _check_finite(_check_kernel(w), "conv kernel"))
+        object.__setattr__(self, "weights", _check_kernel(_read_only(self.weights, "conv kernel")))
 
     @property
     def out_channels(self) -> int:
@@ -132,9 +127,12 @@ class FcLayer:
 class BatchNormParams:
     """Frozen inference-time batch norm statistics for C channels.
 
-    Every array must be finite (NonFiniteMapError), ``running_var``
-    non-negative, and each folded scale |gamma| / sqrt(running_var + eps)
-    at most the float32 maximum (ValueError).
+    The params own read-only float32 copies (:func:`tensor._read_only`),
+    each finite (NonFiniteMapError), ``running_var`` non-negative and each
+    folded scale |gamma| / sqrt(running_var + eps) within float32 (ValueError).
+    The fold is derived once, as read-only float64 C x 1 x 1 members that
+    ``__init__`` does not take: norm(x) = x * ``scale`` + ``shift``, and
+    ``inv_std`` = 1 / sqrt(running_var + eps) for the taped backward.
     """
 
     gamma: np.ndarray
@@ -142,36 +140,35 @@ class BatchNormParams:
     running_mean: np.ndarray
     running_var: np.ndarray
     eps: float = 1e-5
+    inv_std: np.ndarray = field(init=False, repr=False)
+    scale: np.ndarray = field(init=False, repr=False)
+    shift: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            arr = as_tensor(getattr(self, name))
+        arrays = {name: _read_only(getattr(self, name), name)
+                  for name in ("gamma", "beta", "running_mean", "running_var")}
+        for name, arr in arrays.items():
             if arr.ndim != 1:
                 raise RankError(f"{name} must be rank 1")
-            arrays[name] = _check_finite(arr, name)
-        lengths = {a.shape[0] for a in arrays.values()}
-        if len(lengths) != 1:
+        if len({a.shape[0] for a in arrays.values()}) != 1:
             raise ShapeMismatchError("batch norm parameter lengths differ")
         _check_positive(self.eps, "eps")
         if (arrays["running_var"] < 0).any():
             raise ValueError("running_var must be non-negative")
+        gamma, beta, mean, var = (a.astype(np.float64)[:, None, None] for a in arrays.values())
+        std = np.sqrt(var + self.eps)
+        arrays["inv_std"], arrays["scale"] = 1.0 / std, gamma / std
+        arrays["shift"] = beta - mean * arrays["scale"]
         for name, arr in arrays.items():
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if (np.abs(self.scale_shift()[0]) > np.finfo(np.float32).max).any():
+        if (np.abs(self.scale) > np.finfo(np.float32).max).any():
             raise ValueError("a folded batch-norm scale |gamma| / sqrt(running_var + eps) "
                              "exceeds the float32 range")
 
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
-
-    def scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
-        """float64 C x 1 x 1 (scale, shift) with norm(x) = x * scale + shift."""
-        var = self.running_var.astype(np.float64)
-        scale = self.gamma.astype(np.float64) / np.sqrt(var + self.eps)
-        shift = self.beta.astype(np.float64) - self.running_mean.astype(np.float64) * scale
-        return scale[:, None, None], shift[:, None, None]
 
 
 def _kernel_weights(kernel) -> np.ndarray:
@@ -253,7 +250,7 @@ def conv2d_valid(inputs, kernel, *, epilogue=None) -> np.ndarray:
 
 
 def _apply_epilogue(acc: np.ndarray, epilogue) -> None:
-    """Run conv2d_valid's (scale, bias, relu) fold in place on a (positions, P) float64 view."""
+    """Run the (scale, bias, relu) fold in place on float64 ``acc``, (positions, P) or C x H x W."""
     scale, bias, apply_relu = epilogue
     if scale is not None:
         acc *= scale
@@ -493,10 +490,8 @@ def batchnorm_infer(t, params: BatchNormParams) -> np.ndarray:
         raise ShapeMismatchError(
             f"map has {x.shape[0]} channels, params describe {params.channels}"
         )
-    scale, shift = params.scale_shift()
     out = x.astype(np.float64)
-    out *= scale
-    out += shift
+    _apply_epilogue(out, (params.scale, params.shift, False))
     return out.astype(DTYPE)
 
 

@@ -49,6 +49,15 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
+def _read_only(values, what: str) -> np.ndarray:
+    """``values`` as a finite read-only float32 array, copied unless as_tensor made it."""
+    t = as_tensor(values)
+    if t is values or not t.flags.owndata:
+        t = t.copy()
+    t.flags.writeable = False
+    return _check_finite(t, what)
+
+
 def _check_positive(value, name: str) -> None:
     """ValueError unless ``value`` is positive and finite."""
     if not 0 < value < np.inf:

@@ -1,5 +1,7 @@
 """Fusion: naive concat-and-convolve vs the decomposed two-kernel path."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -330,7 +332,7 @@ class TestResponseRounding:
         assert len(fast_calls) == int(winograd)
         theta = weights.theta_x.weights
         bias = cache.z_term.astype(np.float64) + cache.prior_term
-        scale, shift = norm.scale_shift()
+        scale, shift = norm.scale, norm.shift
         ref = (window_loop(x, theta) + bias) * scale + shift
         if apply_relu:
             ref = np.maximum(ref, 0.0)
@@ -414,6 +416,76 @@ def test_structs_compare_by_identity(make):
         assert a._gemm_matrix is a._gemm_matrix and a._gemm_matrix.shape == (2, 50)
         assert a._winograd_kernel is a._winograd_kernel
         assert a._winograd_kernel.shape == (nn._ALPHA**2, 2, 2)
+
+
+# A later write, into the arrays a struct was built from or into the struct's
+# own arrays, must not reach a response. Each row's builder returns the
+# (source array, value) writes, the struct's own arrays and the call that
+# responds; the row's value goes into the struct's own arrays.
+LATER_TEMPLATE = np.full((2, 5, 5), 0.5, np.float32)
+LATER_SEARCH = np.linspace(-1.0, 1.0, 98, dtype=np.float32).reshape(2, 7, 7)
+
+
+def arrays_of(struct):
+    return [v for v in vars(struct).values() if isinstance(v, np.ndarray)]
+
+
+def later_norm():
+    gamma, beta, mean, var = ones(2), ones(2), ones(2), ones(2)
+    norm = nn.BatchNormParams(gamma, beta, mean, var)
+    weights = fusion.FusionWeights(nn.ConvKernel(KERNEL), nn.ConvKernel(KERNEL), norm=norm)
+    return ([(gamma, np.nan), (beta, np.inf), (mean, -np.inf), (var, -1.0)], arrays_of(norm),
+            lambda: fusion.acm_forward(LATER_TEMPLATE, LATER_SEARCH, weights))
+
+
+def later_cache():
+    z_term, prior_term = ones(2, 1, 1), ones(2, 1, 1)
+    cache, weights = fusion.TemplateCache(z_term, prior_term), weights_of()
+    return ([(z_term, np.inf), (prior_term, np.nan)], arrays_of(cache),
+            lambda: fusion.acm_apply_search(cache, LATER_SEARCH, weights))
+
+
+def later_built_cache():
+    weights = weights_of()
+    cache = fusion.acm_cache_template(LATER_TEMPLATE, weights, box=(10.0, 20.0))
+    return [], arrays_of(cache), lambda: fusion.acm_apply_search(cache, LATER_SEARCH, weights)
+
+
+def later_prior():
+    prior = prior_of(ones(4, 2), ones(4, 4), ones(2, 4), np.zeros(2, np.float32))
+    weights = weights_of(prior=prior)
+    return ([(a, np.nan) for layer in prior for a in (layer.weights, layer.bias)],
+            [a for layer in weights.prior for a in (layer.weights, layer.bias)],
+            lambda: fusion.acm_forward(LATER_TEMPLATE, LATER_SEARCH, weights, box=(10.0, 20.0)))
+
+
+LATER_WRITE_ROWS = {
+    "BatchNormParams": (later_norm, np.nan),
+    "TemplateCache": (later_cache, np.inf),
+    "TemplateCache from acm_cache_template": (later_built_cache, np.inf),
+    "FusionWeights prior": (later_prior, -np.inf),
+}
+
+
+@pytest.mark.parametrize("row", LATER_WRITE_ROWS)
+def test_later_writes_cannot_reach_a_struct(row):
+    build, value = LATER_WRITE_ROWS[row]
+    expected = build()[2]()  # from pristine arrays
+    writes, owned, respond = build()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for source, bad in writes:
+            source[(0,) * source.ndim] = bad
+        refused = 0
+        for arr in owned:
+            try:
+                arr[(0,) * arr.ndim] = value
+            except ValueError:  # assignment destination is read-only
+                refused += 1
+        out = respond()
+    assert out.tobytes() == expected.tobytes(), out
+    assert refused == len(owned) and not any(arr.flags.writeable for arr in owned)
+    assert not caught, [str(w.message) for w in caught]
 
 
 def ones(*shape):

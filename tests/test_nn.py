@@ -142,6 +142,9 @@ CONV_PATH_ROWS = [
 
 # The constant of conv2d_valid's Winograd accuracy contract (see its docstring).
 WINOGRAD_TILE_CONSTANT = 4096
+# The Winograd rows whose maps get outliers and heavy tails.
+TILE_BOUND_ROWS = [row for row in CONV_PATH_ROWS
+                   if row.id in ("track-5x5", "non-square-7x4", "6x6", "7x7")]
 
 
 def assert_within_tile_bound(out, x, w):
@@ -238,8 +241,7 @@ class TestConvPaths:
 
     @pytest.mark.parametrize("magnitude", [1e6, 1e12, 1e30])
     @pytest.mark.parametrize("outlier", ["row", "column", "pixel"])
-    @pytest.mark.parametrize("c,h,w,p,kh,kw,winograd", [
-        row for row in CONV_PATH_ROWS if row.id in ("track-5x5", "non-square-7x4", "6x6", "7x7")])
+    @pytest.mark.parametrize("c,h,w,p,kh,kw,winograd", TILE_BOUND_ROWS)
     def test_outliers_stay_within_the_tile_bound(self, c, h, w, p, kh, kw, winograd,
                                                  outlier, magnitude):
         # One large row, column or pixel in the last row and column of the
@@ -252,6 +254,21 @@ class TestConvPaths:
         x[(slice(None), -1) if outlier == "row" else
           (slice(None), slice(None), -1) if outlier == "column" else
           (slice(None), -1, -1)] = magnitude
+        assert_within_tile_bound(nn.conv2d_valid(x, nn.ConvKernel(k)), x, k)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("draw", ["normal**3", "exponential**4"])
+    @pytest.mark.parametrize("c,h,w,p,kh,kw,winograd", TILE_BOUND_ROWS)
+    def test_heavy_tailed_maps_stay_within_the_tile_bound(self, c, h, w, p, kh, kw, winograd,
+                                                          draw, seed):
+        # Heavy tails instead of one planted outlier: cubed normals, and
+        # fourth powers of exponentials with random signs.
+        rng = np.random.default_rng([seed, c, kh, kw])
+        if draw == "normal**3":
+            x = rng.standard_normal((c, h, w)) ** 3
+        else:
+            x = rng.choice([-1.0, 1.0], (c, h, w)) * rng.exponential(size=(c, h, w)) ** 4
+        x, k = x.astype(np.float32), rand_f32(rng, (p, c, kh, kw))
         assert_within_tile_bound(nn.conv2d_valid(x, nn.ConvKernel(k)), x, k)
 
     @pytest.mark.parametrize("r", [4, 5, 6, 7])
