@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyExteriorError, NonPositiveMaxError, ZeroVectorError
-from .tensor import _as_map, _check_finite, cosine_similarity, l1_map
+from .tensor import _as_map, _check_finite, _check_int, as_tensor, cosine_similarity, l1_map
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,6 @@ def _check_map(corr) -> np.ndarray:
     return _check_finite(_as_map(corr, "response map"), "response map")
 
 
-def _check_pos(pos, height, width, what):
-    row, col = int(pos[0]), int(pos[1])
-    if not (0 <= row < height and 0 <= col < width):
-        raise ValueError(f"{what} ({row}, {col}) outside map {height}x{width}")
-    return row, col
-
-
 def find_distractor(corr, exclude_box) -> tuple[int, int]:
     """Strongest position strictly outside an inclusive (r0, c0, r1, c1) box.
 
@@ -60,13 +53,14 @@ def find_distractor(corr, exclude_box) -> tuple[int, int]:
     the first position in row-major order.
 
     Raises:
+        ValueError: the box is not four integers 0 <= r0 <= r1 < H, 0 <= c0 <= c1 < W.
         EmptyExteriorError: the box covers the whole map.
     """
     corr = _check_map(corr)
     _, height, width = corr.shape
-    r0, c0, r1, c1 = (int(v) for v in exclude_box)
-    if not (0 <= r0 <= r1 < height and 0 <= c0 <= c1 < width):
-        raise ValueError(f"exclusion box {exclude_box} outside map {height}x{width}")
+    r0, c0, r1, c1 = exclude_box
+    r0, c0 = _check_int(r0, "box r0", 0, height), _check_int(c0, "box c0", 0, width)
+    r1, c1 = _check_int(r1, "box r1", r0, height), _check_int(c1, "box c1", c0, width)
     outside = np.ones((height, width), dtype=bool)
     outside[r0 : r1 + 1, c0 : c1 + 1] = False
     if not outside.any():
@@ -98,18 +92,16 @@ def discriminability(
 ) -> DiscriminabilityReport:
     """Compare the channel vector at the target against the distractor's.
 
-    The distractor is the strongest position strictly outside
-    ``exclude_box`` (which must contain ``target_pos``). Cosine uses the
-    raw vectors; the Euclidean distance is taken after min-max rescaling
-    the map to [0, 1], jointly across channels by default.
+    The distractor is the strongest position strictly outside ``exclude_box``
+    (which must contain ``target_pos``, else ValueError). Cosine uses the raw
+    vectors; the Euclidean distance is taken after min-max rescaling the map
+    to [0, 1], jointly across channels by default.
     """
-    corr = _check_map(corr)
-    _, height, width = corr.shape
-    target = _check_pos(target_pos, height, width, "target position")
-    r0, c0, r1, c1 = (int(v) for v in exclude_box)
-    if not (r0 <= target[0] <= r1 and c0 <= target[1] <= c1):
-        raise ValueError(f"exclusion box {exclude_box} does not contain target {target}")
-    distractor = find_distractor(corr, exclude_box)
+    distractor = find_distractor(corr, exclude_box)  # checks the map and the box
+    corr = as_tensor(corr)
+    (r0, c0, r1, c1), (row, col) = exclude_box, target_pos
+    target = (_check_int(row, "target row inside the box", r0, r1 + 1),
+              _check_int(col, "target column inside the box", c0, c1 + 1))
     target_vec = corr[:, target[0], target[1]]
     distractor_vec = corr[:, distractor[0], distractor[1]]
     degenerate = False

@@ -257,13 +257,11 @@ def softmax_xent(logits: Node, label: int) -> Node:
     """Cross-entropy of softmax(logits) against an integer label.
 
     Stabilized by subtracting the max logit before exponentiation.
+    LabelOutOfRangeError unless ``label`` is an integer in [0, len(logits)).
     """
     if logits.value.ndim != 1:
         raise ShapeMismatchError("logits must be a rank-1 vector")
-    k = logits.value.shape[0]
-    if not 0 <= int(label) < k:
-        raise LabelOutOfRangeError(f"label {label} outside [0, {k})")
-    label = int(label)
+    label = T._check_int(label, "label", 0, logits.value.shape[0], LabelOutOfRangeError)
     z = logits.value.astype(np.float64)
     shifted = z - z.max()
     log_norm = np.log(np.exp(shifted).sum())

@@ -83,7 +83,7 @@ class BenchResult:
     cached: PathTiming
 
     def __post_init__(self):
-        _check_reps(self.reps)
+        object.__setattr__(self, "reps", _check_reps(self.reps))
         if min(min(getattr(self, name)) for name in PATHS) <= 0:
             raise ValueError("measured times must be positive")
 
@@ -150,9 +150,8 @@ def _gated_problems(configs, seed: int):
         yield config, template, search, weights, box, cache
 
 
-def _check_reps(reps: int) -> None:
-    if reps < MIN_REPS:
-        raise ValueError(f"reps must be at least {MIN_REPS}, got {reps}")
+def _check_reps(reps: int) -> int:
+    return T._check_int(reps, "reps", MIN_REPS)
 
 
 def _samples_ns(calls, reps: int) -> list[list[int]]:
@@ -183,7 +182,7 @@ def bench_compare(configs=None, reps: int = MIN_REPS, seed: int = 0) -> list[Ben
     """
     if configs is None:
         configs = default_configs()
-    _check_reps(reps)
+    reps = _check_reps(reps)
     results = []
     for config, template, search, weights, box, cache in _gated_problems(configs, seed):
         # The naive loop evicts the caches of whatever call follows it (at

@@ -7,8 +7,8 @@ failed (``bench``'s gate too, leaving no new ``--json`` file), 2 bad usage
 or configuration, or an output path that cannot be written (an OSError).
 A flag that reaches a library function is checked there, before any
 work, and the ValueError it raises is printed unchanged (``error: reps
-must be at least 20, got 5``). ``eqcheck`` runs ``bench``'s correctness
-gate on random problems; a NaN gap fails it.
+must be an integer of at least 20, got 5``). ``eqcheck`` runs ``bench``'s
+correctness gate on random problems; a NaN gap fails it.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
 
 
 def _cmd_eqcheck(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    T._check_int(args.trials, "--trials", 1)
     if not 0 <= args.tol < np.inf:
         raise ValueError(f"--tol must be non-negative and finite, got {args.tol}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))

@@ -23,7 +23,7 @@ FC net into one extra bias per output channel. Inputs are checked by the
 package's shared helpers: a template or search map of the wrong rank or
 size raises ShapeMismatchError (a RankError is one), a search map
 smaller than the kernels KernelTooLargeError, and a NaN or infinite map
-or weight, or a response beyond the float32 range, NonFiniteMapError.
+or weight, or a term or response beyond float32, NonFiniteMapError.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingBoxError, NonPositiveBoxError, ShapeMismatchError
+from .errors import MissingBoxError, NonFiniteMapError, NonPositiveBoxError, ShapeMismatchError
 from .nn import (
     BatchNormParams, ConvKernel, FcLayer, _check_fit, _mlp3_layers, conv2d_valid, mlp3_forward,
 )
@@ -178,13 +178,14 @@ def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCa
 
     Raises:
         MissingBoxError: weights carry a prior branch but box is None.
-        NonFiniteMapError: the template holds a NaN or infinite value.
+        NonFiniteMapError: a NaN or infinite template, or a z or prior term beyond float32.
         ShapeMismatchError: box is not exactly two real numbers (width, height);
             strings, bytes and ragged nestings count as malformed.
-        NonPositiveBoxError: box width or height is not a positive finite number.
+        NonPositiveBoxError: box width or height is not positive, or, divided
+            by BOX_SCALE, exceeds the float32 range (NaN and inf included).
     """
-    z_term = conv2d_valid(_check_template(template, weights), weights.theta_z)
-    prior_term = None
+    z = _check_template(template, weights)
+    scaled = prior_term = None
     if weights.prior is not None:
         if box is None:
             raise MissingBoxError("weights carry a prior branch; a box is required")
@@ -196,13 +197,20 @@ def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCa
             raise ShapeMismatchError(
                 f"box must be two real numbers (width, height), got {box!r}"
             ) from None
-        box_w, box_h = (float(side) for side in sides)
-        if not all(0 < side < np.inf for side in (box_w, box_h)):
-            raise NonPositiveBoxError(f"box sides must be positive and finite: {box}")
-        scaled = np.array([box_w / BOX_SCALE, box_h / BOX_SCALE], dtype=DTYPE)
-        prior_term = mlp3_forward(scaled, weights.prior).reshape(-1, 1, 1)
+        box_w, box_h = (float(side) / BOX_SCALE for side in sides)
+        if not all(0 < side <= float(np.finfo(DTYPE).max) for side in (box_w, box_h)):
+            raise NonPositiveBoxError(f"box sides must be positive, and finite in "
+                                      f"float32 once divided by {BOX_SCALE:g}: {box}")
+        scaled = np.array([box_w, box_h], dtype=DTYPE)
     elif box is not None:
         raise ValueError("a box was given but the weights have no prior branch")
+    try:  # under the default error state, a cast beyond float32 only warns
+        with np.errstate(over="raise"):
+            z_term = conv2d_valid(z, weights.theta_z)
+            if scaled is not None:
+                prior_term = mlp3_forward(scaled, weights.prior).reshape(-1, 1, 1)
+    except FloatingPointError:
+        raise NonFiniteMapError("the z term or the prior term exceeds the float32 range") from None
     return TemplateCache(z_term=z_term, prior_term=prior_term)
 
 

@@ -58,6 +58,17 @@ def _read_only(values, what: str) -> np.ndarray:
     return _check_finite(t, what)
 
 
+def _check_int(value, what: str, low: int = 0, high=np.inf, error=ValueError) -> int:
+    """``value`` as an int in [low, high), else ``error``: the one rule for every index,
+    label, position and count. Python and NumPy integers pass; bools, floats
+    (integral ones too), NaN and strings are refused, never truncated."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if is_int and low <= value < high:
+        return int(value)
+    bounds = f"of at least {low}" if high == np.inf else f"in [{low}, {high})"
+    raise error(f"{what} must be an integer {bounds}, got {value!r}")
+
+
 def _check_positive(value, name: str) -> None:
     """ValueError unless ``value`` is positive and finite."""
     if not 0 < value < np.inf:

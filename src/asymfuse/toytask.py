@@ -18,9 +18,12 @@ wrapper installed on a module attribute (a tracer) sees every call.
 
 ``ToyTrainConfig``'s field defaults are the toy protocol; ``ToyModel``,
 ``gen_dataset`` and ``asymfuse toytrain`` take theirs from it. Each input
-rule is checked in one place, before any data is drawn: ``ToyTrainConfig``
+rule is checked in one place, by ``tensor._check_int`` for every count,
+index and label (a float is refused, never truncated): ``ToyTrainConfig``
 the run's counts and ``lr``, ``_check_classes`` the class count,
-``glyph_bitmap`` the glyph size (``ToyModel`` needs 4).
+``glyph_bitmap`` the glyph size and ``ToyModel`` its layer widths and its
+glyph size of at least 4, all before any data is drawn; ``one_hot`` the
+index; ``autograd.softmax_xent`` the label.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from . import autograd as ag
 from . import nn
 from . import tensor as T
-from .errors import EmptyDatasetError, LabelOutOfRangeError, TooManyClassesError
+from .errors import EmptyDatasetError, TooManyClassesError
 
 MAX_CLASSES = 8
 GRID_POSITIONS = 4
@@ -48,10 +51,8 @@ def glyph_bitmap(glyph_id: int, size: int) -> np.ndarray:
     0 solid square, 1 hollow box, 2 diagonal cross, 3 plus, 4 horizontal
     stripes, 5 vertical stripes, 6 checkerboard, 7 main diagonal.
     """
-    if not 0 <= glyph_id < MAX_CLASSES:
-        raise ValueError(f"glyph id must be in [0, {MAX_CLASSES}), got {glyph_id}")
-    if size < 3:
-        raise ValueError(f"glyph size must be at least 3, got {size}")
+    glyph_id = T._check_int(glyph_id, "glyph id", 0, MAX_CLASSES)
+    size = T._check_int(size, "glyph size", 3)
     rows, cols = np.indices((size, size))
     if glyph_id == 0:
         mask = np.ones((size, size), dtype=bool)
@@ -73,10 +74,8 @@ def glyph_bitmap(glyph_id: int, size: int) -> np.ndarray:
 
 
 def one_hot(index: int) -> np.ndarray:
-    if not 0 <= int(index) < GRID_POSITIONS:
-        raise ValueError(f"index {index} outside [0, {GRID_POSITIONS})")
     vec = np.zeros(GRID_POSITIONS, dtype=T.DTYPE)
-    vec[int(index)] = 1.0
+    vec[T._check_int(index, "index", 0, GRID_POSITIONS)] = 1.0
     return vec
 
 
@@ -90,9 +89,7 @@ class GridSample:
 
 
 def _check_classes(num_classes: int) -> None:
-    if num_classes < 1:
-        raise ValueError(f"need at least one class, got {num_classes}")
-    if num_classes > MAX_CLASSES:
+    if T._check_int(num_classes, "class count", 1) > MAX_CLASSES:
         raise TooManyClassesError(f"at most {MAX_CLASSES} glyph classes exist, got {num_classes}")
 
 
@@ -123,11 +120,9 @@ class ToyTrainConfig:
     index_hidden: int = 32
 
     def __post_init__(self):
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError(f"n_train and n_test must be at least 1, "
-                             f"got {self.n_train} and {self.n_test}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        T._check_int(self.n_train, "n_train", 1)
+        T._check_int(self.n_test, "n_test", 1)
+        T._check_int(self.epochs, "epochs")
         T._check_positive(self.lr, "lr")
 
 
@@ -141,8 +136,7 @@ def gen_dataset(seed, n: int, num_classes: int = ToyTrainConfig.num_classes,
     [0, 1], and finally the uniform queried index. Each sample gets its
     own spawned child stream, so the set is reproducible bit for bit.
     """
-    if n < 0:
-        raise ValueError(f"sample count must be non-negative, got {n}")
+    n = T._check_int(n, "sample count")
     _check_classes(num_classes)
     if not 0 <= noise_std < np.inf:
         raise ValueError(f"noise std must be non-negative and finite, got {noise_std}")
@@ -190,12 +184,10 @@ class ToyModel:
                  fused_channels: int = ToyTrainConfig.fused_channels,
                  index_hidden: int = ToyTrainConfig.index_hidden, seed=0):
         _check_classes(num_classes)
-        if glyph_size < 4:  # three valid 3x3 convs leave 2g - 6 of a 2g-sided image
-            raise ValueError(f"glyph size must be at least 4 for three 3x3 convs, got {glyph_size}")
+        T._check_int(glyph_size, "glyph size for three 3x3 convs", 4)  # 2g - 6 of 2g is left
         self.num_classes = num_classes
-        c1, c2 = conv_channels
-        p = fused_channels
-        h = index_hidden
+        c1, c2, p, h = (T._check_int(width, "layer width", 1)
+                        for width in (*conv_channels, fused_channels, index_hidden))
         shapes = [
             ("conv1", (c1, 1, 3, 3), 1 * 3 * 3),
             ("conv2", (c2, c1, 3, 3), c1 * 3 * 3),
@@ -270,11 +262,9 @@ def toy_forward(model: ToyModel, sample: GridSample, ablate_index: bool = False)
 
 def training_loss(tape: ag.Tape, model: ToyModel, sample: GridSample,
                   ablate_index: bool = False) -> ag.Node:
-    """Taped cross-entropy loss of the logits ``toy_forward`` computes."""
-    if not 0 <= sample.label < model.num_classes:
-        raise LabelOutOfRangeError(
-            f"label {sample.label} outside [0, {model.num_classes})"
-        )
+    """Taped cross-entropy loss of the logits ``toy_forward`` computes.
+
+    ``softmax_xent`` checks the label (LabelOutOfRangeError)."""
 
     def leaf(x):
         return tape.parameter(x) if isinstance(x, ag.Parameter) else tape.constant(x)

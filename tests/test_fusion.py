@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from asymfuse import fusion, nn
+from asymfuse import bench, fusion, nn
 from asymfuse.errors import (
     KernelTooLargeError,
     MissingBoxError,
@@ -144,6 +144,18 @@ class TestEquivalence:
         assert (acm >= 0).all()
 
 
+# Template-side inputs whose terms leave float32. Each row scales theta_z, the
+# template and the prior's first-layer weights of one bench problem, and gives
+# the box; acm_cache_template raises the row's class, and warns of nothing.
+TEMPLATE_SIDE_ROWS = {
+    "box width 1e300": (1, 1, 1, (1e300, 1.0), NonPositiveBoxError),
+    "box height 1e300": (1, 1, 1, (1.0, 1e300), NonPositiveBoxError),
+    "box width / 255 past float32": (1, 1, 1, (255 * 3.5e38, 1.0), NonPositiveBoxError),
+    "z term": (1e30, 1e10, 1, (10.0, 10.0), NonFiniteMapError),
+    "prior term": (1, 1, 1e30, (1e38, 1e38), NonFiniteMapError),
+}
+
+
 class TestAcmForward:
     def test_zero_theta_x_gives_constant_map(self):
         rng = np.random.default_rng(58)
@@ -187,6 +199,21 @@ class TestAcmForward:
             with pytest.raises(NonPositiveBoxError):
                 fusion.acm_forward(rand_f32(rng, (2, 2, 2)), rand_f32(rng, (2, 5, 5)),
                                    weights, box)
+
+    @pytest.mark.parametrize("row", TEMPLATE_SIDE_ROWS)
+    def test_template_side_beyond_float32_raises_its_class(self, row):
+        z_scale, template_scale, w1_scale, box, error = TEMPLATE_SIDE_ROWS[row]
+        config = bench.BenchConfig(4, 3, 3, 10, 10, 4)
+        template, _, weights, _ = bench._random_problem(config, np.random.default_rng(0))
+        first, *rest = weights.prior
+        weights = fusion.FusionWeights(
+            theta_z=nn.ConvKernel(weights.theta_z.weights * np.float32(z_scale)),
+            theta_x=weights.theta_x,
+            prior=(nn.FcLayer(first.weights * np.float32(w1_scale), first.bias), *rest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                fusion.acm_cache_template(template * np.float32(template_scale), weights, box)
 
     def test_wrong_length_box_rejected(self):
         rng = np.random.default_rng(66)

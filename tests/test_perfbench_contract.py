@@ -1,14 +1,20 @@
 """The benchmark's calls into the library, made as ``perfbench/run.py`` makes them.
 
-``perfbench/workloads.py`` is read from its file and executed here; nothing
-under ``perfbench/`` is written. For every workload this builds it on the
-package, runs its one-off gate, then three op/check pairs. A library change
-that breaks one of those calls (``ToyTrainConfig`` fields, ``ToyModel`` and
-``gen_dataset`` positional arguments, ``training_loss``, a ``Parameter``
-that aliases the array it is given, ...) would make ``run.py`` exit 1; it
-fails here first.
+``perfbench/workloads.py`` and ``perfbench/spans.py`` are read from their
+files and executed here; nothing under ``perfbench/`` is written. For every
+workload this builds it on the package, runs its one-off gate, then three
+op/check pairs. A library change that breaks one of those calls
+(``ToyTrainConfig`` fields, ``ToyModel`` and ``gen_dataset`` positional
+arguments, ``training_loss``, a ``Parameter`` that aliases the array it is
+given, ...) would make ``run.py`` exit 1; it fails here first.
+
+The same three ops, traced with ``spans.Tracer``, must give the exact
+per-op counts that ``run.py --self-test`` expects (its ``EXPECTED``: conv
+calls, tape nodes, computed GFLOP and im2col MB), so a change to them shows
+in tier-1 and not only in the benchmark's own self-test.
 """
 
+import ast
 import types
 from pathlib import Path
 
@@ -16,16 +22,28 @@ import pytest
 
 import asymfuse
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_workloads() -> dict:
-    module = types.ModuleType("perfbench_workloads")
-    exec(compile(WORKLOADS_PY.read_text(), str(WORKLOADS_PY), "exec"), module.__dict__)
-    return module.WORKLOADS
+def load(name: str) -> types.ModuleType:
+    path = PERFBENCH / name
+    module = types.ModuleType(f"perfbench_{path.stem}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
-WORKLOADS = load_workloads()
+def run_py_constant(name: str):
+    """The literal value ``perfbench/run.py`` assigns to ``name``, read without running it."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name]]
+    return ast.literal_eval(value)
+
+
+WORKLOADS = load("workloads.py").WORKLOADS
+SPANS = load("spans.py")
+EXPECTED = run_py_constant("EXPECTED")
+EXACT = run_py_constant("EXACT")
 
 
 @pytest.mark.parametrize("name", list(WORKLOADS))
@@ -36,3 +54,28 @@ def test_workload_builds_gates_and_checks(name):
     for i in range(3):
         arg = workload.arg(i)
         assert workload.check(arg, workload.op(arg)), f"{name}: op {i} failed its check"
+
+
+def test_expected_counts_name_the_exact_metrics():
+    assert EXACT[:2] == ("nn.conv2d_valid.calls", "autograd.tape_nodes")
+    assert {name: EXPECTED[name][:2] for name in WORKLOADS} == {
+        "track": (1.0, 0.0), "redetect": (2.0, 0.0), "train": (3.0, 29.0),
+        "evaluate": (3.0, 0.0)}
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_traced_ops_give_the_expected_exact_counts(name):
+    workload = WORKLOADS[name](1)  # run.py's self-test traces seeds 1 and 2
+    workload.build(asymfuse)
+    workload.gate()
+    tracer = SPANS.Tracer(asymfuse)
+    tracer.install()
+    try:
+        for i in range(3):
+            arg = workload.arg(i)
+            assert workload.check(arg, tracer.call_op(i, workload.op, arg))
+    finally:
+        tracer.uninstall()
+    assert len(tracer.per_op_counts()) == 1, f"{name}: exact counts differ between ops"
+    metrics = tracer.layer_metrics()
+    assert tuple(metrics[k] for k in EXACT) == pytest.approx(EXPECTED[name], rel=1e-12)
