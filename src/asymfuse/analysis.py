@@ -46,6 +46,13 @@ def _check_map(corr) -> np.ndarray:
     return _check_finite(_as_map(corr, "response map"), "response map")
 
 
+def _unpack(value, count: int, what: str) -> tuple:
+    items = tuple(value) if np.iterable(value) else ()
+    if len(items) != count:
+        raise ValueError(f"{what} must be {count} integers, got {value!r}")
+    return items
+
+
 def find_distractor(corr, exclude_box) -> tuple[int, int]:
     """Strongest position strictly outside an inclusive (r0, c0, r1, c1) box.
 
@@ -58,7 +65,7 @@ def find_distractor(corr, exclude_box) -> tuple[int, int]:
     """
     corr = _check_map(corr)
     _, height, width = corr.shape
-    r0, c0, r1, c1 = exclude_box
+    r0, c0, r1, c1 = _unpack(exclude_box, 4, "exclude_box")
     r0, c0 = _check_int(r0, "box r0", 0, height), _check_int(c0, "box c0", 0, width)
     r1, c1 = _check_int(r1, "box r1", r0, height), _check_int(c1, "box c1", c0, width)
     outside = np.ones((height, width), dtype=bool)
@@ -72,19 +79,13 @@ def find_distractor(corr, exclude_box) -> tuple[int, int]:
 
 
 def _normalized01(corr, per_channel: bool) -> np.ndarray:
+    """Min-max rescale to [0, 1], per channel or over the whole map; a constant one gives 0."""
     x = corr.astype(np.float64)
-    if per_channel:
-        lo = x.min(axis=(1, 2), keepdims=True)
-        hi = x.max(axis=(1, 2), keepdims=True)
-        span = hi - lo
-        out = np.zeros_like(x)
-        np.divide(x - lo, span, out=out, where=span > 0)
-        return out
-    lo = x.min()
-    hi = x.max()
-    if hi == lo:
-        return np.zeros_like(x)
-    return (x - lo) / (hi - lo)
+    lo = x.min(axis=(1, 2) if per_channel else None, keepdims=True)
+    span = x.max(axis=(1, 2) if per_channel else None, keepdims=True) - lo
+    out = np.zeros_like(x)
+    np.divide(x - lo, span, out=out, where=span > 0)
+    return out
 
 
 def discriminability(
@@ -99,7 +100,7 @@ def discriminability(
     """
     distractor = find_distractor(corr, exclude_box)  # checks the map and the box
     corr = as_tensor(corr)
-    (r0, c0, r1, c1), (row, col) = exclude_box, target_pos
+    (r0, c0, r1, c1), (row, col) = exclude_box, _unpack(target_pos, 2, "target_pos")
     target = (_check_int(row, "target row inside the box", r0, r1 + 1),
               _check_int(col, "target column inside the box", c0, c1 + 1))
     target_vec = corr[:, target[0], target[1]]

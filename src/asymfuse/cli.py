@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--glyph-size", type=int, default=toy.glyph_size)
     p.add_argument("--noise-std", type=float, default=toy.noise_std)
     p.add_argument("--ablate-index", action="store_true",
-                   help="zero the index branch during training and evaluation")
+                   help="leave out the index branch in training and evaluation")
     p.add_argument("--out-dir", type=str, default="",
                    help="write curve.csv and the model tensors here")
     p.set_defaults(func=_cmd_toytrain)

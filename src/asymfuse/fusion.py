@@ -244,6 +244,21 @@ def acm_apply_search(
     return conv2d_valid(x, weights.theta_x, epilogue=(scale, bias, apply_relu))
 
 
+def _acm_block(ops, x, theta_x, prior_in=None, prior_layers=None, z=None, theta_z=None,
+               norm=None):
+    """relu([norm](theta_x*x [+ theta_z*z] [+ reshape(mlp3(prior_in), P x 1 x 1)])) in ``ops``
+    (autograd's op names), ``norm`` being (gamma, beta, running mean, running variance): the one
+    composition of the block, for the tape and the toy model; acm_forward rounds it just once."""
+    out = ops.conv2d(x, theta_x)
+    if z is not None:
+        out = ops.add(out, ops.conv2d(z, theta_z))
+    if prior_in is not None:
+        out = ops.add(out, ops.reshape(ops.mlp3(prior_in, prior_layers), (-1, 1, 1)))
+    if norm is not None:
+        out = ops.batchnorm(out, *norm)
+    return ops.relu(out)
+
+
 def acm_forward(
     template, search, weights: FusionWeights, box=None, apply_relu: bool = True
 ) -> np.ndarray:

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import autograd as ag
+from . import fusion
 from . import tensor as T
 
 # Default difference step and relative-error bound, here and in ``asymfuse gradcheck``.
@@ -47,8 +48,12 @@ class _Case:
     reduce: tuple | int     # projection shape, or class count for cross-entropy
 
 
-def _mlp3(x, n, prefix):
-    return ag.mlp3(x, [(n[f"{prefix}w{i}"], n[f"{prefix}b{i}"]) for i in (1, 2, 3)])
+def _layers(n, prefix):
+    return [(n[f"{prefix}w{i}"], n[f"{prefix}b{i}"]) for i in (1, 2, 3)]
+
+
+def _norm(n):  # running statistics from the drawn constants: mean in +-0.5, var in [0.5, 1.5]
+    return n["gamma"], n["beta"], 0.5 * n["mean"].value, 1.0 + 0.5 * n["var"].value
 
 
 def _mlp3_shapes(dims, prefix=""):
@@ -57,14 +62,6 @@ def _mlp3_shapes(dims, prefix=""):
         shapes[f"{prefix}w{i + 1}"] = (dims[i + 1], dims[i])
         shapes[f"{prefix}b{i + 1}"] = (dims[i + 1],)
     return shapes
-
-
-def _acm_block(n):
-    """Full fusion block: both kernels plus the FC prior, pooled."""
-    z_term = ag.conv2d(n["template"], n["theta_z"])
-    x_term = ag.conv2d(n["search"], n["theta_x"])
-    prior = ag.reshape(_mlp3(n["feats"], n, "prior_"), (3, 1, 1))
-    return ag.mean_pool(ag.relu(ag.add(ag.add(x_term, z_term), prior)))
 
 
 _CASES = (
@@ -82,20 +79,17 @@ _CASES = (
     _Case("affine", {"x": (4,), "weights": (3, 4), "bias": (3,)}, {},
           lambda n: ag.affine(n["x"], n["weights"], n["bias"]), (3,)),
     _Case("mlp3", {"x": (3,), **_mlp3_shapes((3, 5, 4, 2))}, {},
-          lambda n: _mlp3(n["x"], n, ""), (2,)),
-    # Running statistics are affine images of the drawn constants:
-    # mean in +-0.5, variance in [0.5, 1.5].
+          lambda n: ag.mlp3(n["x"], _layers(n, "")), (2,)),
     _Case("batchnorm_infer", {"x": (3, 4, 4), "gamma": (3,), "beta": (3,)},
-          {"mean": (3,), "var": (3,)},
-          lambda n: ag.batchnorm(n["x"], n["gamma"], n["beta"],
-                                 0.5 * n["mean"].value, 1.0 + 0.5 * n["var"].value),
-          (3, 4, 4)),
+          {"mean": (3,), "var": (3,)}, lambda n: ag.batchnorm(n["x"], *_norm(n)), (3, 4, 4)),
     _Case("softmax_xent", {"logits": (5,)}, {}, lambda n: n["logits"], 5),
     _Case("acm_block",
           {"theta_z": (3, 2, 2, 2), "theta_x": (3, 2, 2, 2),
-           **_mlp3_shapes((2, 4, 4, 3), "prior_")},
-          {"template": (2, 2, 2), "search": (2, 4, 4), "feats": (2,)},
-          _acm_block, 3),
+           **_mlp3_shapes((2, 4, 4, 3), "prior_"), "gamma": (3,), "beta": (3,)},
+          {"template": (2, 2, 2), "search": (2, 4, 4), "feats": (2,), "mean": (3,), "var": (3,)},
+          lambda n: ag.mean_pool(fusion._acm_block(
+              ag, n["search"], n["theta_x"], n["feats"], _layers(n, "prior_"),
+              n["template"], n["theta_z"], _norm(n))), 3),
 )
 
 

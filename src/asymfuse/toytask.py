@@ -2,12 +2,12 @@
 
 Each image is a 2x2 grid of procedural binary glyphs plus Gaussian
 noise; the task is to name the glyph at a queried grid position (the
-index, 0..3 in row-major order). The index enters the model exactly the
-way a template would enter the fusion op: a small FC branch turns it
-into one bias per channel, which is broadcast-added onto the convolved
-image features and gated by a ReLU. Without that branch the image alone
-cannot determine the label, so the branch's contribution is directly
-measurable.
+index, 0..3 in row-major order). After two backbone convs, the model's
+fused stage is the fusion op's block, ``fusion._acm_block``, with the
+one-hot index as its prior input in place of a box: the FC branch turns
+it into one bias per channel, broadcast-added onto the convolved image
+features and gated by a ReLU. Without that branch the image alone cannot
+determine the label, so the branch's contribution is directly measurable.
 
 The model is written once, over an op set and a leaf map. Training
 passes ``autograd`` and tapes every parameter and input; evaluation
@@ -23,7 +23,7 @@ index and label (a float is refused, never truncated): ``ToyTrainConfig``
 the run's counts and ``lr``, ``_check_classes`` the class count,
 ``glyph_bitmap`` the glyph size and ``ToyModel`` its layer widths and its
 glyph size of at least 4, all before any data is drawn; ``one_hot`` the
-index; ``autograd.softmax_xent`` the label.
+index; ``autograd.softmax_xent`` and ``prediction_accuracy`` the label.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ import numpy as np
 from . import autograd as ag
 from . import nn
 from . import tensor as T
-from .errors import EmptyDatasetError, TooManyClassesError
+from .errors import EmptyDatasetError, LabelOutOfRangeError, TooManyClassesError
+from .fusion import _acm_block
 
 MAX_CLASSES = 8
 GRID_POSITIONS = 4
@@ -170,7 +171,7 @@ def _uniform_init(rng, shape, fan_in: int) -> np.ndarray:
 
 
 class ToyModel:
-    """Conv backbone + index branch fused by broadcast-add and ReLU.
+    """Conv backbone + index branch fused by the fusion op's block.
 
     The index branch is the template-side term of the fusion op: it maps
     the one-hot position through three FC layers into one bias per fused
@@ -210,10 +211,6 @@ class ToyModel:
     def parameters(self) -> list[ag.Parameter]:
         return [getattr(self, name) for name in self._names]
 
-    @property
-    def fused_channels(self) -> int:
-        return self.fuse.value.shape[0]
-
 
 _UNTAPED = SimpleNamespace(
     conv2d=lambda x, k: nn.conv2d_valid(x, k),
@@ -234,16 +231,11 @@ def _fused(ops, leaf, model: ToyModel, sample: GridSample, ablate_index: bool):
     """The model up to the post-ReLU fused map, in ``ops`` over ``leaf`` values."""
     feat = ops.relu(ops.conv2d(leaf(sample.image), leaf(model.conv1)))
     feat = ops.relu(ops.conv2d(feat, leaf(model.conv2)))
-    x_term = ops.conv2d(feat, leaf(model.fuse))
-    shape = (model.fused_channels, 1, 1)
     if ablate_index:
-        prior = leaf(np.zeros(shape, dtype=T.DTYPE))
-    else:
-        layers = [(leaf(model.idx_w1), leaf(model.idx_b1)),
-                  (leaf(model.idx_w2), leaf(model.idx_b2)),
-                  (leaf(model.idx_w3), leaf(model.idx_b3))]
-        prior = ops.reshape(ops.mlp3(leaf(one_hot(sample.index)), layers), shape)
-    return ops.relu(ops.add(x_term, prior))
+        return _acm_block(ops, feat, leaf(model.fuse))
+    layers = [(leaf(model.idx_w1), leaf(model.idx_b1)), (leaf(model.idx_w2), leaf(model.idx_b2)),
+              (leaf(model.idx_w3), leaf(model.idx_b3))]
+    return _acm_block(ops, feat, leaf(model.fuse), leaf(one_hot(sample.index)), layers)
 
 
 def _logits(ops, leaf, model: ToyModel, fused):
@@ -282,8 +274,14 @@ def _hit_rate(samples: Sequence[GridSample], hit: Callable[[GridSample], bool]) 
 
 def prediction_accuracy(predict: Callable[[GridSample], np.ndarray],
                         samples: Sequence[GridSample]) -> float:
-    """Fraction of samples whose argmax logit (first on ties) is the label."""
-    return _hit_rate(samples, lambda s: int(np.argmax(predict(s))) == s.label)
+    """Fraction of samples whose argmax logit (first on ties) is the label;
+    LabelOutOfRangeError unless each label is an integer in [0, len(logits))."""
+    def hit(s):
+        logits = predict(s)
+        return int(np.argmax(logits)) == T._check_int(s.label, "label", 0, len(logits),
+                                                      LabelOutOfRangeError)
+
+    return _hit_rate(samples, hit)
 
 
 def toy_evaluate(model: ToyModel, samples: Sequence[GridSample],
@@ -336,8 +334,8 @@ def toy_train(config: ToyTrainConfig = ToyTrainConfig()) -> ToyTrainResult:
 
     The master seed splits into four child streams (model init, train
     set, test set, epoch shuffling), so runs are reproducible bit for
-    bit. When ``ablate_index`` is set the index branch is forcibly
-    zeroed during both training and evaluation.
+    bit. When ``ablate_index`` is set the block runs without its index
+    branch during both training and evaluation.
     """
     s_model, s_train, _, s_shuffle = np.random.SeedSequence(config.seed).spawn(4)
     model = ToyModel(config.num_classes, config.glyph_size, config.conv_channels,

@@ -120,10 +120,19 @@ class TestDiscriminability:
             analysis.discriminability(crafted_map(), (2, 2), (0, 0, 1, 1))
 
     def test_positions_validated(self):
-        with pytest.raises(ValueError):
-            analysis.discriminability(crafted_map(), (5, 0), (0, 0, 1, 1))
-        with pytest.raises(ValueError):
-            analysis.discriminability(crafted_map(), (1, 1), (0, 0, 4, 4))
+        bad_boxes = [5, None, (0, 0, 1), (0, 0, 1, 1, 1)]
+        bad_targets = [1, (1,), (1, 1, 1)]
+        cases = [((5, 0), (0, 0, 1, 1), "target row"), ((1, 1), (0, 0, 4, 4), "box r1")]
+        cases += [((1, 1), box, "exclude_box must be 4 integers") for box in bad_boxes]
+        cases += [(target, (0, 0, 1, 1), "target_pos must be 2 integers")
+                  for target in bad_targets]
+        for target, box, message in cases:
+            with pytest.raises(ValueError, match=message) as caught:
+                analysis.discriminability(crafted_map(), target, box)
+            assert caught.type is ValueError
+        for box in bad_boxes:
+            with pytest.raises(ValueError, match="exclude_box must be 4 integers"):
+                analysis.find_distractor(crafted_map(), box)
 
     def test_rank_enforced(self):
         with pytest.raises(RankError):

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from asymfuse import autograd as ag
 from asymfuse import bench, fusion, nn
 from asymfuse.errors import (
     KernelTooLargeError,
@@ -609,3 +610,59 @@ class TestWeightContract:
     def test_good_weights_give_a_finite_response(self):
         out = fusion.acm_forward(ones(2, 5, 5), ones(2, 7, 7), weights_of(), box=(10.0, 20.0))
         assert out.shape == (2, 3, 3) and np.isfinite(out).all()
+
+
+# The largest |taped block - acm_forward| entry over 20,000 draws of
+# ``taped_block_and_weights`` (seeds 0-19999) was 3.815e-6, at seed 7, one of
+# the 300 below; 862 of the 20,000 responses were byte-identical. The tape
+# rounds to float32 after every op, acm_forward once, in the search conv's
+# epilogue. The bound is twice the worst gap.
+TAPED_BLOCK_GAP = 8e-6
+
+
+def taped_block_and_weights(rng):
+    """The taped block with every arm over drawn Parameters, and FusionWeights built
+    from those Parameters' values: (output node, weights, template, search, box)."""
+    config = bench._random_config(rng)
+    p = config.out_channels
+
+    def param(name, shape, lo=-1.0, hi=1.0):
+        return ag.Parameter(rand_f32(rng, shape, lo, hi), name)
+
+    kernel = (p, config.channels, config.eta, config.omega)
+    theta_z, theta_x = param("theta_z", kernel), param("theta_x", kernel)
+    dims = (2, 16, 16, p)
+    layers = [(param(f"w{i}", (dims[i + 1], dims[i])), param(f"b{i}", (dims[i + 1],)))
+              for i in range(3)]
+    gamma, beta = param("gamma", (p,), 0.5, 1.5), param("beta", (p,), -0.5, 0.5)
+    mean, var = rand_f32(rng, (p,), -0.5, 0.5), rand_f32(rng, (p,), 0.5, 2.0)
+    template = rand_f32(rng, (config.channels, config.eta, config.omega))
+    search = rand_f32(rng, (config.channels, config.height, config.width))
+    box = (float(rng.uniform(10.0, 200.0)), float(rng.uniform(10.0, 200.0)))
+
+    tape = ag.Tape()
+    out = fusion._acm_block(
+        ag, tape.constant(search), tape.parameter(theta_x),
+        tape.constant(np.asarray(box) / fusion.BOX_SCALE),
+        [(tape.parameter(w), tape.parameter(b)) for w, b in layers],
+        tape.constant(template), tape.parameter(theta_z),
+        (tape.parameter(gamma), tape.parameter(beta), mean, var))
+    weights = fusion.FusionWeights(
+        nn.ConvKernel(theta_z.value), nn.ConvKernel(theta_x.value),
+        prior=tuple(nn.FcLayer(w.value, b.value) for w, b in layers),
+        norm=nn.BatchNormParams(gamma.value, beta.value, mean, var))
+    return out, weights, template, search, box
+
+
+class TestTapedBlock:
+    """The taped block's Parameters, copied into FusionWeights, run on the inference path."""
+
+    def test_exported_weights_give_acm_forwards_response(self):
+        worst = 0.0
+        for seed in range(300):
+            out, weights, template, search, box = taped_block_and_weights(
+                np.random.default_rng(seed))
+            response = fusion.acm_forward(template, search, weights, box)
+            assert out.value.shape == response.shape and out.value.dtype == response.dtype
+            worst = max(worst, float(np.abs(out.value.astype(np.float64) - response).max()))
+        assert worst <= TAPED_BLOCK_GAP <= bench.TOL

@@ -30,9 +30,16 @@ def xent(label):
     return ag.softmax_xent(tape.constant(np.zeros(4, np.float32)), label)
 
 
+def labelled(label):
+    return tt.GridSample(image=np.zeros((1, 14, 14), np.float32), index=0, label=label)
+
+
 def train_on_label(label):
-    sample = tt.GridSample(image=np.zeros((1, 14, 14), np.float32), index=0, label=label)
-    return tt.training_loss(ag.Tape(), MODEL, sample)
+    return tt.training_loss(ag.Tape(), MODEL, labelled(label))
+
+
+def evaluate_on_label(label):
+    return tt.toy_evaluate(MODEL, [labelled(label)])
 
 
 def eqcheck(trials):
@@ -60,6 +67,7 @@ SITES = {
     "ToyModel index width": (lambda v: tt.ToyModel(index_hidden=v), ValueError, 2),
     "softmax_xent label": (xent, LabelOutOfRangeError, 2),
     "training_loss label": (train_on_label, LabelOutOfRangeError, 2),
+    "toy_evaluate label": (evaluate_on_label, LabelOutOfRangeError, 2),
     "box r0": (lambda v: analysis.find_distractor(MAP, (v, 0, 3, 3)), ValueError, 2),
     "box c0": (lambda v: analysis.find_distractor(MAP, (0, v, 3, 3)), ValueError, 2),
     "box r1": (lambda v: analysis.find_distractor(MAP, (0, 0, v, 3)), ValueError, 2),
@@ -108,6 +116,13 @@ def test_non_integer_raises_the_sites_class(site, kind, no_data_drawn):
 def test_numpy_integer_is_accepted(site, kind):
     call, _, good = SITES[site]
     call(kind(good))
+
+
+@pytest.mark.parametrize("label", [-1, 4, 9])
+def test_out_of_range_label_is_refused_by_evaluation(label):
+    samples = [labelled(label)] * 4  # 4 classes
+    with pytest.raises(LabelOutOfRangeError, match=r"label must be an integer in \[0, 4\)"):
+        tt.toy_evaluate(MODEL, samples)
 
 
 @pytest.mark.parametrize("width", ["conv_channels", "fused_channels", "index_hidden"])

@@ -3,10 +3,11 @@
 ``perfbench/workloads.py`` and ``perfbench/spans.py`` are read from their
 files and executed here; nothing under ``perfbench/`` is written. For every
 workload this builds it on the package, runs its one-off gate, then three
-op/check pairs. A library change that breaks one of those calls
-(``ToyTrainConfig`` fields, ``ToyModel`` and ``gen_dataset`` positional
-arguments, ``training_loss``, a ``Parameter`` that aliases the array it is
-given, ...) would make ``run.py`` exit 1; it fails here first.
+op/check pairs, at seed 0 and, for ``train`` and ``evaluate``, at seeds 1-9
+too. A library change that breaks one of those calls (``ToyTrainConfig``
+fields, ``ToyModel`` and ``gen_dataset`` positional arguments,
+``training_loss``, a ``Parameter`` that aliases the array it is given, ...)
+would make ``run.py`` exit 1; it fails here first.
 
 The same three ops, traced with ``spans.Tracer``, must give the exact
 per-op counts that ``run.py --self-test`` expects (its ``EXPECTED``: conv
@@ -46,9 +47,17 @@ EXPECTED = run_py_constant("EXPECTED")
 EXACT = run_py_constant("EXACT")
 
 
-@pytest.mark.parametrize("name", list(WORKLOADS))
-def test_workload_builds_gates_and_checks(name):
-    workload = WORKLOADS[name](0)  # run.py's default seed, passed as run.py passes it
+# run.py's default seed 0 for every workload, passed as run.py passes it, and
+# seeds 1-9 for the toy workloads, whose set-up (the train gate's gradient
+# probes, the evaluate references) depends on the seed's model and data.
+BUILD_CASES = [pytest.param(name, 0, id=name) for name in WORKLOADS] + [
+    pytest.param(name, seed, id=f"{name}-seed{seed}")
+    for name in ("train", "evaluate") for seed in range(1, 10)]
+
+
+@pytest.mark.parametrize("name, seed", BUILD_CASES)
+def test_workload_builds_gates_and_checks(name, seed):
+    workload = WORKLOADS[name](seed)
     workload.build(asymfuse)
     workload.gate()
     for i in range(3):
