@@ -184,7 +184,7 @@ def xcorr(x: Node, z: Node) -> Node:
 
 def affine(x: Node, w: Node, b: Node) -> Node:
     """Fully connected layer w @ x + b on a rank-1 input."""
-    value = nn.fc_forward(x.value, nn.FcLayer(w.value, b.value))
+    value = nn.fc_forward(x.value, (w.value, b.value))
 
     def backward_fn(grad):
         x64 = x.value.astype(np.float64)
@@ -204,13 +204,13 @@ def mlp3(x: Node, layers) -> Node:
 
 
 def batchnorm(x: Node, gamma: Node, beta: Node, running_mean, running_var) -> Node:
-    """Inference-time batch norm; running statistics are constants."""
-    params = nn.BatchNormParams(gamma.value, beta.value, running_mean, running_var)
-    value = nn.batchnorm_infer(x.value, params)
-    centered = (x.value.astype(np.float64) - params.running_mean[:, None, None]) * params.inv_std
+    """Inference-time batch norm; running statistics are constants, all checked per call."""
+    fold = nn._batchnorm_fold(gamma.value, beta.value, running_mean, running_var)
+    value = nn.batchnorm_infer(x.value, fold)
+    centered = (x.value.astype(np.float64) - fold.running_mean[:, None, None]) * fold.inv_std
 
     def backward_fn(grad):
-        _accum(x, grad * params.scale)
+        _accum(x, grad * fold.scale)
         _accum(gamma, (grad * centered).sum(axis=(1, 2)))
         _accum(beta, grad.sum(axis=(1, 2)))
 

@@ -48,12 +48,12 @@ class FusionWeights:
     ``theta_z`` and ``theta_x`` must have identical shapes; their shared
     output-channel count fixes the response depth. ``prior``, when
     present, is the 3-layer FC stack of the box branch: it takes the two
-    box sides, each layer's width chains into the next (else
-    ShapeMismatchError), it ends in that same channel count, and its
-    weights and biases are finite (else NonFiniteMapError); a box must
-    then accompany every template. The weights keep read-only copies of
-    those arrays, as the kernels and ``norm`` keep theirs. ``norm``
-    optionally batch-normalizes the summed response before the ReLU.
+    box sides, each layer's width chains into the next and it ends in that
+    same channel count (else ShapeMismatchError); a box must then
+    accompany every template. The weights keep the layers they are given,
+    which own read-only copies of their arrays, as the kernels and ``norm``
+    do. ``norm`` optionally batch-normalizes the summed response before
+    the ReLU.
     """
 
     theta_z: ConvKernel
@@ -68,22 +68,16 @@ class FusionWeights:
                 f"vs {self.theta_x.weights.shape}"
             )
         if self.prior is not None:
-            layers = []
-            for i, layer in enumerate(_mlp3_layers(self.prior)):
-                width = layers[i - 1].out_features if i else 2
-                if layer.in_features != width:
-                    raise ShapeMismatchError(
-                        f"prior layer {i + 1} takes {layer.in_features} inputs, "
-                        f"expected {width}"
-                    )
-                layers.append(FcLayer(_read_only(layer.weights, f"prior layer {i + 1} weights"),
-                                      _read_only(layer.bias, f"prior layer {i + 1} bias")))
-            if layers[2].out_features != self.out_channels:
-                raise ShapeMismatchError(
-                    f"prior branch ends in {layers[2].out_features} features, "
-                    f"kernels produce {self.out_channels} channels"
-                )
-            object.__setattr__(self, "prior", tuple(layers))
+            layers = _mlp3_layers(self.prior)
+            widths = (2, *(layer.weights.shape[0] for layer in layers))  # out x in weights
+            for i, layer in enumerate(layers):
+                if layer.weights.shape[1] != widths[i]:
+                    raise ShapeMismatchError(f"prior layer {i + 1} takes {layer.weights.shape[1]} "
+                                             f"inputs, expected {widths[i]}")
+            if widths[3] != self.out_channels:
+                raise ShapeMismatchError(f"prior branch ends in {widths[3]} features, kernels "
+                                         f"produce {self.out_channels} channels")
+            object.__setattr__(self, "prior", layers)
         if self.norm is not None and self.norm.channels != self.out_channels:
             raise ShapeMismatchError(
                 f"norm describes {self.norm.channels} channels, "

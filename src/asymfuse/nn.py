@@ -18,17 +18,19 @@ times that channel's block of rows. The taped backward in ``autograd``
 runs on the same matrix: the kernel adjoint on the patches of the input,
 the input adjoint on the patches of the zero-padded output gradient.
 
-A :class:`ConvKernel` and a :class:`BatchNormParams` own read-only copies
-of their arrays (``tensor._read_only``), so no later write by the caller
-reaches what is derived from them once: the params' float64 batch-norm
-fold, when built, and the kernel's GEMM matrix above and Winograd-domain
-kernel, on first use. ``conv2d_valid`` with a ConvKernel takes Winograd
-minimal filtering (Lavin & Gray, CVPR 2016) over 9 x 9 tiles when that
-measured faster: both kernel sides in 4..7, at least one whole output tile
-per axis, and at least ``_WINOGRAD_MIN_MULTS`` multiplies of direct work.
-Its transforms run one axis at a time, the input one over a view of
-overlapping row windows. Everything else, raw-array kernels from the tape
-and the toy model included, takes the im2col GEMM.
+A :class:`ConvKernel`, :class:`FcLayer` and :class:`BatchNormParams` own
+read-only copies of their arrays (``tensor._read_only``), so no later write
+by the caller reaches what is derived from them once: the params' float64
+batch-norm fold, when built, and the kernel's GEMM matrix above and
+Winograd-domain kernel, on first use. An op takes its struct or the raw
+arrays of the tape and the toy model, checked per call by the struct's
+rule. ``conv2d_valid`` with a ConvKernel takes Winograd minimal filtering
+(Lavin & Gray, CVPR 2016) over 9 x 9 tiles when that measured faster: both
+kernel sides in 4..7, at least one whole output tile per axis, and at least
+``_WINOGRAD_MIN_MULTS`` multiplies of direct work. Its transforms run one
+axis at a time, the input one over a view of overlapping row windows.
+Everything else, raw-array kernels from the tape and the toy model
+included, takes the im2col GEMM.
 
 ``conv2d_valid``'s ``epilogue`` folds a per-output-channel scale, bias
 and ReLU into the float64 result before its one rounding; fusion's
@@ -40,11 +42,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import KernelTooLargeError, NonFiniteMapError, RankError, ShapeMismatchError
-from .tensor import DTYPE, _as_map, _check_positive, _read_only, as_tensor, relu
+from .tensor import DTYPE, _as_map, _check_finite, _check_positive, _read_only, as_tensor, relu
 
 
 def _check_kernel(w: np.ndarray) -> np.ndarray:
@@ -95,76 +98,78 @@ class ConvKernel:
         return u.reshape(_ALPHA * _ALPHA, self.in_channels, self.out_channels)
 
 
+def _check_fc(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one shape check of an FC layer, of an :class:`FcLayer` and of raw arrays alike."""
+    if w.ndim != 2 or b.ndim != 1:
+        raise RankError("an FC layer takes rank-2 weights and a rank-1 bias")
+    if w.shape[0] != b.shape[0]:
+        raise ShapeMismatchError(f"bias length {b.shape[0]} != output width {w.shape[0]}")
+    return w, b
+
+
 @dataclass(frozen=True, eq=False)
 class FcLayer:
-    """Fully connected layer: weights out x in, bias out."""
+    """Fully connected layer: weights out x in, bias out, as read-only float32
+    copies the layer owns; a NaN or infinite entry raises NonFiniteMapError."""
 
     weights: np.ndarray
     bias: np.ndarray
 
     def __post_init__(self):
-        w = as_tensor(self.weights)
-        b = as_tensor(self.bias)
-        if w.ndim != 2 or b.ndim != 1:
-            raise RankError("FcLayer expects rank-2 weights and a rank-1 bias")
-        if w.shape[0] != b.shape[0]:
-            raise ShapeMismatchError(
-                f"bias length {b.shape[0]} != output width {w.shape[0]}"
-            )
+        w, b = _check_fc(_read_only(self.weights, "fc weights"), _read_only(self.bias, "fc bias"))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
-    @property
-    def out_features(self) -> int:
-        return self.weights.shape[0]
 
-    @property
-    def in_features(self) -> int:
-        return self.weights.shape[1]
+_NORM_ARRAYS = ("gamma", "beta", "running_mean", "running_var")
+
+
+def _batchnorm_fold(gamma, beta, running_mean, running_var, eps=1e-5) -> SimpleNamespace:
+    """Batch norm's one check and fold: BatchNormParams runs it once, ``autograd.batchnorm``
+    per call. Arrays finite (NonFiniteMapError), rank 1 (RankError), of one length
+    (ShapeMismatchError); ``eps`` positive, ``running_var`` >= 0 and each |gamma| /
+    sqrt(running_var + eps) within float32 (ValueError). Returns the float32 arrays and
+    float64 C x 1 x 1 ``inv_std`` = 1 / sqrt(running_var + eps), ``scale`` and ``shift``."""
+    arrays = {name: _check_finite(as_tensor(value), name)
+              for name, value in zip(_NORM_ARRAYS, (gamma, beta, running_mean, running_var))}
+    for name, arr in arrays.items():
+        if arr.ndim != 1:
+            raise RankError(f"{name} must be rank 1")
+    if len({a.shape[0] for a in arrays.values()}) != 1:
+        raise ShapeMismatchError("batch norm parameter lengths differ")
+    _check_positive(eps, "eps")
+    if (arrays["running_var"] < 0).any():
+        raise ValueError("running_var must be non-negative")
+    gamma, beta, mean, var = (a.astype(np.float64)[:, None, None] for a in arrays.values())
+    std = np.sqrt(var + eps)
+    fold = SimpleNamespace(**arrays, inv_std=1.0 / std, scale=gamma / std)
+    fold.shift = beta - mean * fold.scale
+    if (np.abs(fold.scale) > np.finfo(np.float32).max).any():
+        raise ValueError("a folded batch-norm scale |gamma| / sqrt(running_var + eps) "
+                         "exceeds the float32 range")
+    return fold
 
 
 @dataclass(frozen=True, eq=False)
 class BatchNormParams:
-    """Frozen inference-time batch norm statistics for C channels.
-
-    The params own read-only float32 copies (:func:`tensor._read_only`),
-    each finite (NonFiniteMapError), ``running_var`` non-negative and each
-    folded scale |gamma| / sqrt(running_var + eps) within float32 (ValueError).
-    The fold is derived once, as read-only float64 C x 1 x 1 members that
-    ``__init__`` does not take: norm(x) = x * ``scale`` + ``shift``, and
-    ``inv_std`` = 1 / sqrt(running_var + eps) for the taped backward.
-    """
+    """Frozen inference-time batch norm statistics for C channels, as read-only
+    float32 copies (:func:`tensor._read_only`) that :func:`_batchnorm_fold` checks
+    and folds once, into read-only float64 C x 1 x 1 members that ``__init__``
+    does not take: norm(x) = x * ``scale`` + ``shift``."""
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
     eps: float = 1e-5
-    inv_std: np.ndarray = field(init=False, repr=False)
     scale: np.ndarray = field(init=False, repr=False)
     shift: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        arrays = {name: _read_only(getattr(self, name), name)
-                  for name in ("gamma", "beta", "running_mean", "running_var")}
-        for name, arr in arrays.items():
-            if arr.ndim != 1:
-                raise RankError(f"{name} must be rank 1")
-        if len({a.shape[0] for a in arrays.values()}) != 1:
-            raise ShapeMismatchError("batch norm parameter lengths differ")
-        _check_positive(self.eps, "eps")
-        if (arrays["running_var"] < 0).any():
-            raise ValueError("running_var must be non-negative")
-        gamma, beta, mean, var = (a.astype(np.float64)[:, None, None] for a in arrays.values())
-        std = np.sqrt(var + self.eps)
-        arrays["inv_std"], arrays["scale"] = 1.0 / std, gamma / std
-        arrays["shift"] = beta - mean * arrays["scale"]
-        for name, arr in arrays.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if (np.abs(self.scale) > np.finfo(np.float32).max).any():
-            raise ValueError("a folded batch-norm scale |gamma| / sqrt(running_var + eps) "
-                             "exceeds the float32 range")
+        fold = _batchnorm_fold(*(_read_only(getattr(self, n), n) for n in _NORM_ARRAYS), self.eps)
+        for name in (*_NORM_ARRAYS, "scale", "shift"):
+            getattr(fold, name).flags.writeable = False
+            object.__setattr__(self, name, getattr(fold, name))
 
     @property
     def channels(self) -> int:
@@ -450,17 +455,18 @@ def xcorr(search, template) -> np.ndarray:
     return conv2d_valid(search, _as_map(template, "template")[np.newaxis])
 
 
-def fc_forward(x, layer: FcLayer) -> np.ndarray:
-    """Affine map weights @ x + bias for a rank-1 input."""
+def fc_forward(x, layer) -> np.ndarray:
+    """Affine map weights @ x + bias for a rank-1 input; ``layer`` is an FcLayer
+    or a raw ``(weights, bias)`` pair, which gets the layer's shape check."""
+    w, b = ((layer.weights, layer.bias) if isinstance(layer, FcLayer)
+            else _check_fc(*map(as_tensor, layer)))
     x = as_tensor(x)
     if x.ndim != 1:
         raise RankError(f"fc input must be rank 1, got rank {x.ndim}")
-    if x.shape[0] != layer.in_features:
-        raise ShapeMismatchError(
-            f"fc expects {layer.in_features} inputs, got {x.shape[0]}"
-        )
-    out = layer.weights.astype(np.float64) @ x.astype(np.float64)
-    return (out + layer.bias.astype(np.float64)).astype(DTYPE)
+    if x.shape[0] != w.shape[1]:
+        raise ShapeMismatchError(f"fc expects {w.shape[1]} inputs, got {x.shape[0]}")
+    out = w.astype(np.float64) @ x.astype(np.float64)
+    return (out + b.astype(np.float64)).astype(DTYPE)
 
 
 def _mlp3_layers(layers) -> tuple:
@@ -476,19 +482,20 @@ def _mlp3_layers(layers) -> tuple:
 
 
 def mlp3_forward(x, layers) -> np.ndarray:
-    """Three chained FC layers with ReLU after the first two only."""
+    """Three chained FC layers (as fc_forward takes them), ReLU after the first two only."""
     layers = _mlp3_layers(layers)
     hidden = relu(fc_forward(x, layers[0]))
     hidden = relu(fc_forward(hidden, layers[1]))
     return fc_forward(hidden, layers[2])
 
 
-def batchnorm_infer(t, params: BatchNormParams) -> np.ndarray:
-    """Per-channel affine normalization with frozen statistics."""
+def batchnorm_infer(t, params) -> np.ndarray:
+    """Per-channel affine normalization with frozen statistics: ``params`` is a
+    BatchNormParams or the tape's :func:`_batchnorm_fold` of raw arrays."""
     x = _as_map(t, "batch norm input")
-    if x.shape[0] != params.channels:
+    if x.shape[0] != len(params.scale):
         raise ShapeMismatchError(
-            f"map has {x.shape[0]} channels, params describe {params.channels}"
+            f"map has {x.shape[0]} channels, params describe {len(params.scale)}"
         )
     out = x.astype(np.float64)
     _apply_epilogue(out, (params.scale, params.shift, False))

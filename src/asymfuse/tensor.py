@@ -22,6 +22,7 @@ from .errors import (
 )
 
 DTYPE = np.float32
+_F32 = np.dtype(DTYPE)
 
 _MAGIC = b"TSRF"
 _VERSION = 1
@@ -30,7 +31,11 @@ _HEADER = struct.Struct("<III")  # version, dtype code, ndim
 
 
 def as_tensor(values) -> np.ndarray:
-    """Coerce ``values`` to a C-contiguous float32 array (rank preserved)."""
+    """Coerce ``values`` to a C-contiguous float32 array (rank preserved); None,
+    complex, object and string input has no real value: ValueError naming its type."""
+    if type(values) is not np.ndarray or values.dtype is not _F32:  # float32 arrays skip it
+        if (dtype := np.asarray(values).dtype).kind not in "biuf":
+            raise ValueError(f"cannot coerce {type(values).__name__} input ({dtype}) to float32")
     return np.asarray(values, dtype=DTYPE, order="C")
 
 

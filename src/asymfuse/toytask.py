@@ -218,8 +218,8 @@ _UNTAPED = SimpleNamespace(
     add=lambda a, b: T.broadcast_add(a, b),
     reshape=lambda x, shape: x.reshape(shape),
     mean_pool=lambda x: nn.global_avg_pool(x),
-    affine=lambda x, w, b: nn.fc_forward(x, nn.FcLayer(w, b)),
-    mlp3=lambda x, layers: nn.mlp3_forward(x, [nn.FcLayer(w, b) for w, b in layers]),
+    affine=lambda x, w, b: nn.fc_forward(x, (w, b)),
+    mlp3=lambda x, layers: nn.mlp3_forward(x, layers),
 )
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +12,7 @@ from asymfuse import autograd as ag
 from asymfuse import gradcheck
 from asymfuse import nn
 from asymfuse import tensor as T
+from asymfuse import toytask as tt
 from asymfuse.errors import (
     DisconnectedLossError,
     LabelOutOfRangeError,
@@ -415,6 +417,64 @@ class TestFiniteDiff:
         p = ag.Parameter(np.ones(1, np.float32), "p")
         with pytest.raises(ValueError):
             ag.finite_diff_grad(lambda: 0.0, p, eps=eps)
+
+
+def run_taped(record):
+    """Record ``record(tape, rng)`` over drawn Parameters, then run backward on its sum."""
+    tape = ag.Tape()
+    out = record(tape, np.random.default_rng(0))
+    ag.backward(tape, ag.weighted_sum(out, np.ones(out.value.shape)))
+
+
+def param_node(tape, rng, *shape):
+    return tape.parameter(ag.Parameter(rand_f32(rng, shape), "p"))
+
+
+def on_toy_sample(run):
+    model, sample = tt.ToyModel(seed=0), tt.gen_dataset(0, 1)[0]
+    for ablate in (False, True):
+        run(model, sample, ablate)
+
+
+def toy_step(model, sample, ablate):
+    tape = ag.Tape()
+    ag.backward(tape, tt.training_loss(tape, model, sample, ablate))
+
+
+def gradcheck_acm_block():
+    only = tuple(case for case in gradcheck._CASES if case.name == "acm_block")
+    with mock.patch.object(gradcheck, "_CASES", only):
+        results = gradcheck.gradient_check_suite()
+    assert results and all(r.passed for r in results), results
+
+
+# Every op that takes an FC layer or batch norm as raw arrays, and the models
+# built on them: none may build an FcLayer or a BatchNormParams per call.
+RAW_ARRAY_CONSUMERS = {
+    "ag.affine": lambda: run_taped(lambda t, rng: ag.affine(
+        param_node(t, rng, 4), param_node(t, rng, 3, 4), param_node(t, rng, 3))),
+    "ag.mlp3": lambda: run_taped(lambda t, rng: ag.mlp3(param_node(t, rng, 3), [
+        (param_node(t, rng, 5, 3), param_node(t, rng, 5)),
+        (param_node(t, rng, 4, 5), param_node(t, rng, 4)),
+        (param_node(t, rng, 2, 4), param_node(t, rng, 2))])),
+    "ag.batchnorm": lambda: run_taped(lambda t, rng: ag.batchnorm(
+        param_node(t, rng, 3, 4, 4), param_node(t, rng, 3), param_node(t, rng, 3),
+        BN_MEAN, BN_VAR)),
+    "toy_forward": lambda: on_toy_sample(tt.toy_forward),
+    "training_loss": lambda: on_toy_sample(toy_step),
+    "gradcheck acm_block": gradcheck_acm_block,
+}
+
+
+def refuse_to_build(struct):
+    raise AssertionError(f"{type(struct).__name__} built inside an op")
+
+
+@pytest.mark.parametrize("row", RAW_ARRAY_CONSUMERS)
+def test_no_struct_is_built_per_op_call(row, monkeypatch):
+    monkeypatch.setattr(nn.FcLayer, "__post_init__", refuse_to_build)
+    monkeypatch.setattr(nn.BatchNormParams, "__post_init__", refuse_to_build)
+    RAW_ARRAY_CONSUMERS[row]()
 
 
 class TestGradientSuite:

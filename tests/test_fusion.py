@@ -480,14 +480,22 @@ def later_built_cache():
 
 
 def later_prior():
-    prior = prior_of(ones(4, 2), ones(4, 4), ones(2, 4), np.zeros(2, np.float32))
-    weights = weights_of(prior=prior)
-    return ([(a, np.nan) for layer in prior for a in (layer.weights, layer.bias)],
+    sources = [ones(4, 2), ones(4), ones(4, 4), ones(4), ones(2, 4), ones(2)]
+    weights = weights_of(prior=[nn.FcLayer(w, b) for w, b in zip(sources[::2], sources[1::2])])
+    return ([(a, np.nan) for a in sources],
             [a for layer in weights.prior for a in (layer.weights, layer.bias)],
             lambda: fusion.acm_forward(LATER_TEMPLATE, LATER_SEARCH, weights, box=(10.0, 20.0)))
 
 
+def later_fc():
+    weights, bias = ones(3, 2), ones(3)
+    layer = nn.FcLayer(weights, bias)
+    return ([(weights, np.nan), (bias, np.inf)], arrays_of(layer),
+            lambda: nn.fc_forward(ones(2), layer))
+
+
 LATER_WRITE_ROWS = {
+    "FcLayer": (later_fc, np.nan),
     "BatchNormParams": (later_norm, np.nan),
     "TemplateCache": (later_cache, np.inf),
     "TemplateCache from acm_cache_template": (later_built_cache, np.inf),
@@ -563,6 +571,12 @@ WEIGHT_ROWS = {
                              NonFiniteMapError),
     "inf in prior bias": (lambda: weights_of(prior=prior_of(b3=with_first(ones(2), np.inf))),
                           NonFiniteMapError),
+    "nan in FcLayer weights": (lambda: nn.FcLayer(with_first(ones(3, 2), np.nan), ones(3)),
+                               NonFiniteMapError),
+    "inf in FcLayer weights": (lambda: nn.FcLayer(with_first(ones(3, 2), np.inf), ones(3)),
+                               NonFiniteMapError),
+    "-inf in FcLayer bias": (lambda: nn.FcLayer(ones(3, 2), with_first(ones(3), -np.inf)),
+                             NonFiniteMapError),
     "nan gamma": (lambda: weights_of(norm=norm_of(gamma=with_first(ones(2), np.nan))),
                   NonFiniteMapError),
     "inf beta": (lambda: weights_of(norm=norm_of(beta=with_first(ones(2), np.inf))),
@@ -611,6 +625,11 @@ class TestWeightContract:
         out = fusion.acm_forward(ones(2, 5, 5), ones(2, 7, 7), weights_of(), box=(10.0, 20.0))
         assert out.shape == (2, 3, 3) and np.isfinite(out).all()
 
+    def test_weights_keep_the_layers_they_are_given(self):
+        layers = prior_of()  # each FcLayer already owns read-only copies
+        kept = weights_of(prior=layers).prior
+        assert len(kept) == 3 and all(kept[i] is layers[i] for i in range(3))
+
 
 # The largest |taped block - acm_forward| entry over 20,000 draws of
 # ``taped_block_and_weights`` (seeds 0-19999) was 3.815e-6, at seed 7, one of
@@ -618,11 +637,17 @@ class TestWeightContract:
 # rounds to float32 after every op, acm_forward once, in the search conv's
 # epilogue. The bound is twice the worst gap.
 TAPED_BLOCK_GAP = 8e-6
+# The block without its norm arm against relu(naive_concat_corr + prior): the
+# worst gap over 20,000 draws (seeds 0-19999) was 2.801e-6, at seed 7178, and
+# 2.384e-6 over the 300 below, at seed 7; 850 of the 20,000 were
+# byte-identical. The bound is twice the worst gap, rounded up.
+ORACLE_GAP = 6e-6
 
 
-def taped_block_and_weights(rng):
-    """The taped block with every arm over drawn Parameters, and FusionWeights built
-    from those Parameters' values: (output node, weights, template, search, box)."""
+def taped_block_and_weights(rng, with_norm=True):
+    """The taped block with every arm (the norm only ``with_norm``) over drawn
+    Parameters, and FusionWeights built from those Parameters' values:
+    (output node, weights, template, search, box)."""
     config = bench._random_config(rng)
     p = config.out_channels
 
@@ -646,11 +671,11 @@ def taped_block_and_weights(rng):
         tape.constant(np.asarray(box) / fusion.BOX_SCALE),
         [(tape.parameter(w), tape.parameter(b)) for w, b in layers],
         tape.constant(template), tape.parameter(theta_z),
-        (tape.parameter(gamma), tape.parameter(beta), mean, var))
+        (tape.parameter(gamma), tape.parameter(beta), mean, var) if with_norm else None)
     weights = fusion.FusionWeights(
         nn.ConvKernel(theta_z.value), nn.ConvKernel(theta_x.value),
         prior=tuple(nn.FcLayer(w.value, b.value) for w, b in layers),
-        norm=nn.BatchNormParams(gamma.value, beta.value, mean, var))
+        norm=nn.BatchNormParams(gamma.value, beta.value, mean, var) if with_norm else None)
     return out, weights, template, search, box
 
 
@@ -666,3 +691,16 @@ class TestTapedBlock:
             assert out.value.shape == response.shape and out.value.dtype == response.dtype
             worst = max(worst, float(np.abs(out.value.astype(np.float64) - response).max()))
         assert worst <= TAPED_BLOCK_GAP <= bench.TOL
+
+    def test_block_without_norm_matches_the_oracle(self):
+        """relu(naive_concat_corr + prior(box / BOX_SCALE)) on the same weights."""
+        worst = 0.0
+        for seed in range(300):
+            out, weights, template, search, box = taped_block_and_weights(
+                np.random.default_rng(seed), with_norm=False)
+            prior = nn.mlp3_forward(np.asarray(box) / fusion.BOX_SCALE, weights.prior)
+            naive = fusion.naive_concat_corr(template, search, weights).astype(np.float64)
+            oracle = np.maximum(naive + prior.astype(np.float64)[:, None, None], 0.0)
+            assert out.value.shape == oracle.shape
+            worst = max(worst, float(np.abs(out.value - oracle).max()))
+        assert worst <= ORACLE_GAP <= bench.TOL

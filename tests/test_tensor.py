@@ -1,11 +1,14 @@
 """Tensor core: broadcasting, norms, cosine, and .tsr round trips."""
 
+import os
 import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from asymfuse import analysis, fusion, nn
+from asymfuse import autograd as ag
 from asymfuse import tensor as T
 from asymfuse.errors import (
     FormatError,
@@ -252,3 +255,72 @@ class TestTsrFormat:
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(OSError):
             T.tensor_read(tmp_path / "absent.tsr")
+
+
+# as_tensor is every public entry point's coercion. Input with no real value is
+# refused there, with a ValueError naming its type. Each row below makes one
+# bad input in the shape its entry point reads.
+NO_REAL_VALUE = {
+    "None": lambda shape: None,
+    "complex": lambda shape: np.full(shape, 1 + 1j),
+    "object()": lambda shape: object(),
+    "object array": lambda shape: np.ones(shape, dtype=object),
+    "string array": lambda shape: np.full(shape, "1"),
+}
+
+
+def ones(*shape):
+    return np.ones(shape, np.float32)
+
+
+FC = nn.FcLayer(ones(2, 2), ones(2))
+NORM = nn.BatchNormParams(ones(2), ones(2), ones(2), ones(2))
+FUSION = fusion.FusionWeights(nn.ConvKernel(ones(2, 2, 2, 2)), nn.ConvKernel(ones(2, 2, 2, 2)))
+# entry point -> (shape of the argument it reads, call with that argument)
+COERCING_ENTRY_POINTS = {
+    "relu": ((2, 2), T.relu),
+    "broadcast_add": ((1, 2, 2), lambda bad: T.broadcast_add(bad, ones(1, 2, 2))),
+    "l1_map": ((2, 3, 3), T.l1_map),
+    "cosine_similarity": ((2,), lambda bad: T.cosine_similarity(bad, ones(2))),
+    "tensor_write": ((2, 2), lambda bad: T.tensor_write(bad, os.devnull)),
+    "conv2d_valid map": ((2, 3, 3), lambda bad: nn.conv2d_valid(bad, ones(1, 2, 3, 3))),
+    "conv2d_valid kernel": ((1, 2, 3, 3), lambda bad: nn.conv2d_valid(ones(2, 3, 3), bad)),
+    "xcorr": ((2, 3, 3), lambda bad: nn.xcorr(bad, ones(2, 2, 2))),
+    "depthwise_corr": ((2, 3, 3), lambda bad: nn.depthwise_corr(bad, ones(2, 2, 2))),
+    "head1x1": ((2, 3, 3), lambda bad: nn.head1x1(bad, ones(1, 2, 1, 1))),
+    "global_avg_pool": ((2, 3, 3), nn.global_avg_pool),
+    "fc_forward": ((2,), lambda bad: nn.fc_forward(bad, FC)),
+    "fc_forward raw weights": ((2, 2), lambda bad: nn.fc_forward(ones(2), (bad, ones(2)))),
+    "mlp3_forward": ((2,), lambda bad: nn.mlp3_forward(bad, [FC] * 3)),
+    "batchnorm_infer": ((2, 3, 3), lambda bad: nn.batchnorm_infer(bad, NORM)),
+    "ConvKernel": ((1, 2, 3, 3), nn.ConvKernel),
+    "FcLayer": ((2, 2), lambda bad: nn.FcLayer(bad, ones(2))),
+    "BatchNormParams": ((2,), lambda bad: nn.BatchNormParams(bad, ones(2), ones(2), ones(2))),
+    "acm_forward": ((2, 2, 2), lambda bad: fusion.acm_forward(bad, ones(2, 3, 3), FUSION)),
+    "channel_diversity": ((2, 3, 3), analysis.channel_diversity),
+    "Parameter": ((2,), lambda bad: ag.Parameter(bad, "p")),
+    "Tape.constant": ((2,), lambda bad: ag.Tape().constant(bad)),
+}
+
+
+class TestCoercion:
+    @pytest.mark.parametrize("bad", NO_REAL_VALUE)
+    @pytest.mark.parametrize("entry", COERCING_ENTRY_POINTS)
+    def test_input_with_no_real_value_is_refused(self, entry, bad):
+        shape, call = COERCING_ENTRY_POINTS[entry]
+        value = NO_REAL_VALUE[bad](shape)
+        with pytest.raises(ValueError, match=f"cannot coerce {type(value).__name__} input"):
+            call(value)
+
+    @pytest.mark.parametrize("values", [[True, False], [1, -2], np.array([1, -2], np.int64),
+                                        np.array([0.5, -1.5], np.float16), [0.5, -1.5]],
+                             ids=["bool", "int", "int64", "float16", "float"])
+    def test_real_input_still_coerces(self, values):
+        out = T.as_tensor(values)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        npt.assert_array_equal(out, np.asarray(values, dtype=np.float64))
+
+    def test_float32_arrays_are_not_copied(self):
+        values = np.ones((2, 3, 3), np.float32)
+        assert T.as_tensor(values) is values
+        assert ag.Parameter(values[0], "p").value.base is values  # a view, still aliased
