@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyExteriorError, NonPositiveMaxError, ZeroVectorError
-from .tensor import _as_map, _check_finite, _check_int, as_tensor, cosine_similarity, l1_map
+from .tensor import (_as_map, _check_finite, _check_int, _unpack, as_tensor, cosine_similarity,
+                     l1_map)
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,6 @@ class ChannelDiversity:
 
 def _check_map(corr) -> np.ndarray:
     return _check_finite(_as_map(corr, "response map"), "response map")
-
-
-def _unpack(value, count: int, what: str) -> tuple:
-    items = tuple(value) if np.iterable(value) else ()
-    if len(items) != count:
-        raise ValueError(f"{what} must be {count} integers, got {value!r}")
-    return items
 
 
 def find_distractor(corr, exclude_box) -> tuple[int, int]:

@@ -456,10 +456,13 @@ def xcorr(search, template) -> np.ndarray:
 
 
 def fc_forward(x, layer) -> np.ndarray:
-    """Affine map weights @ x + bias for a rank-1 input; ``layer`` is an FcLayer
-    or a raw ``(weights, bias)`` pair, which gets the layer's shape check."""
-    w, b = ((layer.weights, layer.bias) if isinstance(layer, FcLayer)
-            else _check_fc(*map(as_tensor, layer)))
+    """Affine map weights @ x + bias for a rank-1 input; ``layer`` is an FcLayer or
+    a raw ``(weights, bias)`` pair (else ValueError), which gets the layer's shape check."""
+    try:
+        w, b = ((layer.weights, layer.bias) if isinstance(layer, FcLayer)
+                else _check_fc(*map(as_tensor, layer)))
+    except TypeError:  # not iterable, or not two arrays
+        raise ValueError("fc layer must be an FcLayer or a (weights, bias) pair") from None
     x = as_tensor(x)
     if x.ndim != 1:
         raise RankError(f"fc input must be rank 1, got rank {x.ndim}")
@@ -470,12 +473,12 @@ def fc_forward(x, layer) -> np.ndarray:
 
 
 def _mlp3_layers(layers) -> tuple:
-    """``layers`` as a tuple; ValueError unless it holds exactly 3.
+    """``layers`` as a tuple, a lone layer as one; ValueError unless it holds exactly 3.
 
     The one layer-count check of a 3-layer FC stack: ``mlp3_forward``,
     ``autograd.mlp3`` and fusion's prior branch all call it.
     """
-    layers = tuple(layers)
+    layers = tuple(layers) if np.iterable(layers) else (layers,)
     if len(layers) != 3:
         raise ValueError(f"an mlp3 stack needs exactly 3 layers, got {len(layers)}")
     return layers

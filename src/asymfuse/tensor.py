@@ -74,6 +74,14 @@ def _check_int(value, what: str, low: int = 0, high=np.inf, error=ValueError) ->
     raise error(f"{what} must be an integer {bounds}, got {value!r}")
 
 
+def _unpack(value, count: int, what: str) -> tuple:
+    """``value`` as a tuple of ``count`` items (each checked by its caller), else ValueError."""
+    items = tuple(value) if np.iterable(value) else ()
+    if len(items) != count:
+        raise ValueError(f"{what} must be {count} integers, got {value!r}")
+    return items
+
+
 def _check_positive(value, name: str) -> None:
     """ValueError unless ``value`` is positive and finite."""
     if not 0 < value < np.inf:

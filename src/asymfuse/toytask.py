@@ -7,7 +7,8 @@ fused stage is the fusion op's block, ``fusion._acm_block``, with the
 one-hot index as its prior input in place of a box: the FC branch turns
 it into one bias per channel, broadcast-added onto the convolved image
 features and gated by a ReLU. Without that branch the image alone cannot
-determine the label, so the branch's contribution is directly measurable.
+determine the label, so the branch's contribution is directly measurable:
+``ToyModel(ablate_index=True)`` is index-blind in every function here.
 
 The model is written once, over an op set and a leaf map. Training
 passes ``autograd`` and tapes every parameter and input; evaluation
@@ -176,19 +177,22 @@ class ToyModel:
     The index branch is the template-side term of the fusion op: it maps
     the one-hot position through three FC layers into one bias per fused
     channel. Weights are drawn uniformly in +-sqrt(6 / fan_in), each
-    tensor from its own spawned stream of the model seed.
+    tensor from its own spawned stream of the model seed. ``ablate_index``
+    fixes the arm: the model then leaves the branch out and holds only
+    ``conv1``, ``conv2``, ``fuse``, ``head_w`` and ``head_b``, drawn as the
+    indexed arm draws them.
     """
 
     def __init__(self, num_classes: int = ToyTrainConfig.num_classes,
                  glyph_size: int = ToyTrainConfig.glyph_size,
                  conv_channels: tuple[int, int] = ToyTrainConfig.conv_channels,
                  fused_channels: int = ToyTrainConfig.fused_channels,
-                 index_hidden: int = ToyTrainConfig.index_hidden, seed=0):
+                 index_hidden: int = ToyTrainConfig.index_hidden, seed=0, ablate_index=False):
         _check_classes(num_classes)
         T._check_int(glyph_size, "glyph size for three 3x3 convs", 4)  # 2g - 6 of 2g is left
-        self.num_classes = num_classes
-        c1, c2, p, h = (T._check_int(width, "layer width", 1)
-                        for width in (*conv_channels, fused_channels, index_hidden))
+        self.num_classes, self.ablate_index = num_classes, ablate_index
+        widths = (*T._unpack(conv_channels, 2, "conv_channels"), fused_channels, index_hidden)
+        c1, c2, p, h = (T._check_int(width, "layer width", 1) for width in widths)
         shapes = [
             ("conv1", (c1, 1, 3, 3), 1 * 3 * 3),
             ("conv2", (c2, c1, 3, 3), c1 * 3 * 3),
@@ -202,11 +206,12 @@ class ToyModel:
             ("head_w", (num_classes, p), p),
             ("head_b", (num_classes,), p),
         ]
-        self._names = tuple(name for name, _, _ in shapes)
-        streams = _seed_sequence(seed).spawn(len(shapes))
+        self._names = tuple(n for n, _, _ in shapes if not (ablate_index and n.startswith("idx_")))
+        streams = _seed_sequence(seed).spawn(len(shapes))  # one per row in both arms
         for (name, shape, fan_in), stream in zip(shapes, streams):
-            rng = np.random.default_rng(stream)
-            setattr(self, name, ag.Parameter(_uniform_init(rng, shape, fan_in), name))
+            if name in self._names:
+                rng = np.random.default_rng(stream)
+                setattr(self, name, ag.Parameter(_uniform_init(rng, shape, fan_in), name))
 
     def parameters(self) -> list[ag.Parameter]:
         return [getattr(self, name) for name in self._names]
@@ -227,11 +232,11 @@ def _untaped_leaf(x):
     return x.value if isinstance(x, ag.Parameter) else x
 
 
-def _fused(ops, leaf, model: ToyModel, sample: GridSample, ablate_index: bool):
+def _fused(ops, leaf, model: ToyModel, sample: GridSample):
     """The model up to the post-ReLU fused map, in ``ops`` over ``leaf`` values."""
     feat = ops.relu(ops.conv2d(leaf(sample.image), leaf(model.conv1)))
     feat = ops.relu(ops.conv2d(feat, leaf(model.conv2)))
-    if ablate_index:
+    if model.ablate_index:
         return _acm_block(ops, feat, leaf(model.fuse))
     layers = [(leaf(model.idx_w1), leaf(model.idx_b1)), (leaf(model.idx_w2), leaf(model.idx_b2)),
               (leaf(model.idx_w3), leaf(model.idx_b3))]
@@ -242,26 +247,24 @@ def _logits(ops, leaf, model: ToyModel, fused):
     return ops.affine(ops.mean_pool(fused), leaf(model.head_w), leaf(model.head_b))
 
 
-def fused_map(model: ToyModel, sample: GridSample, ablate_index: bool = False) -> np.ndarray:
-    """Post-ReLU fused response (P x h x w) for one sample."""
-    return _fused(_UNTAPED, _untaped_leaf, model, sample, ablate_index)
+def fused_map(model: ToyModel, sample: GridSample) -> np.ndarray:
+    """Post-ReLU fused response (P x h x w) for one sample, under the model's arm."""
+    return _fused(_UNTAPED, _untaped_leaf, model, sample)
 
 
-def toy_forward(model: ToyModel, sample: GridSample, ablate_index: bool = False) -> np.ndarray:
-    """Class logits for one sample."""
-    return _logits(_UNTAPED, _untaped_leaf, model, fused_map(model, sample, ablate_index))
+def toy_forward(model: ToyModel, sample: GridSample) -> np.ndarray:
+    """Class logits for one sample, under the model's arm."""
+    return _logits(_UNTAPED, _untaped_leaf, model, fused_map(model, sample))
 
 
-def training_loss(tape: ag.Tape, model: ToyModel, sample: GridSample,
-                  ablate_index: bool = False) -> ag.Node:
-    """Taped cross-entropy loss of the logits ``toy_forward`` computes.
-
-    ``softmax_xent`` checks the label (LabelOutOfRangeError)."""
+def training_loss(tape: ag.Tape, model: ToyModel, sample: GridSample) -> ag.Node:
+    """Taped cross-entropy loss of the logits ``toy_forward`` computes, under the
+    model's arm. ``softmax_xent`` checks the label (LabelOutOfRangeError)."""
 
     def leaf(x):
         return tape.parameter(x) if isinstance(x, ag.Parameter) else tape.constant(x)
 
-    fused = _fused(ag, leaf, model, sample, ablate_index)
+    fused = _fused(ag, leaf, model, sample)
     return ag.softmax_xent(_logits(ag, leaf, model, fused), sample.label)
 
 
@@ -284,12 +287,9 @@ def prediction_accuracy(predict: Callable[[GridSample], np.ndarray],
     return _hit_rate(samples, hit)
 
 
-def toy_evaluate(model: ToyModel, samples: Sequence[GridSample],
-                 ablate_index: bool = False) -> float:
-    """Test accuracy of the model's argmax logit."""
-    return prediction_accuracy(
-        lambda sample: toy_forward(model, sample, ablate_index), samples
-    )
+def toy_evaluate(model: ToyModel, samples: Sequence[GridSample]) -> float:
+    """Test accuracy of the model's argmax logit, under the model's arm."""
+    return prediction_accuracy(lambda sample: toy_forward(model, sample), samples)
 
 
 def locality_rate(model: ToyModel, samples: Sequence[GridSample]) -> float:
@@ -334,12 +334,13 @@ def toy_train(config: ToyTrainConfig = ToyTrainConfig()) -> ToyTrainResult:
 
     The master seed splits into four child streams (model init, train
     set, test set, epoch shuffling), so runs are reproducible bit for
-    bit. When ``ablate_index`` is set the block runs without its index
-    branch during both training and evaluation.
+    bit. ``config.ablate_index`` is handed to the model once, and the model
+    keeps that arm for training and evaluation alike.
     """
     s_model, s_train, _, s_shuffle = np.random.SeedSequence(config.seed).spawn(4)
     model = ToyModel(config.num_classes, config.glyph_size, config.conv_channels,
-                     config.fused_channels, config.index_hidden, seed=s_model)
+                     config.fused_channels, config.index_hidden, seed=s_model,
+                     ablate_index=config.ablate_index)
     train = gen_dataset(s_train, config.n_train, config.num_classes,
                         config.glyph_size, config.noise_std)
     params = model.parameters()
@@ -350,12 +351,12 @@ def toy_train(config: ToyTrainConfig = ToyTrainConfig()) -> ToyTrainResult:
         losses = np.empty(len(train), dtype=np.float64)
         for step, sample_idx in enumerate(order):
             tape = ag.Tape()
-            loss = training_loss(tape, model, train[sample_idx], config.ablate_index)
+            loss = training_loss(tape, model, train[sample_idx])
             ag.backward(tape, loss)
             ag.sgd_step(params, config.lr)
             losses[step] = float(loss.value)
         curve.append(float(losses.mean()))
-    accuracy = toy_evaluate(model, heldout_set(config), ablate_index=config.ablate_index)
+    accuracy = toy_evaluate(model, heldout_set(config))
     return ToyTrainResult(model=model, train_curve=curve, test_accuracy=accuracy)
 
 

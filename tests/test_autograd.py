@@ -431,14 +431,14 @@ def param_node(tape, rng, *shape):
 
 
 def on_toy_sample(run):
-    model, sample = tt.ToyModel(seed=0), tt.gen_dataset(0, 1)[0]
+    sample = tt.gen_dataset(0, 1)[0]
     for ablate in (False, True):
-        run(model, sample, ablate)
+        run(tt.ToyModel(seed=0, ablate_index=ablate), sample)
 
 
-def toy_step(model, sample, ablate):
+def toy_step(model, sample):
     tape = ag.Tape()
-    ag.backward(tape, tt.training_loss(tape, model, sample, ablate))
+    ag.backward(tape, tt.training_loss(tape, model, sample))
 
 
 def gradcheck_acm_block():

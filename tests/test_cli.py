@@ -252,11 +252,14 @@ class TestBench:
 
 
 class TestToytrain:
-    def test_tiny_run_with_artifacts(self, capsys, tmp_path):
+    # The ablated arm's model leaves the index branch out, so it writes no idx_*.tsr.
+    @pytest.mark.parametrize("flags, index_branch", [
+        ((), 6), (("--ablate-index",), 0)], ids=["indexed", "ablated"])
+    def test_tiny_run_with_artifacts(self, capsys, tmp_path, flags, index_branch):
         out_dir = tmp_path / "run"
         code, out, _ = run_cli(
             capsys, "toytrain", "--train-samples", "30", "--test-samples", "10",
-            "--epochs", "2", "--glyph-size", "5", "--out-dir", str(out_dir),
+            "--epochs", "2", "--glyph-size", "5", "--out-dir", str(out_dir), *flags,
         )
         assert code == 0
         lines = out.splitlines()
@@ -268,8 +271,9 @@ class TestToytrain:
         assert curve[0] == "epoch,mean_loss"
         assert len(curve) == 3
         tensors = sorted(p.name for p in (out_dir / "model").glob("*.tsr"))
-        assert len(tensors) == 11
-        assert "conv1.tsr" in tensors and "head_b.tsr" in tensors
+        trained = {f"{name}.tsr" for name in ("conv1", "conv2", "fuse", "head_w", "head_b")}
+        assert {name for name in tensors if not name.startswith("idx_")} == trained
+        assert len(tensors) == len(trained) + index_branch
         reloaded = T.tensor_read(out_dir / "model" / "conv1.tsr")
         assert reloaded.shape == (8, 1, 3, 3)
 

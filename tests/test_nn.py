@@ -371,7 +371,25 @@ class TestXcorr:
         npt.assert_allclose(nn.xcorr(x, z)[0], summed, atol=1e-5)
 
 
+FC_W, FC_B = np.ones((2, 3), np.float32), np.ones(2, np.float32)
+# A raw FC layer is a (weights, bias) pair: anything else is a ValueError naming
+# the layer (or, for mlp3, the layer count), never Python's TypeError.
+NOT_A_LAYER = {
+    "fc_forward None": (lambda x: nn.fc_forward(x, None), "fc layer must be"),
+    "fc_forward int": (lambda x: nn.fc_forward(x, 5), "fc layer must be"),
+    "fc_forward triple": (lambda x: nn.fc_forward(x, (FC_W, FC_B, FC_B)), "fc layer must be"),
+    "fc_forward single": (lambda x: nn.fc_forward(x, (FC_W,)), "fc layer must be"),
+    "mlp3_forward int": (lambda x: nn.mlp3_forward(x, 5), "exactly 3 layers, got 1"),
+}
+
+
 class TestFcAndMlp3:
+    @pytest.mark.parametrize("row", NOT_A_LAYER)
+    def test_anything_but_a_layer_is_refused(self, row):
+        call, message = NOT_A_LAYER[row]
+        with pytest.raises(ValueError, match=message):
+            call(np.ones(3, np.float32))
+
     def test_fc_identity(self):
         layer = nn.FcLayer(np.eye(3, dtype=np.float32), np.zeros(3, np.float32))
         x = np.array([1.0, -2.0, 3.0], dtype=np.float32)

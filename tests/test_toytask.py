@@ -1,6 +1,7 @@
 """Synthetic grid task: data generation, model wiring, training loop."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from asymfuse import autograd as ag
+from asymfuse import tensor as T
 from asymfuse import toytask as tt
 from asymfuse.errors import (
     EmptyDatasetError,
@@ -136,9 +138,13 @@ class TestGenDataset:
             tt.gen_dataset(seed=0, n=1, noise_std=noise_std)
 
 
-def small_model(seed=0):
+def small_model(seed=0, ablate_index=False):
     return tt.ToyModel(conv_channels=(3, 4), fused_channels=5, index_hidden=6,
-                       seed=seed)
+                       seed=seed, ablate_index=ablate_index)
+
+
+SHARED = ("conv1", "conv2", "fuse", "head_w", "head_b")
+INDEX_BRANCH = ("idx_w1", "idx_b1", "idx_w2", "idx_b2", "idx_w3", "idx_b3")
 
 
 def small_samples(n=6, seed=21):
@@ -146,13 +152,22 @@ def small_samples(n=6, seed=21):
 
 
 class TestToyModel:
-    def test_parameter_inventory(self):
-        model = small_model()
+    # An ablated model holds only the tensors its forward reads.
+    @pytest.mark.parametrize("ablate_index, names", [
+        (False, SHARED[:3] + INDEX_BRANCH + SHARED[3:]), (True, SHARED)],
+        ids=["indexed", "ablated"])
+    def test_parameter_inventory(self, ablate_index, names):
+        model = small_model(ablate_index=ablate_index)
         params = model.parameters()
-        assert len(params) == 11
-        assert len({id(p) for p in params}) == 11
+        assert tuple(p.name for p in params) == names
+        assert len({id(p) for p in params}) == len(names)
         assert model.fuse.value.shape == (5, 4, 3, 3)
         assert model.head_w.value.shape == (4, 5)
+
+    def test_arms_draw_the_same_shared_tensors(self):
+        indexed, ablated = small_model(seed=3), small_model(seed=3, ablate_index=True)
+        for name in SHARED:
+            assert getattr(indexed, name).value.tobytes() == getattr(ablated, name).value.tobytes()
 
     def test_init_bounds_follow_fan_in(self):
         model = tt.ToyModel(seed=1)
@@ -170,6 +185,17 @@ class TestToyModel:
             tt.ToyModel(num_classes=9)
         with pytest.raises(ValueError):
             tt.ToyModel(num_classes=0)
+
+    @pytest.mark.parametrize("build", [
+        lambda v: tt.ToyModel(conv_channels=v),
+        lambda v: tt.toy_train(tt.ToyTrainConfig(conv_channels=v, epochs=0, n_test=1))],
+        ids=["ToyModel", "toy_train"])
+    @pytest.mark.parametrize("conv_channels", [(8,), (8, 16, 4), 8, None],
+                             ids=["one width", "three widths", "int", "None"])
+    def test_conv_channels_must_be_two_widths(self, build, conv_channels):
+        with pytest.raises(ValueError, match=f"conv_channels must be 2 integers, got "
+                                             f"{re.escape(repr(conv_channels))}$"):
+            build(conv_channels)
 
     def test_glyph_size_too_small_for_three_convs(self):
         # A 2x3-sided image shrinks to 0x0 under three valid 3x3 convs.
@@ -201,21 +227,20 @@ class TestForward:
         assert len(outputs) > 1
 
     def test_ablation_ignores_index(self):
-        model = small_model()
+        model = small_model(ablate_index=True)
         (sample,) = small_samples(n=1)
-        ablated = [tt.toy_forward(model, replace(sample, index=i), ablate_index=True)
-                   for i in range(4)]
+        ablated = [tt.toy_forward(model, replace(sample, index=i)) for i in range(4)]
         for other in ablated[1:]:
             assert other.tobytes() == ablated[0].tobytes()
 
     @pytest.mark.parametrize("ablate_index", [False, True])
     def test_training_loss_matches_forward_logits(self, ablate_index):
-        model = small_model()
+        model = small_model(ablate_index=ablate_index)
         for sample in small_samples(n=4):
-            loss = tt.training_loss(ag.Tape(), model, sample, ablate_index)
+            loss = tt.training_loss(ag.Tape(), model, sample)
             assert loss.op == "softmax_xent"
             (logits,) = loss.parents
-            forward = tt.toy_forward(model, sample, ablate_index)
+            forward = tt.toy_forward(model, sample)
             assert logits.value.dtype == forward.dtype
             assert logits.value.tobytes() == forward.tobytes()
 
@@ -226,8 +251,9 @@ class TestForward:
         with pytest.raises(LabelOutOfRangeError):
             tt.training_loss(ag.Tape(), model, bad)
 
-    def test_loss_reaches_every_parameter(self):
-        model = small_model()
+    @pytest.mark.parametrize("ablate_index", [False, True], ids=["indexed", "ablated"])
+    def test_loss_reaches_every_parameter(self, ablate_index):
+        model = small_model(ablate_index=ablate_index)
         (sample,) = small_samples(n=1)
         tape = ag.Tape()
         loss = tt.training_loss(tape, model, sample)
@@ -235,10 +261,10 @@ class TestForward:
         assert {id(p) for p in reached} == {id(p) for p in model.parameters()}
 
     def test_ablated_loss_skips_index_branch(self):
-        model = small_model()
+        model = small_model(ablate_index=True)
         (sample,) = small_samples(n=1)
         tape = ag.Tape()
-        loss = tt.training_loss(tape, model, sample, ablate_index=True)
+        loss = tt.training_loss(tape, model, sample)
         reached = {p.name for p in ag.backward(tape, loss)}
         assert not any(name.startswith("idx_") for name in reached)
         assert "conv1" in reached and "head_w" in reached
@@ -273,13 +299,13 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("ablate_index", [False, True])
     def test_evaluate_matches_manual_argmax_loop(self, ablate_index):
-        model = small_model()
+        model = small_model(ablate_index=ablate_index)
         samples = small_samples(n=8)
         hits = sum(
-            int(np.argmax(tt.toy_forward(model, s, ablate_index))) == s.label
+            int(np.argmax(tt.toy_forward(model, s))) == s.label
             for s in samples
         )
-        assert tt.toy_evaluate(model, samples, ablate_index) == hits / len(samples)
+        assert tt.toy_evaluate(model, samples) == hits / len(samples)
 
     def test_locality_rate_bounded(self):
         rate = tt.locality_rate(small_model(), small_samples(n=8))
@@ -312,6 +338,24 @@ class TestTraining:
         result = tt.toy_train(config)
         replay = tt.toy_evaluate(result.model, tt.heldout_set(config))
         assert replay == result.test_accuracy
+
+    def test_ablated_run_is_index_blind_everywhere(self):
+        # The index-blind control of acceptance 5: locality_rate must read the
+        # trained ablated model without its (absent) index branch.
+        config = self.tiny_config(epochs=1, ablate_index=True)
+        model = tt.toy_train(config).model
+        samples = tt.heldout_set(config)
+        for sample in samples[:4]:
+            for read in (tt.fused_map, tt.toy_forward):
+                outputs = {read(model, replace(sample, index=i)).tobytes() for i in range(4)}
+                assert len(outputs) == 1
+        blind = []
+        for sample in samples:
+            s = T.l1_map(tt.fused_map(model, replace(sample, index=0))).astype(np.float64)
+            r, c = s.shape[0] // 2, s.shape[1] // 2
+            sums = (s[:r, :c].sum(), s[:r, c:].sum(), s[r:, :c].sum(), s[r:, c:].sum())
+            blind.append(int(np.argmax(sums)) == sample.index)
+        assert tt.locality_rate(model, samples) == sum(blind) / len(samples)
 
     def test_zero_epochs_returns_untrained_model(self):
         config = self.tiny_config(epochs=0)
