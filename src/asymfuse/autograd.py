@@ -11,16 +11,14 @@ Forward values are computed by the same functions the inference paths
 use (``nn``, ``tensor``), so a taped forward is bitwise identical to an
 untaped one.
 
-The correlation ops (conv2d, head1x1, xcorr, depthwise) share one
-adjoint, ``_conv_backward``, on the float64 patch matrix of ``nn.im2col``,
-which the forward ``nn.conv2d_valid`` also multiplies. For a P x C x kh x kw
-kernel and output gradient g, the kernel adjoint is the GEMM
-``g @ im2col(x).T``; the input adjoint, with no col2im, is the GEMM of the
-flipped kernel (input and output channels swapped) on the patches of g
-zero-padded by (kh-1, kw-1) per side. xcorr is the conv with kernel z[None];
-depthwise is the grouped case, C groups of one channel each, so both GEMMs
-run per group. Patches are rebuilt in backward rather than kept on the
-node, and a constant operand (an input image) gets no adjoint.
+The correlation ops (conv2d, head1x1, xcorr, depthwise) share one adjoint,
+``_conv_backward``. For a P x C x kh x kw kernel and output gradient g, the
+kernel adjoint is the GEMM ``g @ im2col(x).T`` on the float64 patch matrix that
+the forward multiplied and the node keeps; the input adjoint, with no col2im, is
+the GEMM of the flipped kernel (input and output channels swapped) on the patches
+of g zero-padded by (kh-1, kw-1) per side. xcorr is the conv with kernel z[None];
+depthwise is the grouped case, C groups of one channel each, so both GEMMs run
+per group. A constant operand (an input image) gets no adjoint.
 """
 
 from __future__ import annotations
@@ -54,14 +52,14 @@ class Parameter:
 class Node:
     """One tape entry: value, parents, and how to push adjoints back.
 
-    A node holds its tape weakly (the tape holds its nodes), so a dropped
-    tape is freed by reference counting, not by the cycle collector.
+    A node holds its tape by the one weakref the tape shares (the tape holds its
+    nodes), so a dropped tape is freed by reference counting, not by the cycle collector.
     """
 
     __slots__ = ("_tape", "op", "value", "parents", "grad", "backward_fn", "param")
 
     def __init__(self, tape, op, value, parents=(), backward_fn=None, param=None):
-        self._tape = weakref.ref(tape)
+        self._tape = tape._ref
         self.op = op
         self.value = value
         self.parents = tuple(parents)
@@ -83,13 +81,14 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self._ref = weakref.ref(self)
 
     def constant(self, value) -> Node:
         """A leaf that receives no gradient."""
         return Node(self, "const", T.as_tensor(value))
 
     def parameter(self, p: Parameter) -> Node:
-        """A leaf aliasing ``p.value``; backward() adds into ``p.grad``."""
+        """A leaf aliasing ``p.value``; backward() writes ``p.grad``."""
         return Node(self, "param", p.value, param=p)
 
 
@@ -131,14 +130,14 @@ def relu(x: Node) -> Node:
     return Node(x.tape, "relu", value, (x,), backward_fn)
 
 
-def _conv_backward(x: Node, k: Node, grad) -> None:
+def _conv_backward(x: Node, k: Node, grad, patches) -> None:
     """Adjoints of a grouped valid correlation as two GEMMs on im2col patches.
 
     Output and input channels split into G equal groups, and group g's
     outputs see only group g's inputs. G follows from the shapes: conv2d
     and head1x1 are one group, so is xcorr (``k`` rank 3, taken as
-    ``k[None]``), and depthwise is C groups of one channel each. Constant
-    operands get no adjoint.
+    ``k[None]``), and depthwise is C groups of one channel each. ``patches``
+    is the forward's patch matrix of x. Constant operands get no adjoint.
     """
     kh, kw = k.value.shape[-2:]
     out_ch, out_h, out_w = grad.shape
@@ -146,7 +145,7 @@ def _conv_backward(x: Node, k: Node, grad) -> None:
     groups = out_ch * channels * kh * kw // k.value.size
     if k.op != "const":
         g = grad.reshape(groups, out_ch // groups, -1)
-        patches = nn.im2col(x.value, kh, kw).reshape(groups, -1, out_h * out_w)
+        patches = patches.reshape(groups, -1, out_h * out_w)
         _accum(k, (g @ patches.transpose(0, 2, 1)).reshape(k.value.shape))
     if x.op != "const":
         w = k.value.reshape(groups, out_ch // groups, channels // groups, kh, kw)
@@ -158,28 +157,31 @@ def _conv_backward(x: Node, k: Node, grad) -> None:
         _accum(x, adjoint.reshape(x.value.shape))
 
 
+def _correlation(op: str, forward, x: Node, k: Node) -> Node:
+    """Record ``forward(x, k)``, keeping its patch matrix for ``_conv_backward``."""
+    patches = []
+    value = forward(x.value, k.value, patches=patches)
+    return Node(x.tape, op, value, (x, k), lambda grad: _conv_backward(x, k, grad, patches[0]))
+
+
 def conv2d(x: Node, k: Node) -> Node:
     """Valid cross-correlation; kernel node is rank 4."""
-    value = nn.conv2d_valid(x.value, k.value)
-    return Node(x.tape, "conv2d", value, (x, k), lambda grad: _conv_backward(x, k, grad))
+    return _correlation("conv2d", nn.conv2d_valid, x, k)
 
 
 def head1x1(x: Node, k: Node) -> Node:
     """1x1 convolution head (a conv2d with unit spatial extent)."""
-    value = nn.head1x1(x.value, k.value)
-    return Node(x.tape, "head1x1", value, (x, k), lambda grad: _conv_backward(x, k, grad))
+    return _correlation("head1x1", nn.head1x1, x, k)
 
 
 def depthwise(x: Node, z: Node) -> Node:
     """Channel-wise valid cross-correlation of search x with template z."""
-    value = nn.depthwise_corr(x.value, z.value)
-    return Node(x.tape, "depthwise", value, (x, z), lambda grad: _conv_backward(x, z, grad))
+    return _correlation("depthwise", nn.depthwise_corr, x, z)
 
 
 def xcorr(x: Node, z: Node) -> Node:
     """All-channel valid cross-correlation, single-channel output."""
-    value = nn.xcorr(x.value, z.value)
-    return Node(x.tape, "xcorr", value, (x, z), lambda grad: _conv_backward(x, z, grad))
+    return _correlation("xcorr", nn.xcorr, x, z)
 
 
 def affine(x: Node, w: Node, b: Node) -> Node:
@@ -188,7 +190,7 @@ def affine(x: Node, w: Node, b: Node) -> Node:
 
     def backward_fn(grad):
         x64 = x.value.astype(np.float64)
-        _accum(w, np.outer(grad, x64))
+        _accum(w, grad[:, None] * x64)
         _accum(b, grad)
         _accum(x, w.value.astype(np.float64).T @ grad)
 
@@ -197,10 +199,9 @@ def affine(x: Node, w: Node, b: Node) -> Node:
 
 def mlp3(x: Node, layers) -> Node:
     """Three affine layers with ReLU after the first two."""
-    layers = nn._mlp3_layers(layers)
-    out = relu(affine(x, layers[0][0], layers[0][1]))
-    out = relu(affine(out, layers[1][0], layers[1][1]))
-    return affine(out, layers[2][0], layers[2][1])
+    for i, (w, b) in enumerate(nn._mlp3_layers(layers)):
+        x = affine(relu(x) if i else x, w, b)
+    return x
 
 
 def batchnorm(x: Node, gamma: Node, beta: Node, running_mean, running_var) -> Node:
@@ -223,7 +224,7 @@ def mean_pool(x: Node) -> Node:
     area = x.value.shape[1] * x.value.shape[2]
 
     def backward_fn(grad):
-        _accum(x, np.broadcast_to(grad[:, None, None] / area, x.value.shape))
+        _accum(x, grad[:, None, None] / area)  # _accum's += broadcasts it over H x W
 
     return Node(x.tape, "mean_pool", value, (x,), backward_fn)
 
@@ -265,12 +266,11 @@ def softmax_xent(logits: Node, label: int) -> Node:
     z = logits.value.astype(np.float64)
     shifted = z - z.max()
     log_norm = np.log(np.exp(shifted).sum())
-    probs = np.exp(shifted - log_norm)
+    delta = np.exp(shifted - log_norm)  # softmax, minus the one-hot label below
     value = np.float32(log_norm - shifted[label])
+    delta[label] -= 1.0
 
     def backward_fn(grad):
-        delta = probs.copy()
-        delta[label] -= 1.0
         _accum(logits, float(grad) * delta)
 
     return Node(logits.tape, "softmax_xent", np.asarray(value), (logits,), backward_fn)
@@ -279,10 +279,10 @@ def softmax_xent(logits: Node, label: int) -> Node:
 def backward(tape: Tape, loss: Node) -> list[Parameter]:
     """Run reverse-mode accumulation from ``loss`` over the whole tape.
 
-    Resets the gradient of every node and every Parameter on the tape
-    first (a parameter used twice is zeroed twice), then adds each
-    parameter node's adjoint in. Returns the parameters that actually
-    received gradient, in first-use order.
+    Resets every node's gradient first. A Parameter's first adjoint is written
+    and later ones added, so its ``grad`` is 0 + float32(g1) [+ float32(g2) ...];
+    one on the tape that no adjoint reaches, recorded after the loss or not, ends
+    at zero. Returns the parameters that received gradient, in first-use order.
 
     Raises:
         NonScalarLossError: loss holds more than one element.
@@ -290,23 +290,25 @@ def backward(tape: Tape, loss: Node) -> list[Parameter]:
     """
     if loss.value.size != 1:
         raise NonScalarLossError(f"loss has shape {loss.value.shape}")
-    loss_index = next((i for i, node in enumerate(tape.nodes) if node is loss), None)
-    if loss_index is None:
+    if loss._tape is not tape._ref:
         raise DisconnectedLossError("loss node is not on this tape")
     for node in tape.nodes:
         node.grad = None
-        if node.param is not None:
-            node.param.grad[...] = 0
     loss.grad = np.ones(loss.value.shape, dtype=np.float64)
     reached: dict[Parameter, None] = {}
-    for node in reversed(tape.nodes[: loss_index + 1]):
+    for node in reversed(tape.nodes):  # nodes after the loss hold no adjoint
         if node.grad is None:
             continue
-        if node.param is not None:
+        if node.param in reached:
             node.param.grad += node.grad.astype(np.float32)
+        elif node.param is not None:
+            node.param.grad[...] = node.grad
+            node.param.grad += np.float32(0)  # turns the cast's -0.0 into 0 + -0.0 = +0.0
             reached[node.param] = None
         if node.backward_fn is not None:
             node.backward_fn(node.grad)
+    for param in {node.param for node in tape.nodes}.difference(reached, [None]):
+        param.grad[...] = 0
     return list(reversed(reached))
 
 

@@ -56,12 +56,9 @@ def _norm(n):  # running statistics from the drawn constants: mean in +-0.5, var
     return n["gamma"], n["beta"], 0.5 * n["mean"].value, 1.0 + 0.5 * n["var"].value
 
 
-def _mlp3_shapes(dims, prefix=""):
-    shapes = {}
-    for i in range(3):
-        shapes[f"{prefix}w{i + 1}"] = (dims[i + 1], dims[i])
-        shapes[f"{prefix}b{i + 1}"] = (dims[i + 1],)
-    return shapes
+def _mlp3_shapes(dims, prefix=""):  # w1, b1, w2, b2, w3, b3
+    return {f"{prefix}{kind}{i}": shape for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]), 1)
+            for kind, shape in (("w", (d_out, d_in)), ("b", (d_out,)))}
 
 
 _CASES = (
@@ -126,10 +123,8 @@ def _draw(case: _Case, rng, margin: float):
         params = {name: ag.Parameter(_uniform(rng, shape), name)
                   for name, shape in case.params.items()}
         consts = {name: _uniform(rng, shape) for name, shape in case.consts.items()}
-        if isinstance(case.reduce, int):
-            target = int(rng.integers(0, case.reduce))
-        else:
-            target = rng.uniform(-1.0, 1.0, size=case.reduce)
+        target = (int(rng.integers(0, case.reduce)) if isinstance(case.reduce, int)
+                  else rng.uniform(-1.0, 1.0, size=case.reduce))
         tape, _ = _forward(case, params, consts)
         if all(np.abs(node.parents[0].value).min() >= margin
                for node in tape.nodes if node.op == "relu"):
@@ -153,11 +148,8 @@ def gradient_check_suite(seed: int = 0, eps: float = EPS, tol: float = TOL,
     for case, stream in zip(_CASES, streams):
         params, consts, target = _draw(case, np.random.default_rng(stream), margin)
         tape, out = _forward(case, params, consts)
-        if isinstance(target, int):
-            loss = ag.softmax_xent(out, target)
-        else:
-            loss = ag.weighted_sum(out, target)
-        ag.backward(tape, loss)
+        loss = ag.softmax_xent if isinstance(target, int) else ag.weighted_sum
+        ag.backward(tape, loss(out, target))
         analytic = {name: p.grad.copy() for name, p in params.items()}
 
         def loss_f64():

@@ -8,15 +8,14 @@ stride 1, no padding and no convolution bias:
 Inputs are single C x H x W maps (no batch axis). Every path accumulates
 in float64 and rounds the result to float32 once, at the end.
 
-The general path of every correlation op is the float64 patch matrix
-built by :func:`im2col`: one row per (c, u, v) kernel element, one column per
-output position. ``conv2d_valid`` is one GEMM ``W @ patches`` whose
-result is already laid out P x Ho x Wo; ``head1x1`` is the 1x1 case and
-``xcorr`` the single-output-channel case (kernel ``template[None]``);
-``depthwise_corr`` is the grouped product, each channel's kernel row
-times that channel's block of rows. The taped backward in ``autograd``
-runs on the same matrix: the kernel adjoint on the patches of the input,
-the input adjoint on the patches of the zero-padded output gradient.
+The general path of every correlation op is the float64 patch matrix built by
+:func:`im2col`: one row per (c, u, v) kernel element, one column per output position.
+``conv2d_valid`` is one GEMM ``W @ patches`` whose result is already laid out
+P x Ho x Wo; ``head1x1`` is the 1x1 case and ``xcorr`` the single-output-channel case
+(kernel ``template[None]``); ``depthwise_corr`` is the grouped product, each channel's
+kernel row times that channel's block of rows. Each appends the matrix to its ``patches``
+list, if given: ``autograd``'s taped backward takes the kernel adjoint on it, and the
+input adjoint on the patches of the zero-padded output gradient.
 
 A :class:`ConvKernel`, :class:`FcLayer` and :class:`BatchNormParams` own
 read-only copies of their arrays (``tensor._read_only``), so no later write
@@ -198,7 +197,7 @@ def _check_fit(x: np.ndarray, channels: int, kh: int, kw: int) -> None:
         )
 
 
-def conv2d_valid(inputs, kernel, *, epilogue=None) -> np.ndarray:
+def conv2d_valid(inputs, kernel, *, epilogue=None, patches=None) -> np.ndarray:
     """Valid cross-correlation of a C x H x W map with a P x C x kh x kw kernel.
 
     Returns a P x (H-kh+1) x (W-kw+1) float32 map. Two paths compute it,
@@ -230,6 +229,7 @@ def conv2d_valid(inputs, kernel, *, epilogue=None) -> np.ndarray:
     ``out * scale + bias`` (no product when ``scale`` is None; both are
     length-P float64 vectors), then a ReLU when ``relu`` is true. With an
     epilogue, an output beyond the float32 range raises NonFiniteMapError.
+    ``patches``, a list, receives the im2col path's patch matrix; no result changes.
 
     Raises:
         ShapeMismatchError: kernel input channels differ from the map's.
@@ -248,7 +248,10 @@ def conv2d_valid(inputs, kernel, *, epilogue=None) -> np.ndarray:
         return _winograd_conv(x, kernel, epilogue)
     else:
         matrix = kernel._gemm_matrix
-    flat = matrix @ im2col(x, kh, kw)
+    cols = im2col(x, kh, kw)
+    if patches is not None:
+        patches.append(cols)
+    flat = matrix @ cols
     if epilogue is not None:
         _apply_epilogue(flat.T, epilogue)
     return _to_float32(flat.reshape(out_ch, out_h, out_w), epilogue)
@@ -429,30 +432,32 @@ def im2col(x, kh: int, kw: int) -> np.ndarray:
     return windows.astype(np.float64, order="C").reshape(channels * kh * kw, -1)
 
 
-def depthwise_corr(search, template) -> np.ndarray:
+def depthwise_corr(search, template, *, patches=None) -> np.ndarray:
     """Channel-wise valid cross-correlation; channel c only sees channel c.
 
     ``search`` is C x H x W, ``template`` C x kh x kw; the result keeps
     all C channels at the slid spatial size. Computed as the grouped
     product of the :func:`im2col` patches: channel c's kernel row times
-    that channel's block of rows.
+    that channel's block of rows. ``patches`` is as in :func:`conv2d_valid`.
     """
     x = _as_map(search, "search map")
     z = _as_map(template, "template")
     channels, kh, kw = z.shape
     _check_fit(x, channels, kh, kw)
-    patches = im2col(x, kh, kw).reshape(channels, kh * kw, -1)
-    out = z.reshape(channels, 1, kh * kw).astype(np.float64) @ patches
+    cols = im2col(x, kh, kw)
+    if patches is not None:
+        patches.append(cols)
+    out = z.reshape(channels, 1, kh * kw).astype(np.float64) @ cols.reshape(channels, kh * kw, -1)
     return out.reshape(channels, x.shape[1] - kh + 1, x.shape[2] - kw + 1).astype(DTYPE)
 
 
-def xcorr(search, template) -> np.ndarray:
+def xcorr(search, template, *, patches=None) -> np.ndarray:
     """Single-channel valid cross-correlation summed over all channels.
 
     Collapses C x H x W against C x kh x kw into a 1 x Ho x Wo response:
-    the :func:`conv2d_valid` with kernel ``template[None]``.
+    the :func:`conv2d_valid` with kernel ``template[None]``, ``patches`` passed on.
     """
-    return conv2d_valid(search, _as_map(template, "template")[np.newaxis])
+    return conv2d_valid(search, _as_map(template, "template")[np.newaxis], patches=patches)
 
 
 def fc_forward(x, layer) -> np.ndarray:
@@ -505,15 +510,15 @@ def batchnorm_infer(t, params) -> np.ndarray:
     return out.astype(DTYPE)
 
 
-def head1x1(features, kernel) -> np.ndarray:
-    """1x1 convolution head: per-position channel remix, K x H x W out."""
+def head1x1(features, kernel, *, patches=None) -> np.ndarray:
+    """1x1 conv head (per-position channel remix, K x H x W out): conv2d_valid, ``patches`` too."""
     w = _kernel_weights(kernel)
     if w.shape[2:] != (1, 1):
         raise ShapeMismatchError(f"head kernel must be 1x1, got {w.shape[2]}x{w.shape[3]}")
-    return conv2d_valid(features, kernel)
+    return conv2d_valid(features, kernel, patches=patches)
 
 
 def global_avg_pool(t) -> np.ndarray:
-    """Mean over both spatial axes; C x H x W in, length-C vector out."""
+    """Mean over both spatial axes, computed as np.mean does; C x H x W in, length-C out."""
     x = _as_map(t, "pool input")
-    return x.mean(axis=(1, 2), dtype=np.float64).astype(DTYPE)
+    return (np.add.reduce(x, (1, 2), np.float64) / (x.shape[1] * x.shape[2])).astype(DTYPE)

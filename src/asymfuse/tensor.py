@@ -74,6 +74,13 @@ def _check_int(value, what: str, low: int = 0, high=np.inf, error=ValueError) ->
     raise error(f"{what} must be an integer {bounds}, got {value!r}")
 
 
+def _check_bool(value, what: str) -> bool:
+    """``value`` as a bool: Python and NumPy bools pass, anything else is a ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def _unpack(value, count: int, what: str) -> tuple:
     """``value`` as a tuple of ``count`` items (each checked by its caller), else ValueError."""
     items = tuple(value) if np.iterable(value) else ()

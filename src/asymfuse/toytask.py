@@ -17,14 +17,14 @@ the ``nn``/``tensor`` function its taped op computes values with, so the
 two agree bit for bit. Those ops look ``nn``/``T`` up when called, so a
 wrapper installed on a module attribute (a tracer) sees every call.
 
-``ToyTrainConfig``'s field defaults are the toy protocol; ``ToyModel``,
-``gen_dataset`` and ``asymfuse toytrain`` take theirs from it. Each input
-rule is checked in one place, by ``tensor._check_int`` for every count,
-index and label (a float is refused, never truncated): ``ToyTrainConfig``
-the run's counts and ``lr``, ``_check_classes`` the class count,
-``glyph_bitmap`` the glyph size and ``ToyModel`` its layer widths and its
-glyph size of at least 4, all before any data is drawn; ``one_hot`` the
-index; ``autograd.softmax_xent`` and ``prediction_accuracy`` the label.
+``ToyTrainConfig``'s field defaults are the toy protocol; ``ToyModel``, ``gen_dataset``
+and ``asymfuse toytrain`` take theirs from it. Each input rule is checked in one place, by
+``tensor._check_int`` for every count, index and label (a float is refused, never
+truncated) and ``tensor._check_bool`` for ``ablate_index`` (only a bool passes):
+``ToyTrainConfig`` the run's counts, ``lr`` and arm, ``_check_classes`` the class count,
+``glyph_bitmap`` the glyph size and ``ToyModel`` its layer widths, its glyph size of at
+least 4 and its arm, all before any data is drawn; ``one_hot`` the index;
+``autograd.softmax_xent`` and ``prediction_accuracy`` the label.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 @dataclass(frozen=True)
 class ToyTrainConfig:
     """One training run; ValueError unless both sample counts are at least 1,
-    ``epochs`` is non-negative and ``lr`` is positive and finite."""
+    ``epochs`` is non-negative, ``lr`` is positive and finite and ``ablate_index`` a bool."""
 
     seed: int = 0
     n_train: int = 2000
@@ -126,6 +126,7 @@ class ToyTrainConfig:
         T._check_int(self.n_test, "n_test", 1)
         T._check_int(self.epochs, "epochs")
         T._check_positive(self.lr, "lr")
+        T._check_bool(self.ablate_index, "ablate_index")
 
 
 def gen_dataset(seed, n: int, num_classes: int = ToyTrainConfig.num_classes,
@@ -177,8 +178,8 @@ class ToyModel:
     The index branch is the template-side term of the fusion op: it maps
     the one-hot position through three FC layers into one bias per fused
     channel. Weights are drawn uniformly in +-sqrt(6 / fan_in), each
-    tensor from its own spawned stream of the model seed. ``ablate_index``
-    fixes the arm: the model then leaves the branch out and holds only
+    tensor from its own spawned stream of the model seed. ``ablate_index``, a
+    bool, fixes the arm: the model then leaves the branch out and holds only
     ``conv1``, ``conv2``, ``fuse``, ``head_w`` and ``head_b``, drawn as the
     indexed arm draws them.
     """
@@ -190,7 +191,8 @@ class ToyModel:
                  index_hidden: int = ToyTrainConfig.index_hidden, seed=0, ablate_index=False):
         _check_classes(num_classes)
         T._check_int(glyph_size, "glyph size for three 3x3 convs", 4)  # 2g - 6 of 2g is left
-        self.num_classes, self.ablate_index = num_classes, ablate_index
+        self.num_classes = num_classes
+        self.ablate_index = T._check_bool(ablate_index, "ablate_index")
         widths = (*T._unpack(conv_channels, 2, "conv_channels"), fused_channels, index_hidden)
         c1, c2, p, h = (T._check_int(width, "layer width", 1) for width in widths)
         shapes = [

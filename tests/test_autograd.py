@@ -346,6 +346,94 @@ class TestBackwardContract:
         npt.assert_array_equal(unused.grad, np.zeros(2, np.float32))
 
 
+def stale(*values):
+    """A Parameter whose grad holds a stale non-zero value."""
+    p = ag.Parameter(np.array(values, np.float32), "p")
+    p.grad[...] = 7.0
+    return p
+
+
+def unreached(tape):
+    used, unused = stale(1.0, 2.0), stale(3.0)
+    tape.parameter(unused)
+    return ag.weighted_sum(tape.parameter(used), np.ones(2)), [(used, [1, 1]), (unused, [0])]
+
+
+def recorded_after_loss(tape):
+    used, late = stale(1.0), stale(2.0, 3.0)
+    loss = ag.weighted_sum(tape.parameter(used), np.ones(1))
+    ag.relu(tape.parameter(late))
+    return loss, [(used, [1]), (late, [0, 0])]
+
+
+def used_twice(tape):
+    # Two nodes of one Parameter: each adjoint rounds to float32 on its own,
+    # so 1 + 2**-24 + 2**-50 (which rounds up to 1 + 2**-23) is not the sum.
+    p = stale(1.0)
+    g1, g2 = np.array([1.0]), np.array([2.0**-24 + 2.0**-50])
+    loss = ag.add(ag.weighted_sum(tape.parameter(p), g1), ag.weighted_sum(tape.parameter(p), g2))
+    return loss, [(p, np.float32(g1) + np.float32(g2))]
+
+
+def tiny_negative_adjoint(tape):
+    # -1e-300 rounds to float32 -0.0; the gradient is 0 + -0.0 = +0.0.
+    p = stale(1.0)
+    return ag.weighted_sum(tape.parameter(p), [-1e-300]), [(p, [0])]
+
+
+# backward's gradient contract: each row records a loss over Parameters whose
+# grads hold a stale 7.0, and names the float32 bytes each grad holds after.
+GRADIENT_ROWS = {
+    "a parameter no adjoint reaches ends at zero": unreached,
+    "a parameter recorded after the loss ends at zero": recorded_after_loss,
+    "a parameter used twice adds its float32 adjoints": used_twice,
+    "an adjoint of -1e-300 deposits +0.0": tiny_negative_adjoint,
+}
+
+
+class TestGradientContract:
+    @pytest.mark.parametrize("row", GRADIENT_ROWS)
+    def test_gradient_bytes(self, row):
+        tape = ag.Tape()
+        loss, want = GRADIENT_ROWS[row](tape)
+        ag.backward(tape, loss)
+        for p, grad in want:
+            assert p.grad.tobytes() == np.asarray(grad, np.float32).tobytes(), p.grad
+
+    def test_used_twice_row_is_not_the_rounded_sum(self):
+        g1, g2 = np.float64(1.0), np.float64(2.0**-24 + 2.0**-50)
+        assert np.float32(g1) + np.float32(g2) != np.float32(g1 + g2)
+
+    @pytest.mark.parametrize("ablate", [False, True], ids=["indexed", "ablated"])
+    def test_toy_step_leaves_no_negative_zero(self, ablate):
+        model = tt.ToyModel(seed=0, ablate_index=ablate)
+        zeros = 0
+        for sample in tt.gen_dataset(0, 20):
+            toy_step(model, sample)
+            for p in model.parameters():
+                zero = p.grad[p.grad == 0]
+                zeros += zero.size
+                assert not np.signbit(zero).any(), p.name
+        assert zeros > 0  # dead ReLUs leave exact zeros to check
+
+
+class TestPatchReuse:
+    @pytest.mark.parametrize("ablate", [False, True], ids=["indexed", "ablated"])
+    def test_backward_builds_only_the_input_adjoint_patches(self, ablate):
+        # One im2col per conv in the forward; backward adds the patches of the
+        # padded output gradient for conv2's and fuse's input adjoints (conv1's
+        # input is the image, a constant), and reuses the forward's for the kernels.
+        model, sample = tt.ToyModel(seed=0, ablate_index=ablate), tt.gen_dataset(0, 1)[0]
+        tape = ag.Tape()
+        with mock.patch.object(nn, "im2col", wraps=nn.im2col) as spy:
+            loss = tt.training_loss(tape, model, sample)
+            assert spy.call_count == 3
+            ag.backward(tape, loss)
+            assert spy.call_count == 5
+            ag.sgd_step(model.parameters(), 0.03)
+            assert spy.call_count == 5
+
+
 class TestSgd:
     def test_single_step(self):
         p = ag.Parameter(np.array([1.0], np.float32), "p")

@@ -539,6 +539,40 @@ class TestHead1x1:
             nn.head1x1(np.zeros((2, 3, 3), np.float32), np.zeros((1, 2, 2, 2), np.float32))
 
 
+# The correlation ops on the im2col path, given a ``patches`` list:
+# (op, x shape, kernel shape); xcorr's and depthwise's kernels are rank 3.
+PATCH_ROWS = {
+    "conv2d_valid": (nn.conv2d_valid, (3, 7, 6), (2, 3, 2, 4)),
+    "conv2d_valid ConvKernel": (
+        lambda x, k, **kw: nn.conv2d_valid(x, nn.ConvKernel(k), **kw), (3, 7, 6), (2, 3, 2, 4)),
+    "head1x1": (nn.head1x1, (3, 4, 5), (2, 3, 1, 1)),
+    "xcorr": (nn.xcorr, (2, 6, 7), (2, 2, 3)),
+    "depthwise_corr": (nn.depthwise_corr, (3, 7, 6), (3, 3, 2)),
+}
+
+
+class TestPatchHandOver:
+    @pytest.mark.parametrize("row", PATCH_ROWS)
+    def test_appends_the_patch_matrix_and_changes_no_result(self, row):
+        op, x_shape, k_shape = PATCH_ROWS[row]
+        rng = np.random.default_rng(len(row))
+        x, k = rand_f32(rng, x_shape), rand_f32(rng, k_shape)
+        kept = []
+        out = op(x, k, patches=kept)
+        assert out.tobytes() == op(x, k).tobytes()
+        (patches,) = kept
+        want = nn.im2col(x, *k_shape[-2:])
+        assert patches.dtype == want.dtype and patches.shape == want.shape
+        assert patches.tobytes() == want.tobytes()
+
+    def test_winograd_path_has_no_patch_matrix(self):
+        rng = np.random.default_rng(17)
+        x, k = rand_f32(rng, (64, 29, 29)), nn.ConvKernel(rand_f32(rng, (64, 64, 5, 5)))
+        kept = []
+        assert nn.conv2d_valid(x, k, patches=kept).tobytes() == nn.conv2d_valid(x, k).tobytes()
+        assert kept == []
+
+
 class TestGlobalAvgPool:
     def test_means_per_channel(self):
         x = np.stack([np.full((2, 2), 3.0), np.arange(4, dtype=np.float64).reshape(2, 2)])

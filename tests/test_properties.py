@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -184,3 +184,14 @@ def test_tensor_write_then_read_round_trips(t):
     assert back.dtype == np.float32
     assert back.shape == t.shape
     assert back.tobytes() == t.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(hnp.arrays(np.float32, st.tuples(dims, st.integers(1, 13), st.integers(1, 13)),
+                  elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+@example(np.random.default_rng(0).standard_normal((2, 131, 67), dtype=np.float32))
+def test_global_avg_pool_is_np_mean_byte_for_byte(x):
+    # H*W takes values that are not powers of two; the example's 131 x 67 = 8777
+    # is larger than np.getbufsize(), the block a casting reduction works through.
+    want = x.mean(axis=(1, 2), dtype=np.float64).astype(np.float32)
+    assert nn.global_avg_pool(x).tobytes() == want.tobytes()

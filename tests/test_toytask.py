@@ -197,6 +197,24 @@ class TestToyModel:
                                              f"{re.escape(repr(conv_channels))}$"):
             build(conv_channels)
 
+    @pytest.mark.parametrize("build", [
+        lambda v: tt.ToyModel(ablate_index=v),
+        lambda v: tt.ToyTrainConfig(ablate_index=v)], ids=["ToyModel", "ToyTrainConfig"])
+    @pytest.mark.parametrize("ablate_index", ["False", "no", 1, 0, None])
+    def test_ablate_index_must_be_a_bool(self, build, ablate_index, monkeypatch):
+        monkeypatch.setattr(tt, "_uniform_init", lambda *a: pytest.fail("drew a weight"))
+        with pytest.raises(ValueError, match=f"ablate_index must be a bool, got "
+                                             f"{re.escape(repr(ablate_index))}$"):
+            build(ablate_index)
+
+    @pytest.mark.parametrize("ablate_index", [False, True, np.False_, np.True_],
+                             ids=["False", "True", "np.False_", "np.True_"])
+    def test_python_and_numpy_bools_pick_the_arm(self, ablate_index):
+        model = tt.ToyModel(ablate_index=ablate_index)
+        assert model.ablate_index is bool(ablate_index)
+        assert len(model.parameters()) == (5 if ablate_index else 11)
+        assert tt.ToyTrainConfig(ablate_index=ablate_index).ablate_index == ablate_index
+
     def test_glyph_size_too_small_for_three_convs(self):
         # A 2x3-sided image shrinks to 0x0 under three valid 3x3 convs.
         with pytest.raises(ValueError, match="glyph size"):
