@@ -3,9 +3,9 @@
 A :class:`Tape` records one :class:`Node` per op in execution order,
 which for a forward pass is already a topological order. ``backward``
 walks the tape once in reverse, accumulating float64 adjoints on the
-nodes, and deposits float32 gradients on every :class:`Parameter` the
-loss reaches. Graphs are rebuilt each forward pass; nodes alias the
-parameter arrays, so a tape must not outlive an ``sgd_step``.
+nodes, one leaf per :class:`Parameter` however many ops read it, then writes
+each parameter's float32 gradient once. Graphs are rebuilt each forward pass;
+nodes alias the parameter arrays, so a tape must not outlive an ``sgd_step``.
 
 Forward values are computed by the same functions the inference paths
 use (``nn``, ``tensor``), so a taped forward is bitwise identical to an
@@ -52,20 +52,20 @@ class Parameter:
 class Node:
     """One tape entry: value, parents, and how to push adjoints back.
 
-    A node holds its tape by the one weakref the tape shares (the tape holds its
-    nodes), so a dropped tape is freed by reference counting, not by the cycle collector.
+    A leaf pushes nothing back; the tape's leaf table knows its Parameter. A node
+    holds its tape by the one weakref the tape shares (the tape holds its nodes),
+    so a dropped tape is freed by reference counting, not by the cycle collector.
     """
 
-    __slots__ = ("_tape", "op", "value", "parents", "grad", "backward_fn", "param")
+    __slots__ = ("_tape", "op", "value", "parents", "grad", "backward_fn")
 
-    def __init__(self, tape, op, value, parents=(), backward_fn=None, param=None):
+    def __init__(self, tape, op, value, parents=(), backward_fn=None):
         self._tape = tape._ref
         self.op = op
         self.value = value
         self.parents = tuple(parents)
         self.grad = None
         self.backward_fn = backward_fn
-        self.param = param
         tape.nodes.append(self)
 
     @property
@@ -77,10 +77,12 @@ class Node:
 
 
 class Tape:
-    """Append-only op record; append order doubles as topological order."""
+    """Append-only op record, append order doubling as topological order, and a
+    leaf table: one leaf per Parameter, keyed by identity, in first-use order."""
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self._leaves: dict[Parameter, Node] = {}
         self._ref = weakref.ref(self)
 
     def constant(self, value) -> Node:
@@ -88,8 +90,11 @@ class Tape:
         return Node(self, "const", T.as_tensor(value))
 
     def parameter(self, p: Parameter) -> Node:
-        """A leaf aliasing ``p.value``; backward() writes ``p.grad``."""
-        return Node(self, "param", p.value, param=p)
+        """``p``'s one leaf on this tape, made on first use; backward() writes ``p.grad``."""
+        leaf = self._leaves.get(p)
+        if leaf is None:
+            leaf = self._leaves[p] = Node(self, "param", p.value)
+        return leaf
 
 
 def _accum(node: Node, delta) -> None:
@@ -279,10 +284,10 @@ def softmax_xent(logits: Node, label: int) -> Node:
 def backward(tape: Tape, loss: Node) -> list[Parameter]:
     """Run reverse-mode accumulation from ``loss`` over the whole tape.
 
-    Resets every node's gradient first. A Parameter's first adjoint is written
-    and later ones added, so its ``grad`` is 0 + float32(g1) [+ float32(g2) ...];
-    one on the tape that no adjoint reaches, recorded after the loss or not, ends
-    at zero. Returns the parameters that received gradient, in first-use order.
+    Resets every node's gradient first. Each Parameter on the tape then gets its
+    ``grad`` written once, 0 + float32(the float64 sum of its adjoints), never
+    -0.0; one that no adjoint reaches, recorded after the loss or not, gets zero.
+    Returns the parameters that received gradient, in first-use order.
 
     Raises:
         NonScalarLossError: loss holds more than one element.
@@ -295,30 +300,21 @@ def backward(tape: Tape, loss: Node) -> list[Parameter]:
     for node in tape.nodes:
         node.grad = None
     loss.grad = np.ones(loss.value.shape, dtype=np.float64)
-    reached: dict[Parameter, None] = {}
     for node in reversed(tape.nodes):  # nodes after the loss hold no adjoint
-        if node.grad is None:
-            continue
-        if node.param in reached:
-            node.param.grad += node.grad.astype(np.float32)
-        elif node.param is not None:
-            node.param.grad[...] = node.grad
-            node.param.grad += np.float32(0)  # turns the cast's -0.0 into 0 + -0.0 = +0.0
-            reached[node.param] = None
-        if node.backward_fn is not None:
+        if node.grad is not None and node.backward_fn is not None:
             node.backward_fn(node.grad)
-    for param in {node.param for node in tape.nodes}.difference(reached, [None]):
-        param.grad[...] = 0
-    return list(reversed(reached))
+    for param, leaf in tape._leaves.items():
+        param.grad[...] = 0 if leaf.grad is None else leaf.grad
+        param.grad += np.float32(0)  # turns the cast's -0.0 into 0 + -0.0 = +0.0
+    return [param for param, leaf in tape._leaves.items() if leaf.grad is not None]
 
 
 def sgd_step(params, lr: float) -> None:
-    """One plain SGD update, in place: value -= lr * grad; grads zeroed."""
+    """Plain SGD, in place: value -= lr * grad; grads stay as the last backward wrote them."""
     T._check_positive(lr, "lr")
     rate = np.float32(lr)
     for p in params:
         p.value -= rate * p.grad
-        p.grad[...] = 0
 
 
 def finite_diff_grad(f, p: Parameter, eps: float) -> np.ndarray:

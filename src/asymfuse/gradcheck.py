@@ -87,6 +87,11 @@ _CASES = (
           lambda n: ag.mean_pool(fusion._acm_block(
               ag, n["search"], n["theta_x"], n["feats"], _layers(n, "prior_"),
               n["template"], n["theta_z"], _norm(n))), 3),
+    # One kernel read by two ops, as SiamFC's one backbone embeds template and search.
+    _Case("shared_kernel", {"kernel": (3, 2, 2, 2)},
+          {"template": (2, 4, 4), "search": (2, 6, 6)},
+          lambda n: ag.xcorr(ag.conv2d(n["search"], n["kernel"]),
+                             ag.conv2d(n["template"], n["kernel"])), (1, 3, 3)),
 )
 
 

@@ -334,6 +334,26 @@ class TestBackwardContract:
         ag.backward(tape, loss)
         npt.assert_array_equal(x.grad, np.array([2.0], np.float32))
 
+    def test_one_leaf_per_parameter_on_each_tape(self):
+        p = ag.Parameter(np.ones(2, np.float32), "p")
+        tape_a, tape_b = ag.Tape(), ag.Tape()
+        leaf_a, leaf_b = tape_a.parameter(p), tape_b.parameter(p)
+        assert tape_a.parameter(p) is leaf_a and tape_b.parameter(p) is leaf_b
+        assert leaf_a is not leaf_b
+        assert tape_a.nodes == [leaf_a] and tape_b.nodes == [leaf_b]
+
+    def test_equal_parameters_get_their_own_leaves(self):
+        # Leaves are keyed by the Parameter itself, not by its name or values.
+        p, q = (ag.Parameter(np.ones(2, np.float32), "p") for _ in range(2))
+        tape = ag.Tape()
+        leaves = [tape.parameter(x) for x in (p, q, p, q)]
+        assert leaves[0] is not leaves[1] and leaves[2:] == leaves[:2]
+        loss = ag.add(ag.weighted_sum(leaves[0], [1.0, 1.0]),
+                      ag.weighted_sum(leaves[1], [2.0, 2.0]))
+        assert ag.backward(tape, loss) == [p, q]
+        npt.assert_array_equal(p.grad, np.ones(2, np.float32))
+        npt.assert_array_equal(q.grad, np.full(2, 2.0, np.float32))
+
     def test_returns_reached_parameters(self):
         x = ag.Parameter(np.ones(2, np.float32), "x")
         unused = ag.Parameter(np.ones(2, np.float32), "unused")
@@ -367,12 +387,13 @@ def recorded_after_loss(tape):
 
 
 def used_twice(tape):
-    # Two nodes of one Parameter: each adjoint rounds to float32 on its own,
-    # so 1 + 2**-24 + 2**-50 (which rounds up to 1 + 2**-23) is not the sum.
+    # Two uses of one Parameter share its leaf, so the adjoints add in float64 and
+    # 1 + 2**-24 + 2**-50 rounds once, up to 1 + 2**-23; rounding each adjoint on
+    # its own first would give 1.0.
     p = stale(1.0)
     g1, g2 = np.array([1.0]), np.array([2.0**-24 + 2.0**-50])
     loss = ag.add(ag.weighted_sum(tape.parameter(p), g1), ag.weighted_sum(tape.parameter(p), g2))
-    return loss, [(p, np.float32(g1) + np.float32(g2))]
+    return loss, [(p, np.float32(g1 + g2))]
 
 
 def tiny_negative_adjoint(tape):
@@ -386,7 +407,7 @@ def tiny_negative_adjoint(tape):
 GRADIENT_ROWS = {
     "a parameter no adjoint reaches ends at zero": unreached,
     "a parameter recorded after the loss ends at zero": recorded_after_loss,
-    "a parameter used twice adds its float32 adjoints": used_twice,
+    "a parameter used twice rounds its summed adjoint once": used_twice,
     "an adjoint of -1e-300 deposits +0.0": tiny_negative_adjoint,
 }
 
@@ -436,11 +457,12 @@ class TestPatchReuse:
 
 class TestSgd:
     def test_single_step(self):
+        # The grad stays as set: the next backward writes every grad on its tape.
         p = ag.Parameter(np.array([1.0], np.float32), "p")
         p.grad[:] = 2.0
         ag.sgd_step([p], lr=0.5)
         npt.assert_array_equal(p.value, np.array([0.0], np.float32))
-        npt.assert_array_equal(p.grad, np.zeros(1, np.float32))
+        npt.assert_array_equal(p.grad, np.array([2.0], np.float32))
 
     def test_zero_gradient_is_fixed_point(self):
         p = ag.Parameter(np.array([1.5, -2.0], np.float32), "p")

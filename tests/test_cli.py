@@ -133,8 +133,8 @@ class TestGradcheck:
         code, out, _ = run_cli(capsys, "gradcheck")
         assert code == 0
         lines = out.splitlines()
-        assert lines[-1].startswith("gradcheck: 35/35 comparisons passed")
-        assert sum(1 for l in lines if l.endswith(" ok")) == 35
+        assert lines[-1].startswith("gradcheck: 36/36 comparisons passed")
+        assert sum(1 for l in lines if l.endswith(" ok")) == 36
 
     def test_injected_error_is_caught(self, capsys):
         code, out, _ = run_cli(capsys, "gradcheck", "--inject-error")
