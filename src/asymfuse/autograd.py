@@ -38,7 +38,7 @@ from .errors import (
 
 
 class Parameter:
-    """A trainable float32 tensor and its accumulated gradient."""
+    """A trainable float32 tensor and its gradient; ``value`` is updated in place, never rebound."""
 
     def __init__(self, value, name: str):
         self.value = T.as_tensor(value)

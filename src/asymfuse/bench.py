@@ -42,7 +42,8 @@ PATHS = ("naive", "acm", "cached")
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One problem size: map/kernel dimensions and output channels."""
+    """One problem size: map/kernel dimensions and output channels, each an integer
+    of at least 1 (``tensor._check_int``, stored as a Python int)."""
 
     channels: int
     eta: int
@@ -52,10 +53,8 @@ class BenchConfig:
     out_channels: int
 
     def __post_init__(self):
-        if any(type(v) is not int for v in dataclasses.astuple(self)):
-            raise TypeError(f"dimensions must be integers: {self}")
-        if min(dataclasses.astuple(self)) < 1:
-            raise ValueError(f"all dimensions must be positive: {self}")
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, T._check_int(getattr(self, f.name), f.name, 1))
         if self.eta > self.height or self.omega > self.width:
             raise ValueError(f"template must fit inside the search map: {self}")
 

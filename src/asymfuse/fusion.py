@@ -241,8 +241,8 @@ def acm_apply_search(
 def _acm_block(ops, x, theta_x, prior_in=None, prior_layers=None, z=None, theta_z=None,
                norm=None):
     """relu([norm](theta_x*x [+ theta_z*z] [+ reshape(mlp3(prior_in), P x 1 x 1)])) in ``ops``
-    (autograd's op names), ``norm`` being (gamma, beta, running mean, running variance): the one
-    composition of the block, for the tape and the toy model; acm_forward rounds it just once."""
+    (``autograd`` or ``plain``), ``norm`` being (gamma, beta, running mean, running variance):
+    the block's one composition, for the tape and the toy model; acm_forward rounds it just once."""
     out = ops.conv2d(x, theta_x)
     if z is not None:
         out = ops.add(out, ops.conv2d(z, theta_z))

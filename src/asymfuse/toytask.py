@@ -10,12 +10,10 @@ features and gated by a ReLU. Without that branch the image alone cannot
 determine the label, so the branch's contribution is directly measurable:
 ``ToyModel(ablate_index=True)`` is index-blind in every function here.
 
-The model is written once, over an op set and a leaf map. Training
-passes ``autograd`` and tapes every parameter and input; evaluation
-passes ``_UNTAPED``: autograd's op names over plain arrays, each calling
-the ``nn``/``tensor`` function its taped op computes values with, so the
-two agree bit for bit. Those ops look ``nn``/``T`` up when called, so a
-wrapper installed on a module attribute (a tracer) sees every call.
+The model is written once, over an op set and a map of parameters by
+name, with the image and the one-hot index as inputs. Training passes
+``autograd`` and a map of tape leaves; evaluation passes ``plain`` and the
+model's map of parameter arrays, so the two agree bit for bit.
 
 ``ToyTrainConfig``'s field defaults are the toy protocol; ``ToyModel``, ``gen_dataset``
 and ``asymfuse toytrain`` take theirs from it. Each input rule is checked in one place, by
@@ -32,13 +30,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autograd as ag
-from . import nn
+from . import plain
 from . import tensor as T
 from .errors import EmptyDatasetError, LabelOutOfRangeError, TooManyClassesError
 from .fusion import _acm_block
@@ -172,6 +169,23 @@ def _uniform_init(rng, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape).astype(T.DTYPE)
 
 
+def _param_rows(num_classes: int, c1: int, c2: int, p: int, h: int) -> list:
+    """(name, shape, fan-in) of each tensor the indexed model draws, in draw order."""
+    return [
+        ("conv1", (c1, 1, 3, 3), 1 * 3 * 3),
+        ("conv2", (c2, c1, 3, 3), c1 * 3 * 3),
+        ("fuse", (p, c2, 3, 3), c2 * 3 * 3),
+        ("idx_w1", (h, GRID_POSITIONS), GRID_POSITIONS),
+        ("idx_b1", (h,), GRID_POSITIONS),
+        ("idx_w2", (h, h), h),
+        ("idx_b2", (h,), h),
+        ("idx_w3", (p, h), h),
+        ("idx_b3", (p,), h),
+        ("head_w", (num_classes, p), p),
+        ("head_b", (num_classes,), p),
+    ]
+
+
 class ToyModel:
     """Conv backbone + index branch fused by the fusion op's block.
 
@@ -181,7 +195,8 @@ class ToyModel:
     tensor from its own spawned stream of the model seed. ``ablate_index``, a
     bool, fixes the arm: the model then leaves the branch out and holds only
     ``conv1``, ``conv2``, ``fuse``, ``head_w`` and ``head_b``, drawn as the
-    indexed arm draws them.
+    indexed arm draws them. The untaped forward reads them from one name -> array
+    map built here; its arrays are the Parameters' own, which training updates in place.
     """
 
     def __init__(self, num_classes: int = ToyTrainConfig.num_classes,
@@ -195,79 +210,52 @@ class ToyModel:
         self.ablate_index = T._check_bool(ablate_index, "ablate_index")
         widths = (*T._unpack(conv_channels, 2, "conv_channels"), fused_channels, index_hidden)
         c1, c2, p, h = (T._check_int(width, "layer width", 1) for width in widths)
-        shapes = [
-            ("conv1", (c1, 1, 3, 3), 1 * 3 * 3),
-            ("conv2", (c2, c1, 3, 3), c1 * 3 * 3),
-            ("fuse", (p, c2, 3, 3), c2 * 3 * 3),
-            ("idx_w1", (h, GRID_POSITIONS), GRID_POSITIONS),
-            ("idx_b1", (h,), GRID_POSITIONS),
-            ("idx_w2", (h, h), h),
-            ("idx_b2", (h,), h),
-            ("idx_w3", (p, h), h),
-            ("idx_b3", (p,), h),
-            ("head_w", (num_classes, p), p),
-            ("head_b", (num_classes,), p),
-        ]
-        self._names = tuple(n for n, _, _ in shapes if not (ablate_index and n.startswith("idx_")))
-        streams = _seed_sequence(seed).spawn(len(shapes))  # one per row in both arms
-        for (name, shape, fan_in), stream in zip(shapes, streams):
-            if name in self._names:
+        rows = _param_rows(num_classes, c1, c2, p, h)
+        streams = _seed_sequence(seed).spawn(len(rows))  # one per row in both arms
+        self._values = {}  # name -> its Parameter's own value array
+        for (name, shape, fan_in), stream in zip(rows, streams):
+            if not (ablate_index and name.startswith("idx_")):
                 rng = np.random.default_rng(stream)
                 setattr(self, name, ag.Parameter(_uniform_init(rng, shape, fan_in), name))
+                self._values[name] = getattr(self, name).value
 
     def parameters(self) -> list[ag.Parameter]:
-        return [getattr(self, name) for name in self._names]
+        return [getattr(self, name) for name in self._values]
 
 
-_UNTAPED = SimpleNamespace(
-    conv2d=lambda x, k: nn.conv2d_valid(x, k),
-    relu=lambda x: T.relu(x),
-    add=lambda a, b: T.broadcast_add(a, b),
-    reshape=lambda x, shape: x.reshape(shape),
-    mean_pool=lambda x: nn.global_avg_pool(x),
-    affine=lambda x, w, b: nn.fc_forward(x, (w, b)),
-    mlp3=lambda x, layers: nn.mlp3_forward(x, layers),
-)
+def _fused(ops, p, image, index):
+    """The model up to the post-ReLU fused map, in ``ops`` over the parameters ``p``
+    (name -> value); ``index`` is the one-hot index, or None in the ablated arm."""
+    feat = ops.relu(ops.conv2d(image, p["conv1"]))
+    feat = ops.relu(ops.conv2d(feat, p["conv2"]))
+    if index is None:
+        return _acm_block(ops, feat, p["fuse"])
+    layers = [(p["idx_w1"], p["idx_b1"]), (p["idx_w2"], p["idx_b2"]), (p["idx_w3"], p["idx_b3"])]
+    return _acm_block(ops, feat, p["fuse"], index, layers)
 
 
-def _untaped_leaf(x):
-    return x.value if isinstance(x, ag.Parameter) else x
-
-
-def _fused(ops, leaf, model: ToyModel, sample: GridSample):
-    """The model up to the post-ReLU fused map, in ``ops`` over ``leaf`` values."""
-    feat = ops.relu(ops.conv2d(leaf(sample.image), leaf(model.conv1)))
-    feat = ops.relu(ops.conv2d(feat, leaf(model.conv2)))
-    if model.ablate_index:
-        return _acm_block(ops, feat, leaf(model.fuse))
-    layers = [(leaf(model.idx_w1), leaf(model.idx_b1)), (leaf(model.idx_w2), leaf(model.idx_b2)),
-              (leaf(model.idx_w3), leaf(model.idx_b3))]
-    return _acm_block(ops, feat, leaf(model.fuse), leaf(one_hot(sample.index)), layers)
-
-
-def _logits(ops, leaf, model: ToyModel, fused):
-    return ops.affine(ops.mean_pool(fused), leaf(model.head_w), leaf(model.head_b))
+def _logits(ops, p, fused):
+    return ops.affine(ops.mean_pool(fused), p["head_w"], p["head_b"])
 
 
 def fused_map(model: ToyModel, sample: GridSample) -> np.ndarray:
     """Post-ReLU fused response (P x h x w) for one sample, under the model's arm."""
-    return _fused(_UNTAPED, _untaped_leaf, model, sample)
+    index = None if model.ablate_index else one_hot(sample.index)
+    return _fused(plain, model._values, sample.image, index)
 
 
 def toy_forward(model: ToyModel, sample: GridSample) -> np.ndarray:
     """Class logits for one sample, under the model's arm."""
-    return _logits(_UNTAPED, _untaped_leaf, model, fused_map(model, sample))
+    return _logits(plain, model._values, fused_map(model, sample))
 
 
 def training_loss(tape: ag.Tape, model: ToyModel, sample: GridSample) -> ag.Node:
     """Taped cross-entropy loss of the logits ``toy_forward`` computes, under the
     model's arm. ``softmax_xent`` checks the label (LabelOutOfRangeError)."""
-
-    def leaf(x):
-        return tape.parameter(x) if isinstance(x, ag.Parameter) else tape.constant(x)
-
-    fused = _fused(ag, leaf, model, sample)
-    return ag.softmax_xent(_logits(ag, leaf, model, fused), sample.label)
+    leaves = {p.name: tape.parameter(p) for p in model.parameters()}
+    index = None if model.ablate_index else tape.constant(one_hot(sample.index))
+    fused = _fused(ag, leaves, tape.constant(sample.image), index)
+    return ag.softmax_xent(_logits(ag, leaves, fused), sample.label)
 
 
 def _hit_rate(samples: Sequence[GridSample], hit: Callable[[GridSample], bool]) -> float:

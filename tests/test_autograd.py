@@ -1,6 +1,7 @@
 """Tape mechanics, backward rules, SGD, and the finite-difference suite."""
 
 import gc
+import inspect
 import weakref
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 
 from asymfuse import autograd as ag
 from asymfuse import gradcheck
-from asymfuse import nn
+from asymfuse import nn, plain
 from asymfuse import tensor as T
 from asymfuse import toytask as tt
 from asymfuse.errors import (
@@ -85,42 +86,57 @@ class TestBackwardRules:
         npt.assert_allclose(x.grad, expected.astype(np.float32), atol=1e-7)
 
     def test_taped_forward_matches_plain_forward_bitwise(self):
-        # Every taped op computes its value with the plain nn/tensor
-        # function; gradcheck's finite-difference reference relies on it.
+        # Each row's forward on autograd nodes and on plain arrays gives the bits of
+        # its reference; gradcheck's finite differences and the toy model's
+        # evaluation rely on it.
         rng = np.random.default_rng(82)
-        for op, (taped, plain, shapes) in TAPED_OPS.items():
+        for op, (forward, reference, shapes) in TAPED_OPS.items():
             values = [rand_f32(rng, shape) for shape in shapes]
             tape = ag.Tape()
-            node = taped(*[tape.parameter(ag.Parameter(v, f"in{i}"))
-                           for i, v in enumerate(values)])
-            expected = plain(*values)
-            assert node.value.dtype == expected.dtype, op
-            npt.assert_array_equal(node.value, expected, err_msg=op)
+            node = forward(ag, *[tape.parameter(ag.Parameter(v, f"in{i}"))
+                                 for i, v in enumerate(values)])
+            expected = reference(*values)
+            for got in (node.value, forward(plain, *values)):
+                assert (got.dtype, got.shape) == (expected.dtype, expected.shape), op
+                assert got.tobytes() == expected.tobytes(), op
+
+    def test_plain_names_are_autograds_forward_ops(self):
+        ag_ops = {name for name, obj in vars(ag).items() if not name.startswith("_")
+                  and inspect.isfunction(obj) and obj.__module__ == ag.__name__}
+        plain_ops = {name for name, obj in vars(plain).items()
+                     if not name.startswith("_") and inspect.isfunction(obj)}
+        assert plain_ops == ag_ops - NOT_FORWARD_OPS == set(TAPED_OPS)
 
 
 BN_MEAN = np.array([0.1, -0.2, 0.3], np.float32)
 BN_VAR = np.array([0.5, 1.0, 1.5], np.float32)
 
-# op -> (taped forward on nodes, plain forward on arrays, input shapes).
+# op -> (forward over an op set, autograd or plain; reference on arrays, taking FC
+# layers and batch norm in struct form; input shapes).
 TAPED_OPS = {
-    "add": (ag.add, T.broadcast_add, [(3, 1, 4), (3, 5, 4)]),
-    "relu": (ag.relu, T.relu, [(4, 5)]),
-    "conv2d": (ag.conv2d, nn.conv2d_valid, [(2, 6, 6), (4, 2, 3, 3)]),
-    "head1x1": (ag.head1x1, nn.head1x1, [(3, 4, 5), (2, 3, 1, 1)]),
-    "depthwise": (ag.depthwise, nn.depthwise_corr, [(3, 7, 6), (3, 3, 2)]),
-    "xcorr": (ag.xcorr, nn.xcorr, [(2, 6, 7), (2, 2, 3)]),
-    "affine": (ag.affine, lambda x, w, b: nn.fc_forward(x, nn.FcLayer(w, b)),
-               [(4,), (3, 4), (3,)]),
-    "mlp3": (lambda x, *wb: ag.mlp3(x, zip(wb[0::2], wb[1::2])),
+    "add": (lambda ops, a, b: ops.add(a, b), T.broadcast_add, [(3, 1, 4), (3, 5, 4)]),
+    "relu": (lambda ops, x: ops.relu(x), T.relu, [(4, 5)]),
+    "conv2d": (lambda ops, x, k: ops.conv2d(x, k), nn.conv2d_valid, [(2, 6, 6), (4, 2, 3, 3)]),
+    "head1x1": (lambda ops, x, k: ops.head1x1(x, k), nn.head1x1, [(3, 4, 5), (2, 3, 1, 1)]),
+    "depthwise": (lambda ops, x, z: ops.depthwise(x, z), nn.depthwise_corr,
+                  [(3, 7, 6), (3, 3, 2)]),
+    "xcorr": (lambda ops, x, z: ops.xcorr(x, z), nn.xcorr, [(2, 6, 7), (2, 2, 3)]),
+    "affine": (lambda ops, x, w, b: ops.affine(x, w, b),
+               lambda x, w, b: nn.fc_forward(x, nn.FcLayer(w, b)), [(4,), (3, 4), (3,)]),
+    "mlp3": (lambda ops, x, *wb: ops.mlp3(x, zip(wb[0::2], wb[1::2])),
              lambda x, *wb: nn.mlp3_forward(x, map(nn.FcLayer, wb[0::2], wb[1::2])),
              [(3,), (5, 3), (5,), (4, 5), (4,), (2, 4), (2,)]),
-    "batchnorm": (lambda x, g, b: ag.batchnorm(x, g, b, BN_MEAN, BN_VAR),
+    "batchnorm": (lambda ops, x, g, b: ops.batchnorm(x, g, b, BN_MEAN, BN_VAR),
                   lambda x, g, b: nn.batchnorm_infer(
                       x, nn.BatchNormParams(g, b, BN_MEAN, BN_VAR)),
                   [(3, 4, 4), (3,), (3,)]),
-    "mean_pool": (ag.mean_pool, nn.global_avg_pool, [(3, 4, 5)]),
-    "reshape": (lambda x: ag.reshape(x, (6, 1, 1)), lambda x: x.reshape(6, 1, 1), [(6,)]),
+    "mean_pool": (lambda ops, x: ops.mean_pool(x), nn.global_avg_pool, [(3, 4, 5)]),
+    "reshape": (lambda ops, x: ops.reshape(x, (6, 1, 1)), lambda x: x.reshape(6, 1, 1),
+                [(6,)]),
 }
+
+# autograd's functions that are not forward ops: the two losses and the training calls.
+NOT_FORWARD_OPS = {"weighted_sum", "softmax_xent", "backward", "sgd_step", "finite_diff_grad"}
 
 
 def depthwise_loop_grads(x, z, g):

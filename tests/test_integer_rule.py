@@ -8,6 +8,7 @@ must be accepted like the Python one.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 
@@ -78,6 +79,10 @@ SITES = {
                       ValueError, 2),
     "bench reps": (lambda v: bench.bench_compare([BENCH_CONFIG], reps=v), ValueError, 25),
     "eqcheck --trials": (eqcheck, ValueError, 2),
+    # Each of BenchConfig's six dimensions, the others as in BENCH_CONFIG.
+    **{f"BenchConfig {name}": (
+        lambda v, name=name: dataclasses.replace(BENCH_CONFIG, **{name: v}), ValueError, value)
+       for name, value in dataclasses.asdict(BENCH_CONFIG).items()},
 }
 
 # With the accepted integer n: n + 0.5, float(n), True and NaN (2.5, 2.0,
@@ -130,6 +135,16 @@ def test_zero_layer_width_is_refused(width):
     value = (2, 0) if width == "conv_channels" else 0
     with pytest.raises(ValueError, match="layer width must be an integer of at least 1"):
         tt.ToyModel(**{width: value})
+
+
+def test_numpy_dimensions_are_stored_and_written_as_ints(tmp_path):
+    config = bench.BenchConfig(*map(np.int64, (2, 2, 2, 4, 4, 2)))
+    assert config == BENCH_CONFIG
+    assert all(type(v) is int for v in dataclasses.astuple(config))
+    (result,) = bench.bench_compare([config], reps=20)
+    path = bench.write_json([result], tmp_path / "bench.json")
+    assert json.loads(path.read_text())["results"][0]["config"]["channels"] == 2
+    assert bench.read_configs(path) == [BENCH_CONFIG]
 
 
 def test_numpy_reps_are_written_as_json(tmp_path):

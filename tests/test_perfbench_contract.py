@@ -12,11 +12,14 @@ would make ``run.py`` exit 1; it fails here first.
 The same three ops, traced with ``spans.Tracer``, must give the exact
 per-op counts that ``run.py --self-test`` expects (its ``EXPECTED``: conv
 calls, tape nodes, computed GFLOP and im2col MB), so a change to them shows
-in tier-1 and not only in the benchmark's own self-test.
+in tier-1 and not only in the benchmark's own self-test. One traced op of the
+toy workloads must also give the tracer a fixed count of spans by name: the
+``nn``/``tensor`` calls of the toy model's forward and a taped step's leaves.
 """
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -72,19 +75,42 @@ def test_expected_counts_name_the_exact_metrics():
         "evaluate": (3.0, 0.0)}
 
 
-@pytest.mark.parametrize("name", list(WORKLOADS))
-def test_traced_ops_give_the_expected_exact_counts(name):
+def traced(name: str, ops: int):
+    """The tracer after ``ops`` checked ops of a workload built at seed 1."""
     workload = WORKLOADS[name](1)  # run.py's self-test traces seeds 1 and 2
     workload.build(asymfuse)
     workload.gate()
     tracer = SPANS.Tracer(asymfuse)
     tracer.install()
     try:
-        for i in range(3):
+        for i in range(ops):
             arg = workload.arg(i)
             assert workload.check(arg, tracer.call_op(i, workload.op, arg))
     finally:
         tracer.uninstall()
+    return tracer
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_traced_ops_give_the_expected_exact_counts(name):
+    tracer = traced(name, 3)
     assert len(tracer.per_op_counts()) == 1, f"{name}: exact counts differ between ops"
     metrics = tracer.layer_metrics()
     assert tuple(metrics[k] for k in EXACT) == pytest.approx(EXPECTED[name], rel=1e-12)
+
+
+# Spans per op by name: every nn/tensor call of the untaped toy forward (three
+# convs, each on im2col; the index branch's three FC layers and the head; five
+# ReLUs), and a taped step's one leaf per parameter and five patch matrices.
+SPAN_COUNTS = {
+    "evaluate": {"nn.conv2d_valid": 3, "nn.im2col": 3, "nn.fc_forward": 4, "tensor.relu": 5,
+                 "tensor.broadcast_add": 1, "nn.mlp3_forward": 1, "nn.global_avg_pool": 1,
+                 "toytask.fused_map": 1},
+    "train": {"autograd.Tape.parameter": 11, "nn.im2col": 5},
+}
+
+
+@pytest.mark.parametrize("name", list(SPAN_COUNTS))
+def test_traced_op_spans_by_name(name):
+    counts = Counter(span[0] for span in traced(name, 1).spans)
+    assert {k: counts[k] for k in SPAN_COUNTS[name]} == SPAN_COUNTS[name]

@@ -375,6 +375,20 @@ class TestTraining:
             blind.append(int(np.argmax(sums)) == sample.index)
         assert tt.locality_rate(model, samples) == sum(blind) / len(samples)
 
+    @pytest.mark.parametrize("ablate_index", [False, True], ids=["indexed", "ablated"])
+    def test_value_map_aliases_the_trained_parameters(self, ablate_index):
+        # toy_forward reads the map built with the model; training updates the
+        # Parameters in place, so the map holds the trained arrays themselves.
+        config = self.tiny_config(epochs=1, ablate_index=ablate_index)
+        result = tt.toy_train(config)
+        fresh = tt.ToyModel(4, 5, (3, 4), 5, 6, seed=np.random.SeedSequence(0).spawn(4)[0],
+                            ablate_index=ablate_index)
+        params = result.model.parameters()
+        assert list(result.model._values) == [p.name for p in params]
+        for p, untrained in zip(params, fresh.parameters()):
+            assert result.model._values[p.name] is p.value
+            assert p.value.tobytes() != untrained.value.tobytes()
+
     def test_zero_epochs_returns_untrained_model(self):
         config = self.tiny_config(epochs=0)
         result = tt.toy_train(config)
