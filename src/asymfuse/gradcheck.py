@@ -127,17 +127,17 @@ def _loss_f64(out: np.ndarray, target) -> float:
 
 
 def _draw(case: _Case, rng, margin: float):
-    """Inputs and reduction target with every ReLU input clear of its kink."""
+    """Inputs, reduction target, tape and output node, every ReLU input clear of its kink."""
     for _ in range(64):
         params = {name: ag.Parameter(_uniform(rng, shape), name)
                   for name, shape in case.params.items()}
         consts = {name: _uniform(rng, shape) for name, shape in case.consts.items()}
         target = (int(rng.integers(0, case.reduce)) if isinstance(case.reduce, int)
                   else rng.uniform(-1.0, 1.0, size=case.reduce))
-        tape, _ = _forward(case, params, consts)
+        tape, out = _forward(case, params, consts)
         if all(np.abs(node.parents[0].value).min() >= margin
                for node in tape.nodes if node.op == "relu"):
-            return params, consts, target
+            return params, consts, target, tape, out
     raise RuntimeError(f"could not draw a {case.name} instance clear of ReLU kinks")
 
 
@@ -155,8 +155,7 @@ def gradient_check_suite(seed: int = 0, eps: float = EPS, tol: float = TOL,
     results = []
     corrupt = inject_error
     for case, stream in zip(_CASES, streams):
-        params, consts, target = _draw(case, np.random.default_rng(stream), margin)
-        tape, out = _forward(case, params, consts)
+        params, consts, target, tape, out = _draw(case, np.random.default_rng(stream), margin)
         loss = ag.softmax_xent if isinstance(target, int) else ag.weighted_sum
         ag.backward(tape, loss(out, target))
         analytic = {name: p.grad.copy() for name, p in params.items()}

@@ -11,7 +11,9 @@ in float64 and rounds the result to float32 once, at the end.
 The general path of every correlation op is the float64 patch matrix built by
 :func:`im2col`: one row per (c, u, v) kernel element, one column per output position.
 ``conv2d_valid`` is one GEMM ``W @ patches`` whose result is already laid out
-P x Ho x Wo; ``head1x1`` is the 1x1 case and ``xcorr`` the single-output-channel case
+P x Ho x Wo, or, when deep and narrow, a float64 sum over equal depth slabs
+(``_slab_gemm``), which OpenBLAS runs without packing all of W for a few columns.
+``head1x1`` is the 1x1 case and ``xcorr`` the single-output-channel case
 (kernel ``template[None]``); ``depthwise_corr`` is the grouped product, each channel's
 kernel row times that channel's block of rows. Each appends the matrix to its ``patches``
 list, if given: ``autograd``'s taped backward takes the kernel adjoint on it, and the
@@ -204,7 +206,8 @@ def conv2d_valid(inputs, kernel, *, epilogue=None, patches=None) -> np.ndarray:
     both in float64 with one rounding to float32 at the end:
 
     - im2col: the :func:`im2col` patch matrix feeds one matrix product,
-      one multiply-add per (output position, kernel element) pair;
+      one multiply-add per (output position, kernel element) pair, split
+      into equal depth slabs when deep and narrow (see :func:`_slab_gemm`);
     - Winograd F(m x m', kh x kw) over 9 x 9 tiles (m = 10 - kh, m' = 10 - kw): taken
       only for a :class:`ConvKernel` whose sides are both in 4..7, when
       the output holds at least one whole tile per axis and
@@ -251,7 +254,7 @@ def conv2d_valid(inputs, kernel, *, epilogue=None, patches=None) -> np.ndarray:
     cols = im2col(x, kh, kw)
     if patches is not None:
         patches.append(cols)
-    flat = matrix @ cols
+    flat = _slab_gemm(matrix, cols) if out_ch * cols.size > _SLAB_MULTS else matrix @ cols
     if epilogue is not None:
         _apply_epilogue(flat.T, epilogue)
     return _to_float32(flat.reshape(out_ch, out_h, out_w), epilogue)
@@ -314,6 +317,30 @@ def _to_float32(acc: np.ndarray, epilogue) -> np.ndarray:
 _ALPHA = 9
 _POINTS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 4.0)
 _WINOGRAD_MIN_MULTS = 8_000_000
+
+# Depth slabs for the im2col product W @ patches (M x K times K x N): above
+# 1e6 multiply-adds, OpenBLAS leaves its small-matrix kernels for the packed
+# GEMM, which packs all of W for a few output columns, and the float64 rate
+# drops (47 -> 36 GFLOP/s at M = 64, N = 25 from K = 625 to 650). _slab_gemm
+# sums the fewest equal K slabs of at most _SLAB_MULTS multiply-adds
+# instead. Fitted on single-thread OpenBLAS 0.3.31
+# (NumPy 2.4) medians over M in {8, 32, 64, 128, 256}, K = C*k*k in {400,
+# 576, 1600, 2304, 6400}, N in {1, 4, 9, ..., 289} (squares), M*N*K > 1e6
+# (184 shapes):
+#
+#   slabs of          shapes   slabbed / one product
+#   256 deep or more      67     0.46-0.94 (median 0.72): split
+#   128 to 255 deep       37     0.55-0.99 (median 0.83)
+#   under 128 deep        79     0.78-1.81 (median 0.97)
+#   N = 1                  1     1.03
+#
+# With slabs of at most 2e6 multiply-adds, 66 of the 73 shapes it split ran
+# slower (median 1.04x); with 5e5, it split 40 shapes, median 0.71x. One
+# output channel (M = 1, as xcorr has) gained nothing either: 1.00-1.03x at
+# five shapes with K from 1600 to 25600. The redetect search conv (64, 1600,
+# 25) runs as 3 slabs in 0.76x its time.
+_SLAB_MULTS = 1_000_000
+_SLAB_MIN_DEPTH = 256
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,6 +440,20 @@ def _winograd_conv(x: np.ndarray, kernel: ConvKernel, epilogue=None) -> np.ndarr
     y[:, out_w - mw * (tw - 1):, :, -1] = 0.0
     out = _to_float32(y.transpose(4, 2, 0, 3, 1), epilogue)
     return np.ascontiguousarray(out.reshape(out_ch, th * mh, tw * mw)[:, :out_h, :out_w])
+
+
+def _slab_gemm(matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``matrix @ cols`` summed over the fewest equal depth slabs of at most ``_SLAB_MULTS``
+    multiply-adds; one product for a single row or column or slabs under ``_SLAB_MIN_DEPTH``."""
+    (m, depth), n = matrix.shape, cols.shape[1]
+    slabs = -(-depth // max(_SLAB_MULTS // (m * n), 1))
+    if depth // slabs < _SLAB_MIN_DEPTH or m == 1 or n == 1:
+        return matrix @ cols
+    bounds = [depth * i // slabs for i in range(slabs + 1)]
+    out = matrix[:, :bounds[1]] @ cols[:bounds[1]]
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        out += matrix[:, lo:hi] @ cols[lo:hi]
+    return out
 
 
 def im2col(x, kh: int, kw: int) -> np.ndarray:

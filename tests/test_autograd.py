@@ -624,6 +624,19 @@ class TestGradientSuite:
         with pytest.raises(ValueError, match=knob):
             gradcheck.gradient_check_suite(**{knob: value})
 
+    def test_each_draw_is_taped_once(self, monkeypatch):
+        # The accepted draw's tape, built to test the ReLU inputs, is the
+        # one backward runs on: no second forward on the same parameters.
+        drawn, backed = [], []
+        real_forward, real_backward = gradcheck._forward, ag.backward
+        monkeypatch.setattr(gradcheck, "_forward", lambda case, params, consts: (
+            drawn.append(params) or real_forward(case, params, consts)))
+        monkeypatch.setattr(ag, "backward", lambda tape, loss: (
+            backed.append(tape) or real_backward(tape, loss)))
+        gradcheck.gradient_check_suite(seed=0)
+        assert len({id(params) for params in drawn}) == len(drawn) >= len(gradcheck._CASES)
+        assert len(backed) == len(gradcheck._CASES)
+
     def test_deterministic_given_seed(self):
         a = gradcheck.gradient_check_suite(seed=123)
         b = gradcheck.gradient_check_suite(seed=123)

@@ -130,12 +130,16 @@ class TestJson:
             assert stats == getattr(result, name)._asdict()
             assert 0 < stats["p10_ns"] <= stats["median_ns"] <= stats["p90_ns"]
 
-    @pytest.mark.parametrize("name", ["BENCH_6.json", "BENCH_7.json"])
-    def test_committed_claim_files_read_back(self, name):
-        # Each wraps two write_json outputs of the default configs under
-        # "before" and "after"; a format change must not strand them.
+    @pytest.mark.parametrize("name,configs", [
+        pytest.param(name, configs, id=name) for name, configs in (
+            ("BENCH_6.json", bench.default_configs()),
+            ("BENCH_7.json", bench.default_configs()),
+            ("BENCH_29.json", [bench.BenchConfig(64, 5, 5, 9, 9, 64)]))])  # redetect's shape
+    def test_committed_claim_files_read_back(self, name, configs):
+        # Each wraps two write_json outputs of its configs under "before"
+        # and "after"; a format change must not strand them.
         path = Path(__file__).resolve().parent.parent / name
-        assert bench.read_configs(path) == bench.default_configs()
+        assert bench.read_configs(path) == configs
 
     def test_claim_file_sides_must_agree(self, tmp_path):
         timing = bench.PathTiming(2.0, 1.0, 3.0)

@@ -6,8 +6,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from asymfuse import autograd as ag
 from asymfuse import nn
 from asymfuse import tensor as T
+from asymfuse import toytask as tt
 from asymfuse.errors import KernelTooLargeError, RankError, ShapeMismatchError
 from oracles import rand_f32, window_loop
 
@@ -140,6 +142,29 @@ CONV_PATH_ROWS = [
 ]
 
 
+# (C, H, W, P, kh, kw, slabs). conv2d_valid's im2col product, M = P rows by
+# K = C*kh*kw deep by N = Ho*Wo columns, runs as this many depth slabs in
+# nn._slab_gemm; 0 where M*N*K <= nn._SLAB_MULTS keeps the helper uncalled.
+SLAB_ROWS = [
+    pytest.param(64, 9, 9, 64, 5, 5, 3, id="redetect-64x1600x25"),
+    pytest.param(256, 7, 7, 256, 5, 5, 15, id="256x6400x9"),
+    pytest.param(256, 40, 40, 1, 5, 5, 1, id="M=1-1x6400x1296"),
+    pytest.param(256, 5, 5, 256, 5, 5, 1, id="N=1-256x6400x1"),
+    pytest.param(64, 29, 29, 64, 3, 3, 1, id="3x3-64x576x729"),
+    pytest.param(16, 10, 10, 16, 3, 3, 0, id="toy-fuse-16x144x64"),
+]
+
+
+class CountedMatrix(np.ndarray):
+    """A view of a GEMM matrix that records the depth of each product it takes."""
+
+    depths: list = []
+
+    def __matmul__(self, other):
+        CountedMatrix.depths.append(self.shape[1])
+        return self.view(np.ndarray) @ other
+
+
 # The constant of conv2d_valid's Winograd accuracy contract (see its docstring).
 WINOGRAD_TILE_CONSTANT = 4096
 # The Winograd rows whose maps get outliers and heavy tails.
@@ -217,6 +242,37 @@ class TestConvPaths:
         raw = nn.conv2d_valid(x, k)
         assert len(fast_calls) == int(winograd)  # a raw array never takes it
         assert_float32_rounding_of(raw, x, k)
+
+    @pytest.mark.parametrize("c,h,w,p,kh,kw,slabs", SLAB_ROWS)
+    def test_deep_narrow_products_run_as_depth_slabs(self, monkeypatch, c, h, w, p, kh, kw,
+                                                     slabs):
+        rng = np.random.default_rng(c * h + p * kh + kw)
+        x, k = rand_f32(rng, (c, h, w)), rand_f32(rng, (p, c, kh, kw))
+        real = nn._slab_gemm
+        monkeypatch.setattr(CountedMatrix, "depths", [])
+        monkeypatch.setattr(nn, "_slab_gemm",
+                            lambda matrix, cols: real(matrix.view(CountedMatrix), cols))
+        assert_float32_rounding_of(nn.conv2d_valid(x, k), x, k)
+        depths = CountedMatrix.depths
+        assert len(depths) == slabs
+        if slabs > 1:
+            depth, n = c * kh * kw, (h - kh + 1) * (w - kw + 1)
+            assert sum(depths) == depth and max(depths) - min(depths) <= 1
+            assert max(depths) * p * n <= nn._SLAB_MULTS  # each slab within the budget,
+            assert -(-depth // (slabs - 1)) * p * n > nn._SLAB_MULTS  # with no fewer slabs
+            assert min(depths) >= nn._SLAB_MIN_DEPTH
+
+    def test_toy_model_never_reaches_the_slab_helper(self, monkeypatch):
+        def refuse(matrix, cols):
+            raise AssertionError(f"_slab_gemm called on {matrix.shape} @ {cols.shape}")
+
+        monkeypatch.setattr(nn, "_slab_gemm", refuse)
+        sample = tt.gen_dataset(0, 1)[0]
+        for ablate in (False, True):
+            model = tt.ToyModel(seed=0, ablate_index=ablate)
+            tt.toy_forward(model, sample)
+            tape = ag.Tape()
+            ag.backward(tape, tt.training_loss(tape, model, sample))
 
     @pytest.mark.parametrize("c,h,w,p,kh,kw,winograd", CONV_PATH_ROWS[5:])
     def test_winograd_routine_matches_window_loop(self, c, h, w, p, kh, kw, winograd):

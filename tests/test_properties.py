@@ -195,3 +195,21 @@ def test_global_avg_pool_is_np_mean_byte_for_byte(x):
     # is larger than np.getbufsize(), the block a casting reduction works through.
     want = x.mean(axis=(1, 2), dtype=np.float64).astype(np.float32)
     assert nn.global_avg_pool(x).tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 64), st.integers(256, 4096), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, 1e-6, 1e12]))
+@example(64, 1600, 25, 0, 1.0)  # redetect's search conv: 3 slabs
+def test_slab_gemm_matches_one_product(m, depth, n, seed, scale):
+    # Shapes from one product to 11 slabs; cubed normals for heavy tails. Each sum
+    # is within gamma_depth * (|a| @ |b|) of the exact one, so the two sums
+    # are within twice that of each other.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, depth)) * scale
+    b = rng.standard_normal((depth, n)) ** 3
+    out = nn._slab_gemm(a, b)
+    assert out.dtype == np.float64 and out.shape == (m, n)
+    gamma = depth * 2.0**-53 / (1 - depth * 2.0**-53)
+    bound = 2 * gamma * (np.abs(a) @ np.abs(b))
+    assert np.all(np.abs(out - a @ b) <= bound)
