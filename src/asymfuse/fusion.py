@@ -13,9 +13,9 @@ with the joined kernel [theta_z | theta_x], which is what
 replaces the per-window concatenation with two independent convolutions
 and an add, and lets the template side be cached across search maps.
 The template convolution rounds to float32 once, when it is cached. The
-search convolution does not: the cached terms, the prior, the optional
-batch norm (always before the ReLU) and the ReLU run as one per-channel
-epilogue on its float64 accumulator, which rounds to float32 once.
+search convolution does not: the optional batch norm (always before the
+ReLU) has its scale folded into the search operand, and the cached terms,
+the prior, its shift and the ReLU are the conv's per-channel epilogue.
 
 The optional prior branch feeds (box width, box height), divided by
 :data:`BOX_SCALE` (255, SiamFC's search-image side), through a 3-layer
@@ -28,13 +28,15 @@ or weight, or a term or response beyond float32, NonFiniteMapError.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MissingBoxError, NonFiniteMapError, NonPositiveBoxError, ShapeMismatchError
 from .nn import (
-    BatchNormParams, ConvKernel, FcLayer, _check_fit, _mlp3_layers, conv2d_valid, mlp3_forward,
+    BatchNormParams, ConvKernel, FcLayer, _check_fit, _mlp3_layers, _ScaledKernel, conv2d_valid,
+    mlp3_forward,
 )
 from .tensor import DTYPE, _as_map, _check_finite, _read_only
 
@@ -83,6 +85,12 @@ class FusionWeights:
                 f"norm describes {self.norm.channels} channels, "
                 f"kernels produce {self.out_channels}"
             )
+
+    @functools.cached_property
+    def _search_kernel(self) -> ConvKernel:
+        """theta_x with the norm's per-channel scale folded into its float64 operands."""
+        return self.theta_x if self.norm is None else _ScaledKernel(self.theta_x,
+                                                                    self.norm.scale.reshape(-1))
 
     @property
     def out_channels(self) -> int:
@@ -213,11 +221,11 @@ def acm_apply_search(
 ) -> np.ndarray:
     """Fuse a cached template with one search map.
 
-    Runs exactly one convolution (the search side). The cached terms, the
-    norm (folded into a per-channel scale and bias) and the activation
-    are its ``epilogue``: they run on the conv's float64 accumulator, and
-    the response rounds to float32 once; a response beyond the float32
-    range raises NonFiniteMapError.
+    Runs exactly one convolution (the search side), on ``theta_x`` with the
+    norm's scale folded into its float64 operand, which the weights build on
+    their first search and keep. The cached terms, the norm's shift and the
+    activation are its ``epilogue``, and the response rounds to float32 once;
+    a response beyond the float32 range raises NonFiniteMapError.
     """
     x = _check_search(search, weights)
     if cache.out_channels != weights.out_channels:
@@ -230,12 +238,10 @@ def acm_apply_search(
     bias = cache.z_term.astype(np.float64).reshape(-1)
     if cache.prior_term is not None:
         bias += cache.prior_term.reshape(-1)
-    scale = None
     if weights.norm is not None:
-        scale, shift = weights.norm.scale.reshape(-1), weights.norm.shift.reshape(-1)
-        # norm(conv + bias) = conv * scale + (bias * scale + shift)
-        bias = bias * scale + shift
-    return conv2d_valid(x, weights.theta_x, epilogue=(scale, bias, apply_relu))
+        # norm(conv + bias) = conv * scale + (bias * scale + shift); the scale is in the operand
+        bias = bias * weights.norm.scale.reshape(-1) + weights.norm.shift.reshape(-1)
+    return conv2d_valid(x, weights._search_kernel, epilogue=(bias, apply_relu))
 
 
 def _acm_block(ops, x, theta_x, prior_in=None, prior_layers=None, z=None, theta_z=None,

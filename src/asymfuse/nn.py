@@ -29,13 +29,14 @@ rule. ``conv2d_valid`` with a ConvKernel takes Winograd minimal filtering
 (Lavin & Gray, CVPR 2016) over 9 x 9 tiles when that measured faster: both
 kernel sides in 4..7, at least one whole output tile per axis, and at least
 ``_WINOGRAD_MIN_MULTS`` multiplies of direct work. Its transforms run one
-axis at a time, the input one over a view of overlapping row windows.
-Everything else, raw-array kernels from the tape and the toy model
-included, takes the im2col GEMM.
+axis at a time, the input one over views of overlapping row windows, the
+second axis writing the product layout itself. Everything else, raw-array
+kernels from the tape and the toy model included, takes the im2col GEMM.
 
-``conv2d_valid``'s ``epilogue`` folds a per-output-channel scale, bias
-and ReLU into the float64 result before its one rounding; fusion's
-response uses it, so the search conv and its epilogue round once.
+``conv2d_valid``'s ``epilogue`` adds a per-output-channel bias to the
+float64 result and applies an optional ReLU with its one rounding. Fusion's
+response uses it on a ``_ScaledKernel``, whose cached operands carry the
+norm's scale, so the search conv, the norm and the ReLU round once.
 """
 
 from __future__ import annotations
@@ -97,6 +98,25 @@ class ConvKernel:
         u = np.einsum("au,pcuv,bv->abcp", _cook_toom(kh)[1],
                       self.weights.astype(np.float64), _cook_toom(kw)[1], optimize=True)
         return u.reshape(_ALPHA * _ALPHA, self.in_channels, self.out_channels)
+
+
+class _ScaledKernel(ConvKernel):
+    """``kernel``'s weights with a length-P float64 ``scale`` folded into each
+    cached operand, built on first use; ``kernel``'s own cache stays unbuilt."""
+
+    def __init__(self, kernel: ConvKernel, scale: np.ndarray):
+        object.__setattr__(self, "weights", kernel.weights)
+        object.__setattr__(self, "scale", scale)
+
+    @functools.cached_property
+    def _gemm_matrix(self) -> np.ndarray:
+        return ConvKernel._gemm_matrix.func(self) * self.scale[:, None]
+
+    @functools.cached_property
+    def _winograd_kernel(self) -> np.ndarray:
+        u = ConvKernel._winograd_kernel.func(self)
+        u *= self.scale  # in place: one 81 x C x P array at a time
+        return u
 
 
 def _check_fc(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,11 +247,12 @@ def conv2d_valid(inputs, kernel, *, epilogue=None, patches=None) -> np.ndarray:
     uniform kernels and ~2000 for kernels that put their weight on the tap
     the transforms amplify most.
 
-    ``epilogue``, a ``(scale, bias, relu)`` triple, is a per-output-channel
-    fold run in place on the float64 result before that one rounding:
-    ``out * scale + bias`` (no product when ``scale`` is None; both are
-    length-P float64 vectors), then a ReLU when ``relu`` is true. With an
-    epilogue, an output beyond the float32 range raises NonFiniteMapError.
+    ``epilogue``, a ``(bias, relu)`` pair, adds the length-P float64 ``bias``
+    per output channel before that one rounding (on the Winograd path, at the
+    transform point whose output column is all ones), and then a ReLU when
+    ``relu`` is true. A per-channel scale belongs in the kernel's operands
+    (:class:`_ScaledKernel`). With an epilogue, an output beyond the float32
+    range raises NonFiniteMapError.
     ``patches``, a list, receives the im2col path's patch matrix; no result changes.
 
     Raises:
@@ -255,35 +276,31 @@ def conv2d_valid(inputs, kernel, *, epilogue=None, patches=None) -> np.ndarray:
     if patches is not None:
         patches.append(cols)
     flat = _slab_gemm(matrix, cols) if out_ch * cols.size > _SLAB_MULTS else matrix @ cols
-    if epilogue is not None:
-        _apply_epilogue(flat.T, epilogue)
-    return _to_float32(flat.reshape(out_ch, out_h, out_w), epilogue)
+    if epilogue is None:
+        return flat.reshape(out_ch, out_h, out_w).astype(DTYPE)
+    flat += epilogue[0][:, None]
+    return _to_float32(np.empty((out_ch, out_h, out_w), DTYPE), flat.reshape(out_ch, out_h, out_w),
+                       epilogue)
 
 
-def _apply_epilogue(acc: np.ndarray, epilogue) -> None:
-    """Run the (scale, bias, relu) fold in place on float64 ``acc``, (positions, P) or C x H x W."""
-    scale, bias, apply_relu = epilogue
-    if scale is not None:
-        acc *= scale
-    acc += bias
-    if apply_relu:
-        np.maximum(acc, 0.0, out=acc)
+def _to_float32(out: np.ndarray, acc: np.ndarray, epilogue) -> np.ndarray:
+    """The one rounding of conv2d_valid: float64 ``acc`` cast into float32 ``out``, returned.
 
-
-def _to_float32(acc: np.ndarray, epilogue) -> np.ndarray:
-    """The one rounding of conv2d_valid: a C-ordered float32 copy of ``acc``.
-
-    With an epilogue, an output beyond the float32 range raises
-    NonFiniteMapError. Without one, no error state is entered: that costs
-    ~2 us, which per-call-bound callers such as the toy model would feel.
+    With an epilogue, an output beyond the float32 range raises NonFiniteMapError,
+    and the ReLU then runs on ``out``: a ReLU fused into the cast (``np.maximum``
+    into float32) clears the overflow flag an earlier buffer's cast set. Without
+    one, no error state is entered: that costs ~2 us, which per-call-bound
+    callers such as the toy model would feel.
     """
     if epilogue is None:
-        return acc.astype(DTYPE, order="C")
+        np.copyto(out, acc)
+        return out
     try:
         with np.errstate(over="raise"):
-            return acc.astype(DTYPE, order="C")
+            np.copyto(out, acc)
     except FloatingPointError:
         raise NonFiniteMapError("the fused response exceeds the float32 range") from None
+    return np.maximum(out, 0.0, out=out) if epilogue[1] else out
 
 
 # Winograd minimal filtering F(m, r) on tiles of _ALPHA = m + r - 1 = 9
@@ -300,18 +317,18 @@ def _to_float32(acc: np.ndarray, epilogue) -> np.ndarray:
 #   a side of 3       any                    64     0.22-1.94x (won 27)
 #   a side of 2       any                    16     0.18-0.64x
 #
-# The table was measured with an earlier form of _winograd_conv: a banded
-# input transform (one dense GEMM per axis over the whole map) and a
-# kron(A^T, A^T) output GEMM. The row-window and per-axis transforms that
-# replaced them took 0.73-0.90x its time at eight multi-tile shapes, 0.98x
-# at one whole tile (128x9x9 with 7x4) and 1.02x at C = 1, P = 256 (40x40
-# with 5x5, where faulting in the 21 MB workspace dominates both), so the
-# rule has not been re-measured. On the 41 shapes the rule admits, 9 x 9
-# tiles beat the 8 x 8 tiles they replaced on 39 and tied on one (median
-# 1.53x -> 2.09x against im2col); the one loss, 0.81x at 64x17x17 with
-# 4x4, needs as many tiles either way. Side-3 kernels won and lost by
-# shape (3x3: 1.51x at 64x29x29, 0.67x at 64x17x17) and stay on im2col
-# until a rule for them is measured. The threshold stays above the
+# The table was measured with an earlier form of _winograd_conv: banded input
+# GEMMs and a kron(A^T, A^T) output GEMM. Per-axis row-window transforms took
+# 0.73-0.90x its time at eight multi-tile shapes, 0.98x at one whole tile
+# (128x9x9, 7x4) and 1.02x at C = 1, P = 256 (40x40, 5x5: the 21 MB workspace
+# dominates); then the x-first input transform that writes the product layout
+# took 0.70-1.02x theirs over nine shapes without an epilogue (0.81-0.92x at
+# 7x7 and on 45x45 maps), so the rule has not been re-measured. On the 41
+# shapes it admits, 9 x 9 tiles beat the 8 x 8 tiles they replaced on 39 and
+# tied on one (median 1.53x -> 2.09x against im2col); the one loss, 0.81x at
+# 64x17x17 with 4x4, needs as many tiles either way. Side-3 kernels won and
+# lost by shape (3x3: 1.51x at 64x29x29, 0.67x at 64x17x17) and stay on
+# im2col until a rule for them is measured. The threshold stays above the
 # redetect shape, 64x9x9 with 5x5 (2.6e6 multiplies): its Winograd kernel
 # would outlive the call and raise that workload's peak memory.
 _ALPHA = 9
@@ -384,13 +401,14 @@ def _winograd_conv(x: np.ndarray, kernel: ConvKernel, epilogue=None) -> np.ndarr
     """conv2d_valid of a float32 map by Winograd F(m x m', kh x kw) tiles.
 
     Needs 2 <= kh, kw <= 8. The map is zero-padded to whole tiles and laid
-    out (y, x, c). The input transform runs one axis at a time as one
-    batched ``B^T @ windows`` over a read-only view of the overlapping
-    9-row windows, so no tile is copied: th GEMMs along y, one transposing
-    copy, tw GEMMs along x, then one layout copy to (81, tiles, C). One
-    batched ``V @ U`` over the 81 transform points follows, and the output
-    transform applies A^T per axis. ``epilogue`` (see :func:`conv2d_valid`)
-    runs on the float64 (positions, P) result before the one cast to float32.
+    out (x, y, c). The input transform runs one axis at a time as a batched
+    ``B^T @ windows`` over a read-only view of overlapping 9-row windows, so no
+    tile is copied: tw GEMMs along x, one transposing copy to (y, b, tx, c),
+    then 9 th GEMMs along y that write the (a, b, ty, tx, c) product layout
+    through ``out=``. One batched ``V @ U`` over the 81 transform points
+    follows; the epilogue's bias is added at the point (1, 1), whose output
+    transform column is all ones, and A^T is applied per axis before the one
+    cast to float32 (:func:`_to_float32`).
     """
     channels, height, width = x.shape
     out_ch = kernel.out_channels
@@ -412,33 +430,33 @@ def _winograd_conv(x: np.ndarray, kernel: ConvKernel, epilogue=None) -> np.ndarr
     def half(index, *shape):
         return work[index * size : index * size + math.prod(shape)].reshape(shape)
 
-    padded = half(0, hp, wp, channels)
+    padded = half(0, wp, hp, channels)
     # The margin only feeds cropped outputs, but it must be finite: stale
     # values cancel only in exact arithmetic, and a stale NaN never does.
-    padded[height:] = 0.0
-    padded[:height, width:] = 0.0
-    padded[:height, :width] = x.transpose(1, 2, 0)
-    v = np.matmul(bth, _row_windows(padded, th, mh),                # ty, a, (x, c)
-                  out=half(1, th, _ALPHA, wp * channels))
-    rows = half(0, wp, th, _ALPHA, channels)                        # x, (ty, a, c)
-    rows[...] = v.reshape(th, _ALPHA, wp, channels).transpose(2, 0, 1, 3)
-    v = np.matmul(btw, _row_windows(rows, tw, mw),                  # tx, b, (ty, a, c)
-                  out=half(1, tw, _ALPHA, th * _ALPHA * channels))
-    grouped = half(0, _ALPHA, _ALPHA, th, tw, channels)             # (a, b), (ty, tx), c
-    grouped[...] = v.reshape(tw, _ALPHA, th, _ALPHA, channels).transpose(3, 1, 2, 0, 4)
+    padded[width:] = 0.0
+    padded[:width, height:] = 0.0
+    padded[:width, :height] = x.transpose(2, 1, 0)
+    v = np.matmul(btw, _row_windows(padded, tw, mw),                # tx, b, (y, c)
+                  out=half(1, tw, _ALPHA, hp * channels))
+    rows = half(0, hp, _ALPHA, tw, channels)                        # y, (b, tx, c)
+    rows[...] = v.reshape(tw, _ALPHA, hp, channels).transpose(2, 1, 0, 3)
+    grouped = half(1, _ALPHA, _ALPHA, th, tw * channels)            # a, b, ty, (tx, c)
+    np.matmul(bth, _row_windows(rows, th, mh).reshape(th, _ALPHA, _ALPHA, -1).swapaxes(1, 2),
+              out=grouped.transpose(2, 1, 0, 3))                    # ty, b, a, (tx, c)
     products = np.matmul(grouped.reshape(points, tiles, channels), kernel._winograd_kernel,
-                         out=half(1, points, tiles, out_ch))
-    y = np.matmul(ath, products.reshape(_ALPHA, -1),                # i, (b, ty, tx, p)
-                  out=half(0, mh, _ALPHA * tiles * out_ch))
-    y = np.matmul(atw, y.reshape(mh, _ALPHA, -1),                   # i, j, (ty, tx, p)
-                  out=half(1, mh, mw, tiles * out_ch)).reshape(mh, mw, th, tw, out_ch)
+                         out=half(0, points, tiles, out_ch))
     if epilogue is not None:
-        _apply_epilogue(y.reshape(-1, out_ch), epilogue)
+        products[_POINTS.index(1.0) * (_ALPHA + 1)] += epilogue[0]
+    y = np.matmul(ath, products.reshape(_ALPHA, -1),                # i, (b, ty, tx, p)
+                  out=half(1, mh, _ALPHA * tiles * out_ch))
+    y = np.matmul(atw, y.reshape(mh, _ALPHA, -1),                   # i, j, (ty, tx, p)
+                  out=half(0, mh, mw, tiles * out_ch)).reshape(mh, mw, th, tw, out_ch)
     # Outputs past the map are cropped below. Zeroed first, they cannot
     # overflow in the cast, where only the valid outputs may.
     y[out_h - mh * (th - 1):, :, -1] = 0.0
     y[:, out_w - mw * (tw - 1):, :, -1] = 0.0
-    out = _to_float32(y.transpose(4, 2, 0, 3, 1), epilogue)
+    out = np.empty((out_ch, th, mh, tw, mw), DTYPE)
+    _to_float32(out.transpose(2, 4, 1, 3, 0), y, epilogue)
     return np.ascontiguousarray(out.reshape(out_ch, th * mh, tw * mw)[:, :out_h, :out_w])
 
 
@@ -547,7 +565,8 @@ def batchnorm_infer(t, params) -> np.ndarray:
             f"map has {x.shape[0]} channels, params describe {len(params.scale)}"
         )
     out = x.astype(np.float64)
-    _apply_epilogue(out, (params.scale, params.shift, False))
+    out *= params.scale
+    out += params.shift
     return out.astype(DTYPE)
 
 

@@ -134,7 +134,8 @@ class TestJson:
         pytest.param(name, configs, id=name) for name, configs in (
             ("BENCH_6.json", bench.default_configs()),
             ("BENCH_7.json", bench.default_configs()),
-            ("BENCH_29.json", [bench.BenchConfig(64, 5, 5, 9, 9, 64)]))])  # redetect's shape
+            ("BENCH_29.json", [bench.BenchConfig(64, 5, 5, 9, 9, 64)]),  # redetect's shape
+            ("BENCH_30.json", [bench.BenchConfig(64, 5, 5, 29, 29, 64)]))])  # track's shape
     def test_committed_claim_files_read_back(self, name, configs):
         # Each wraps two write_json outputs of its configs under "before"
         # and "after"; a format change must not strand them.

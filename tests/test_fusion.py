@@ -342,32 +342,64 @@ class TestResponseRounding:
                                       winograd, apply_relu):
         # The float64 response from the window loop and the cache's terms,
         # rounded to float32 once: the bound of test_nn.assert_float32_rounding_of.
-        rng = np.random.default_rng(channels + out_ch)
-        base = make_weights(rng, channels, *kernel, out_ch, with_prior=True)
-        norm = nn.BatchNormParams(
-            gamma=rand_f32(rng, (out_ch,), 0.5, 1.5), beta=rand_f32(rng, (out_ch,)),
-            running_mean=rand_f32(rng, (out_ch,)), running_var=rand_f32(rng, (out_ch,), 0.5, 1.5),
-        )
-        weights = fusion.FusionWeights(base.theta_z, base.theta_x, base.prior, norm)
-        cache = fusion.acm_cache_template(rand_f32(rng, (channels, *kernel)), weights,
-                                          box=(30.0, 50.0))
-        x = rand_f32(rng, (channels, *search))
+        # With a norm, the search conv runs on an operand with its scale folded
+        # in; without one, on theta_x's own.
         fast_calls = []
         real_fast = nn._winograd_conv
         monkeypatch.setattr(nn, "_winograd_conv",
                             lambda *args: fast_calls.append(1) or real_fast(*args))
-        out = fusion.acm_apply_search(cache, x, weights, apply_relu)
-        assert len(fast_calls) == int(winograd)
-        theta = weights.theta_x.weights
-        bias = cache.z_term.astype(np.float64) + cache.prior_term
-        scale, shift = norm.scale, norm.shift
-        ref = (window_loop(x, theta) + bias) * scale + shift
-        if apply_relu:
-            ref = np.maximum(ref, 0.0)
-        magnitude = (window_loop(np.abs(x), np.abs(theta)) + np.abs(bias)) * np.abs(scale)
-        magnitude += np.abs(shift)
-        assert out.dtype == np.float32 and out.shape == ref.shape
-        assert np.all(np.abs(out - ref) <= 2.0**-24 * np.abs(ref) + 1e-12 * magnitude)
+        for with_norm in (True, False):
+            rng = np.random.default_rng(channels + out_ch)
+            base = make_weights(rng, channels, *kernel, out_ch, with_prior=True)
+            norm = nn.BatchNormParams(
+                gamma=rand_f32(rng, (out_ch,), 0.5, 1.5), beta=rand_f32(rng, (out_ch,)),
+                running_mean=rand_f32(rng, (out_ch,)),
+                running_var=rand_f32(rng, (out_ch,), 0.5, 1.5),
+            ) if with_norm else None
+            weights = fusion.FusionWeights(base.theta_z, base.theta_x, base.prior, norm)
+            cache = fusion.acm_cache_template(rand_f32(rng, (channels, *kernel)), weights,
+                                              box=(30.0, 50.0))
+            x = rand_f32(rng, (channels, *search))
+            out = fusion.acm_apply_search(cache, x, weights, apply_relu)
+            theta = weights.theta_x.weights
+            bias = cache.z_term.astype(np.float64) + cache.prior_term
+            scale, shift = (norm.scale, norm.shift) if with_norm else (1.0, 0.0)
+            ref = (window_loop(x, theta) + bias) * scale + shift
+            if apply_relu:
+                ref = np.maximum(ref, 0.0)
+            magnitude = (window_loop(np.abs(x), np.abs(theta)) + np.abs(bias)) * np.abs(scale)
+            magnitude += np.abs(shift)
+            assert out.dtype == np.float32 and out.shape == ref.shape
+            assert np.all(np.abs(out - ref) <= 2.0**-24 * np.abs(ref) + 1e-12 * magnitude)
+        assert len(fast_calls) == 2 * int(winograd)
+
+
+class TestFoldedOperand:
+    # (search side, operand): the track shape's search conv takes Winograd,
+    # the redetect shape's the im2col GEMM.
+    @pytest.mark.parametrize("search,operand", [(29, "_winograd_kernel"), (9, "_gemm_matrix")])
+    def test_built_on_the_first_search_and_reused(self, search, operand):
+        rng = np.random.default_rng(search)
+        base = make_weights(rng, 64, 5, 5, 64)
+        norm = nn.BatchNormParams(rand_f32(rng, (64,), 0.5, 1.5), rand_f32(rng, (64,)),
+                                  rand_f32(rng, (64,)), rand_f32(rng, (64,), 0.5, 1.5))
+        weights = fusion.FusionWeights(base.theta_z, base.theta_x, norm=norm)
+        cache = fusion.acm_cache_template(rand_f32(rng, (64, 5, 5)), weights)
+        assert "_search_kernel" not in vars(weights)  # nothing built before a search
+        x = rand_f32(rng, (64, search, search))
+        first = fusion.acm_apply_search(cache, x, weights)
+        folded = vars(weights._search_kernel)[operand]  # built by that first search
+        npt.assert_array_equal(fusion.acm_apply_search(cache, x, weights), first)
+        assert getattr(weights._search_kernel, operand) is folded  # reused, not rebuilt
+        assert set(vars(weights.theta_x)) == {"weights"}  # theta_x built no operand of its own
+        scale = norm.scale.reshape(-1)  # on the last axis of the (81, C, P) Winograd kernel,
+        if operand == "_gemm_matrix":  # on the first of the (P, C*kh*kw) GEMM matrix
+            scale = scale[:, None]
+        npt.assert_array_equal(folded, getattr(nn.ConvKernel(base.theta_x.weights), operand) * scale)
+
+    def test_without_a_norm_theta_x_is_the_operand(self):
+        weights = make_weights(np.random.default_rng(3), 2, 5, 5, 2)
+        assert weights._search_kernel is weights.theta_x
 
 
 def with_pixel(good, value):
@@ -610,6 +642,15 @@ WEIGHT_ROWS = {
         lambda: fusion.acm_forward(ones(2, 3, 3), ones(2, 5, 5), fusion.FusionWeights(
             nn.ConvKernel(ones(2, 2, 3, 3)), nn.ConvKernel(ones(2, 2, 3, 3)),
             norm=norm_of(running_var=np.zeros(2, np.float32), eps=1e-76))),
+        NonFiniteMapError),
+    # The same on the Winograd path (5x5 kernels, C = P = 32, a 29 x 29 map): one
+    # pixel of 10 makes only the first output of each channel 10 times that scale.
+    "response beyond float32, Winograd": (
+        lambda: fusion.acm_forward(
+            np.zeros((32, 5, 5), np.float32), with_first(np.zeros((32, 29, 29)), 10.0),
+            fusion.FusionWeights(nn.ConvKernel(ones(32, 32, 5, 5)), nn.ConvKernel(ones(32, 32, 5, 5)),
+                                 norm=norm_of(ones(32), ones(32), np.zeros(32, np.float32),
+                                              np.zeros(32, np.float32), eps=1e-76))),
         NonFiniteMapError),
 }
 

@@ -10,7 +10,7 @@ from asymfuse import autograd as ag
 from asymfuse import nn
 from asymfuse import tensor as T
 from asymfuse import toytask as tt
-from asymfuse.errors import KernelTooLargeError, RankError, ShapeMismatchError
+from asymfuse.errors import KernelTooLargeError, NonFiniteMapError, RankError, ShapeMismatchError
 from oracles import rand_f32, window_loop
 
 
@@ -229,6 +229,12 @@ class TestConvPaths:
         gamma = (2 * nn._ALPHA + r + 2) * np.finfo(np.float64).eps / 2
         assert np.all(np.abs(out - ref) <= gamma * chain)
 
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_output_transform_is_all_ones_at_point_one(self, r):
+        # The epilogue adds its bias at this point alone: A^T carries it to every output.
+        at = nn._cook_toom(r)[2]
+        assert nn._POINTS.index(1.0) == 1 and (at[:, 1] == 1.0).all()
+
     @pytest.mark.parametrize("c,h,w,p,kh,kw,winograd", CONV_PATH_ROWS)
     def test_conv2d_valid_matches_window_loop(self, monkeypatch, c, h, w, p, kh, kw, winograd):
         rng = np.random.default_rng(c * h + p * kh + kw)
@@ -346,16 +352,30 @@ class TestConvPaths:
                 x[:, i, j] = 1e12
                 assert_within_tile_bound(nn._winograd_conv(x, nn.ConvKernel(k)), x, k)
 
-    def test_cropped_margin_never_reaches_the_cast(self):
+    def test_cropped_margin_never_reaches_the_cast(self, monkeypatch):
         # 6x6 on 15x15 pads 10 output rows to 12. Map row 14 meets only the
         # zero last kernel row in valid windows, but overflows float32 in
-        # the two padded rows, which must not warn or raise.
-        x = np.zeros((64, 15, 15), np.float32)
-        x[:, 14] = 1e37
+        # the two padded rows, which must not warn or raise: without an
+        # epilogue, and with a bias of -1 and the ReLU off and on.
         k = np.ones((64, 64, 6, 6), np.float32)
         k[:, :, 5] = 0.0
-        out = nn.conv2d_valid(x, nn.ConvKernel(k))
-        assert out.shape == (64, 10, 10) and np.isfinite(out).all()
+        kernel = nn.ConvKernel(k)
+        fast_calls = []
+        real = nn._winograd_conv
+        monkeypatch.setattr(nn, "_winograd_conv",
+                            lambda *args: fast_calls.append(1) or real(*args))
+        for epilogue in (None, (np.full(64, -1.0), False), (np.full(64, -1.0), True)):
+            x = np.zeros((64, 15, 15), np.float32)
+            x[:, 14] = 1e37
+            out = nn.conv2d_valid(x, kernel, epilogue=epilogue)
+            assert out.shape == (64, 10, 10) and np.isfinite(out).all()
+            if epilogue is not None:
+                # The first two tile rows never see map row 14: each output is the bias, or 0.
+                assert (out[:, :8] == (0.0 if epilogue[1] else -1.0)).all()
+                x[:, 13] = 1e37  # now the last valid output row overflows
+                with pytest.raises(NonFiniteMapError):
+                    nn.conv2d_valid(x, kernel, epilogue=epilogue)
+        assert len(fast_calls) == 5
 
     @pytest.mark.parametrize("side", [5, 3])
     @pytest.mark.parametrize("source", ["array", "memoryview"])
