@@ -6,12 +6,14 @@ The fusion op convolves the template map and each search window with
 separate kernels and adds the results. Stacking [template; window] along
 channels and convolving once with the joined kernel gives the same
 numbers. This script builds a random instance of both and prints the
-largest absolute disagreement.
+largest absolute disagreement. The weights are built from raw arrays:
+a kernel array for each side and (weights, bias) pairs for the prior,
+which FusionWeights wraps once into its own read-only structs.
 """
 
 import numpy as np
 
-from asymfuse import ConvKernel, FcLayer, FusionWeights, acm_forward, naive_concat_corr
+from asymfuse import FusionWeights, acm_forward, naive_concat_corr
 
 rng = np.random.default_rng(0)
 
@@ -27,8 +29,8 @@ def draw(*shape):
 template = draw(C, eta, omega)
 search = draw(C, H, W)
 weights = FusionWeights(
-    theta_z=ConvKernel(draw(P, C, eta, omega)),
-    theta_x=ConvKernel(draw(P, C, eta, omega)),
+    theta_z=draw(P, C, eta, omega),
+    theta_x=draw(P, C, eta, omega),
 )
 
 # The naive reference walks every template-sized window of the search map,
@@ -47,9 +49,7 @@ print(f"max |naive - decomposed| = {np.abs(reference - decomposed).max():.3e}")
 # spatial position equally and so commutes with both forms.
 hidden = 16
 dims = (2, hidden, hidden, P)
-prior = tuple(
-    FcLayer(draw(dims[i + 1], dims[i]), draw(dims[i + 1])) for i in range(3)
-)
+prior = [(draw(dims[i + 1], dims[i]), draw(dims[i + 1])) for i in range(3)]
 with_prior = FusionWeights(theta_z=weights.theta_z, theta_x=weights.theta_x,
                            prior=prior)
 box = (44.0, 61.0)

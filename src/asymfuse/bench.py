@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fusion
-from . import nn
 from . import tensor as T
 
 MIN_REPS = 20
@@ -115,12 +114,10 @@ def _random_problem(config: BenchConfig, rng):
     template = draw((config.channels, config.eta, config.omega))
     search = draw((config.channels, config.height, config.width))
     dims = (2, 16, 16, config.out_channels)
-    prior = tuple(nn.FcLayer(draw((dims[i + 1], dims[i])), draw((dims[i + 1],)))
-                  for i in range(3))
+    prior = tuple((draw((dims[i + 1], dims[i])), draw((dims[i + 1],))) for i in range(3))
     box = (float(rng.uniform(10.0, 200.0)), float(rng.uniform(10.0, 200.0)))
     kernel = (config.out_channels, config.channels, config.eta, config.omega)
-    weights = fusion.FusionWeights(theta_z=nn.ConvKernel(draw(kernel)),
-                                   theta_x=nn.ConvKernel(draw(kernel)), prior=prior)
+    weights = fusion.FusionWeights(theta_z=draw(kernel), theta_x=draw(kernel), prior=prior)
     return template, search, weights, box
 
 

@@ -18,8 +18,10 @@ ReLU) has its scale folded into the search operand, and the cached terms,
 the prior, its shift and the ReLU are the conv's per-channel epilogue.
 
 The optional prior branch feeds (box width, box height), divided by
-:data:`BOX_SCALE` (255, SiamFC's search-image side), through a 3-layer
-FC net into one extra bias per output channel. Inputs are checked by the
+:data:`BOX_SCALE` (255, SiamFC's search-image side) by :func:`_prior_input`,
+through a 3-layer FC net into one extra bias per output channel. Each part of
+:class:`FusionWeights` is its struct or the raw form that :func:`_acm_block`,
+the taped block, takes under the same keyword. Inputs are checked by the
 package's shared helpers: a template or search map of the wrong rank or
 size raises ShapeMismatchError (a RankError is one), a search map
 smaller than the kernels KernelTooLargeError, and a NaN or infinite map
@@ -35,10 +37,10 @@ import numpy as np
 
 from .errors import MissingBoxError, NonFiniteMapError, NonPositiveBoxError, ShapeMismatchError
 from .nn import (
-    BatchNormParams, ConvKernel, FcLayer, _check_fit, _mlp3_layers, _ScaledKernel, conv2d_valid,
-    mlp3_forward,
+    BatchNormParams, ConvKernel, FcLayer, _check_fit, _fc_arrays, _mlp3_layers, _ScaledKernel,
+    conv2d_valid, mlp3_forward,
 )
-from .tensor import DTYPE, _as_map, _check_finite, _read_only
+from .tensor import DTYPE, _as_map, _check_bool, _check_finite, _read_only
 
 BOX_SCALE = 255.0
 
@@ -47,15 +49,16 @@ BOX_SCALE = 255.0
 class FusionWeights:
     """Everything the fusion op learns.
 
-    ``theta_z`` and ``theta_x`` must have identical shapes; their shared
-    output-channel count fixes the response depth. ``prior``, when
-    present, is the 3-layer FC stack of the box branch: it takes the two
-    box sides, each layer's width chains into the next and it ends in that
-    same channel count (else ShapeMismatchError); a box must then
-    accompany every template. The weights keep the layers they are given,
-    which own read-only copies of their arrays, as the kernels and ``norm``
-    do. ``norm`` optionally batch-normalizes the summed response before
-    the ReLU.
+    Each field is its struct, kept as given, or the raw form :func:`_acm_block`
+    takes, wrapped once: a kernel array, three ``(weights, bias)`` pairs, and
+    ``(gamma, beta, running_mean, running_var)`` with the tape's eps, 1e-5.
+    Every struct owns read-only copies of its arrays. ``theta_z`` and
+    ``theta_x`` must have identical shapes; their shared output-channel count
+    fixes the response depth. ``prior``, when present, is the 3-layer FC stack
+    of the box branch: it takes the two box sides, each layer's width chains
+    into the next and it ends in that same channel count (else
+    ShapeMismatchError); a box must then accompany every template. ``norm``
+    optionally batch-normalizes the summed response before the ReLU.
     """
 
     theta_z: ConvKernel
@@ -64,13 +67,17 @@ class FusionWeights:
     norm: BatchNormParams | None = None
 
     def __post_init__(self):
+        for name in ("theta_z", "theta_x"):
+            if not isinstance(getattr(self, name), ConvKernel):
+                object.__setattr__(self, name, ConvKernel(getattr(self, name)))
         if self.theta_z.weights.shape != self.theta_x.weights.shape:
             raise ShapeMismatchError(
                 f"kernel shapes differ: {self.theta_z.weights.shape} "
                 f"vs {self.theta_x.weights.shape}"
             )
         if self.prior is not None:
-            layers = _mlp3_layers(self.prior)
+            layers = tuple(layer if isinstance(layer, FcLayer) else FcLayer(*_fc_arrays(layer))
+                           for layer in _mlp3_layers(self.prior))
             widths = (2, *(layer.weights.shape[0] for layer in layers))  # out x in weights
             for i, layer in enumerate(layers):
                 if layer.weights.shape[1] != widths[i]:
@@ -80,6 +87,9 @@ class FusionWeights:
                 raise ShapeMismatchError(f"prior branch ends in {widths[3]} features, kernels "
                                          f"produce {self.out_channels} channels")
             object.__setattr__(self, "prior", layers)
+        if self.norm is not None and not isinstance(self.norm, BatchNormParams):
+            gamma, beta, mean, var = self.norm if np.iterable(self.norm) else ()  # else ValueError
+            object.__setattr__(self, "norm", BatchNormParams(gamma, beta, mean, var))
         if self.norm is not None and self.norm.channels != self.out_channels:
             raise ShapeMismatchError(
                 f"norm describes {self.norm.channels} channels, "
@@ -175,6 +185,23 @@ def naive_concat_corr(template, search, weights: FusionWeights) -> np.ndarray:
     return out
 
 
+def _prior_input(box) -> np.ndarray:
+    """The one box rule: (width, height) / BOX_SCALE as float32, or acm_cache_template's errors."""
+    try:  # np.asarray raises ValueError on a ragged box such as ((1, 2), 3)
+        sides = np.asarray(box)
+        if (sides.shape != (2,) or sides.dtype.kind not in "iuf"
+                or any(isinstance(side, (bool, np.bool_)) for side in box)):
+            raise ValueError
+    except ValueError:
+        raise ShapeMismatchError(f"box must be two real numbers (width, height), "
+                                 f"got {box!r}") from None
+    scaled = [float(side) / BOX_SCALE for side in sides]
+    if not all(0 < side <= float(np.finfo(DTYPE).max) for side in scaled):
+        raise NonPositiveBoxError(f"box sides must be positive, and finite in "
+                                  f"float32 once divided by {BOX_SCALE:g}: {box}")
+    return np.array(scaled, dtype=DTYPE)
+
+
 def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCache:
     """Precompute the search-independent terms for one template.
 
@@ -182,35 +209,23 @@ def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCa
         MissingBoxError: weights carry a prior branch but box is None.
         NonFiniteMapError: a NaN or infinite template, or a z or prior term beyond float32.
         ShapeMismatchError: box is not exactly two real numbers (width, height);
-            strings, bytes and ragged nestings count as malformed.
+            bools, strings, bytes and ragged nestings count as malformed.
         NonPositiveBoxError: box width or height is not positive, or, divided
             by BOX_SCALE, exceeds the float32 range (NaN and inf included).
     """
     z = _check_template(template, weights)
-    scaled = prior_term = None
+    prior_in = prior_term = None
     if weights.prior is not None:
         if box is None:
             raise MissingBoxError("weights carry a prior branch; a box is required")
-        try:  # np.asarray raises ValueError on a ragged box such as ((1, 2), 3)
-            sides = np.asarray(box)
-            if sides.shape != (2,) or sides.dtype.kind not in "iuf":
-                raise ValueError
-        except ValueError:
-            raise ShapeMismatchError(
-                f"box must be two real numbers (width, height), got {box!r}"
-            ) from None
-        box_w, box_h = (float(side) / BOX_SCALE for side in sides)
-        if not all(0 < side <= float(np.finfo(DTYPE).max) for side in (box_w, box_h)):
-            raise NonPositiveBoxError(f"box sides must be positive, and finite in "
-                                      f"float32 once divided by {BOX_SCALE:g}: {box}")
-        scaled = np.array([box_w, box_h], dtype=DTYPE)
+        prior_in = _prior_input(box)
     elif box is not None:
         raise ValueError("a box was given but the weights have no prior branch")
     try:  # under the default error state, a cast beyond float32 only warns
         with np.errstate(over="raise"):
             z_term = conv2d_valid(z, weights.theta_z)
-            if scaled is not None:
-                prior_term = mlp3_forward(scaled, weights.prior).reshape(-1, 1, 1)
+            if prior_in is not None:
+                prior_term = mlp3_forward(prior_in, weights.prior).reshape(-1, 1, 1)
     except FloatingPointError:
         raise NonFiniteMapError("the z term or the prior term exceeds the float32 range") from None
     return TemplateCache(z_term=z_term, prior_term=prior_term)
@@ -225,8 +240,10 @@ def acm_apply_search(
     norm's scale folded into its float64 operand, which the weights build on
     their first search and keep. The cached terms, the norm's shift and the
     activation are its ``epilogue``, and the response rounds to float32 once;
-    a response beyond the float32 range raises NonFiniteMapError.
+    a response beyond the float32 range raises NonFiniteMapError, a non-bool
+    ``apply_relu`` ValueError.
     """
+    apply_relu = _check_bool(apply_relu, "apply_relu")
     x = _check_search(search, weights)
     if cache.out_channels != weights.out_channels:
         raise ShapeMismatchError(
@@ -244,8 +261,7 @@ def acm_apply_search(
     return conv2d_valid(x, weights._search_kernel, epilogue=(bias, apply_relu))
 
 
-def _acm_block(ops, x, theta_x, prior_in=None, prior_layers=None, z=None, theta_z=None,
-               norm=None):
+def _acm_block(ops, x, theta_x, prior_in=None, prior=None, z=None, theta_z=None, norm=None):
     """relu([norm](theta_x*x [+ theta_z*z] [+ reshape(mlp3(prior_in), P x 1 x 1)])) in ``ops``
     (``autograd`` or ``plain``), ``norm`` being (gamma, beta, running mean, running variance):
     the block's one composition, for the tape and the toy model; acm_forward rounds it just once."""
@@ -253,7 +269,7 @@ def _acm_block(ops, x, theta_x, prior_in=None, prior_layers=None, z=None, theta_
     if z is not None:
         out = ops.add(out, ops.conv2d(z, theta_z))
     if prior_in is not None:
-        out = ops.add(out, ops.reshape(ops.mlp3(prior_in, prior_layers), (-1, 1, 1)))
+        out = ops.add(out, ops.reshape(ops.mlp3(prior_in, prior), (-1, 1, 1)))
     if norm is not None:
         out = ops.batchnorm(out, *norm)
     return ops.relu(out)

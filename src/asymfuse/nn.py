@@ -519,14 +519,18 @@ def xcorr(search, template, *, patches=None) -> np.ndarray:
     return conv2d_valid(search, _as_map(template, "template")[np.newaxis], patches=patches)
 
 
-def fc_forward(x, layer) -> np.ndarray:
-    """Affine map weights @ x + bias for a rank-1 input; ``layer`` is an FcLayer or
-    a raw ``(weights, bias)`` pair (else ValueError), which gets the layer's shape check."""
+def _fc_arrays(layer) -> tuple[np.ndarray, np.ndarray]:
+    """An FcLayer's arrays, or a raw ``(weights, bias)`` pair's, shape-checked; else ValueError."""
     try:
-        w, b = ((layer.weights, layer.bias) if isinstance(layer, FcLayer)
+        return ((layer.weights, layer.bias) if isinstance(layer, FcLayer)
                 else _check_fc(*map(as_tensor, layer)))
     except TypeError:  # not iterable, or not two arrays
         raise ValueError("fc layer must be an FcLayer or a (weights, bias) pair") from None
+
+
+def fc_forward(x, layer) -> np.ndarray:
+    """Affine map weights @ x + bias for a rank-1 input, ``layer`` read by :func:`_fc_arrays`."""
+    w, b = _fc_arrays(layer)
     x = as_tensor(x)
     if x.ndim != 1:
         raise RankError(f"fc input must be rank 1, got rank {x.ndim}")

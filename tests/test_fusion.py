@@ -1,5 +1,7 @@
 """Fusion: naive concat-and-convolve vs the decomposed two-kernel path."""
 
+import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -23,13 +25,11 @@ def make_weights(rng, channels, eta, omega, out_ch, with_prior=False, hidden=4):
     prior = None
     if with_prior:
         dims = (2, hidden, hidden, out_ch)
-        prior = tuple(
-            nn.FcLayer(rand_f32(rng, (dims[i + 1], dims[i])), rand_f32(rng, (dims[i + 1],)))
-            for i in range(3)
-        )
+        prior = [(rand_f32(rng, (dims[i + 1], dims[i])), rand_f32(rng, (dims[i + 1],)))
+                 for i in range(3)]
     return fusion.FusionWeights(
-        theta_z=nn.ConvKernel(rand_f32(rng, (out_ch, channels, eta, omega))),
-        theta_x=nn.ConvKernel(rand_f32(rng, (out_ch, channels, eta, omega))),
+        theta_z=rand_f32(rng, (out_ch, channels, eta, omega)),
+        theta_x=rand_f32(rng, (out_ch, channels, eta, omega)),
         prior=prior,
     )
 
@@ -208,9 +208,9 @@ class TestAcmForward:
         template, _, weights, _ = bench._random_problem(config, np.random.default_rng(0))
         first, *rest = weights.prior
         weights = fusion.FusionWeights(
-            theta_z=nn.ConvKernel(weights.theta_z.weights * np.float32(z_scale)),
+            theta_z=weights.theta_z.weights * np.float32(z_scale),
             theta_x=weights.theta_x,
-            prior=(nn.FcLayer(first.weights * np.float32(w1_scale), first.bias), *rest))
+            prior=((first.weights * np.float32(w1_scale), first.bias), *rest))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error):
@@ -221,7 +221,8 @@ class TestAcmForward:
         weights = make_weights(rng, 2, 2, 2, 3, with_prior=True)
         template = rand_f32(rng, (2, 2, 2))
         for box in [(10.0, 20.0, 30.0), (10.0,), 5.0, "55", ((10.0, 20.0),),
-                    ("5", "5"), (b"5", 5), ((1, 2), 3), (True, False)]:
+                    ("5", "5"), (b"5", 5), ((1, 2), 3), (True, False), (True, 5),
+                    (np.True_, 5.0)]:
             with pytest.raises(ShapeMismatchError):
                 fusion.acm_cache_template(template, weights, box)
 
@@ -432,13 +433,19 @@ CONTRACT_ROWS = {
     "inf in search": ("search", with_pixel(CONTRACT_SEARCH, np.inf), NonFiniteMapError),
     "-inf in template": ("template", with_pixel(CONTRACT_TEMPLATE, -np.inf), NonFiniteMapError),
     "-inf in search": ("search", with_pixel(CONTRACT_SEARCH, -np.inf), NonFiniteMapError),
+    # The ReLU flag is a bool, never read by truthiness.
+    "apply_relu 'no'": ("apply_relu", "no", ValueError),
+    "apply_relu None": ("apply_relu", None, ValueError),
+    "apply_relu 1": ("apply_relu", 1, ValueError),
 }
 CONTRACT_ENTRY_POINTS = {
-    "naive_concat_corr": ({"template", "search"}, fusion.naive_concat_corr),
-    "acm_forward": ({"template", "search"}, fusion.acm_forward),
-    "acm_cache_template": ({"template"}, lambda z, x, w: fusion.acm_cache_template(z, w)),
-    "acm_apply_search": ({"search"}, lambda z, x, w: fusion.acm_apply_search(
-        fusion.acm_cache_template(CONTRACT_TEMPLATE, w), x, w)),
+    "naive_concat_corr": ({"template", "search"},
+                          lambda z, x, w, relu: fusion.naive_concat_corr(z, x, w)),
+    "acm_forward": ({"template", "search", "apply_relu"},
+                    lambda z, x, w, relu: fusion.acm_forward(z, x, w, apply_relu=relu)),
+    "acm_cache_template": ({"template"}, lambda z, x, w, relu: fusion.acm_cache_template(z, w)),
+    "acm_apply_search": ({"search", "apply_relu"}, lambda z, x, w, relu: fusion.acm_apply_search(
+        fusion.acm_cache_template(CONTRACT_TEMPLATE, w), x, w, relu)),
 }
 
 
@@ -449,12 +456,13 @@ class TestErrorContract:
         which, bad, error = CONTRACT_ROWS[row]
         takes, call = CONTRACT_ENTRY_POINTS[entry]
         weights = make_weights(np.random.default_rng(72), 2, 3, 3, 2)
-        inputs = {"template": CONTRACT_TEMPLATE, "search": CONTRACT_SEARCH, which: bad}
+        inputs = {"template": CONTRACT_TEMPLATE, "search": CONTRACT_SEARCH, "apply_relu": True,
+                  which: bad}
         if which in takes:
             with pytest.raises(error):
-                call(inputs["template"], inputs["search"], weights)
+                call(inputs["template"], inputs["search"], weights, inputs["apply_relu"])
         else:
-            call(inputs["template"], inputs["search"], weights)
+            call(inputs["template"], inputs["search"], weights, inputs["apply_relu"])
 
 
 KERNEL = np.ones((2, 2, 5, 5), np.float32)
@@ -513,7 +521,7 @@ def later_built_cache():
 
 def later_prior():
     sources = [ones(4, 2), ones(4), ones(4, 4), ones(4), ones(2, 4), ones(2)]
-    weights = weights_of(prior=[nn.FcLayer(w, b) for w, b in zip(sources[::2], sources[1::2])])
+    weights = weights_of(prior=list(zip(sources[::2], sources[1::2])), form="raw")
     return ([(a, np.nan) for a in sources],
             [a for layer in weights.prior for a in (layer.weights, layer.bias)],
             lambda: fusion.acm_forward(LATER_TEMPLATE, LATER_SEARCH, weights, box=(10.0, 20.0)))
@@ -568,89 +576,104 @@ def with_first(arr, value):
 
 
 def prior_of(w1=ones(4, 2), w2=ones(4, 4), w3=ones(2, 4), b3=np.zeros(2, np.float32)):
-    return (nn.FcLayer(w1, np.zeros(len(w1), np.float32)),
-            nn.FcLayer(w2, np.zeros(len(w2), np.float32)), nn.FcLayer(w3, b3))
+    """A prior branch as raw (weights, bias) pairs."""
+    return ((w1, np.zeros(len(w1), np.float32)), (w2, np.zeros(len(w2), np.float32)), (w3, b3))
 
 
-def norm_of(gamma=ones(2), beta=ones(2), running_mean=ones(2), running_var=ones(2), eps=1e-5):
-    return nn.BatchNormParams(gamma, beta, running_mean, running_var, eps)
+def norm_of(gamma=ones(2), beta=ones(2), running_mean=ones(2), running_var=ones(2)):
+    """A norm as raw (gamma, beta, running_mean, running_var)."""
+    return gamma, beta, running_mean, running_var
 
 
-def weights_of(theta_z=KERNEL, theta_x=KERNEL, prior=None, norm=None):
-    """Fusion weights on KERNEL's shape with a prior branch and a norm."""
-    return fusion.FusionWeights(nn.ConvKernel(theta_z), nn.ConvKernel(theta_x),
-                                prior=prior or prior_of(), norm=norm or norm_of())
+def weights_of(theta_z=KERNEL, theta_x=KERNEL, prior=None, norm=None, form="struct"):
+    """Fusion weights on KERNEL's shape with a prior branch and a norm, from raw parts:
+    each wrapped in its struct here when ``form`` is "struct", by FusionWeights when "raw"."""
+    prior, norm = prior or prior_of(), norm or norm_of()
+    if form == "struct":
+        theta_z, theta_x = nn.ConvKernel(theta_z), nn.ConvKernel(theta_x)
+        prior, norm = [nn.FcLayer(*layer) for layer in prior], nn.BatchNormParams(*norm)
+    return fusion.FusionWeights(theta_z, theta_x, prior, norm)
 
 
 # The error contract of the learned weights and of a template cache. Each row
-# builds one with a bad part; building it raises the row's class, before any
-# search map is seen. The last three rows build sound parts that fail when
-# used: a prior fed a rank-2 input, a cache whose depth the weights do not
-# produce, and a response that must raise rather than round to inf.
+# builds one with a bad part, given in ``form``: as its struct, or in the raw
+# form FusionWeights wraps itself; both raise the row's class, before any
+# search map is seen (rows that build no FusionWeights from parts ignore the
+# form). The last three rows build sound parts that fail when used: a prior
+# fed a rank-2 input, a cache whose depth the weights do not produce, and a
+# response that must raise rather than round to inf.
 WEIGHT_ROWS = {
-    "zero-size theta_x": (lambda: weights_of(theta_x=np.zeros((2, 2, 0, 5), np.float32)),
-                          ShapeMismatchError),
-    "prior with 2 layers": (lambda: weights_of(prior=prior_of()[:2]), ValueError),
-    "prior layer 1 takes 3 inputs": (lambda: weights_of(prior=prior_of(w1=ones(4, 3))),
-                                     ShapeMismatchError),
-    "prior widths do not chain": (lambda: weights_of(prior=prior_of(w2=ones(4, 5))),
-                                  ShapeMismatchError),
-    "rank-3 prior layer weights": (lambda: weights_of(prior=prior_of(w1=ones(4, 2, 1))),
-                                   RankError),
-    "nan in theta_x": (lambda: weights_of(theta_x=with_first(KERNEL, np.nan)), NonFiniteMapError),
-    "inf in theta_z": (lambda: weights_of(theta_z=with_first(KERNEL, np.inf)), NonFiniteMapError),
-    "nan in prior weights": (lambda: weights_of(prior=prior_of(w2=with_first(ones(4, 4), np.nan))),
-                             NonFiniteMapError),
-    "inf in prior bias": (lambda: weights_of(prior=prior_of(b3=with_first(ones(2), np.inf))),
-                          NonFiniteMapError),
-    "nan in FcLayer weights": (lambda: nn.FcLayer(with_first(ones(3, 2), np.nan), ones(3)),
+    "zero-size theta_x": (lambda form: weights_of(theta_x=np.zeros((2, 2, 0, 5), np.float32),
+                                                  form=form), ShapeMismatchError),
+    "prior with 2 layers": (lambda form: weights_of(prior=prior_of()[:2], form=form), ValueError),
+    "prior layer 1 takes 3 inputs": (
+        lambda form: weights_of(prior=prior_of(w1=ones(4, 3)), form=form), ShapeMismatchError),
+    "prior widths do not chain": (
+        lambda form: weights_of(prior=prior_of(w2=ones(4, 5)), form=form), ShapeMismatchError),
+    "rank-3 prior layer weights": (
+        lambda form: weights_of(prior=prior_of(w1=ones(4, 2, 1)), form=form), RankError),
+    "nan in theta_x": (lambda form: weights_of(theta_x=with_first(KERNEL, np.nan), form=form),
+                       NonFiniteMapError),
+    "inf in theta_z": (lambda form: weights_of(theta_z=with_first(KERNEL, np.inf), form=form),
+                       NonFiniteMapError),
+    "nan in prior weights": (
+        lambda form: weights_of(prior=prior_of(w2=with_first(ones(4, 4), np.nan)), form=form),
+        NonFiniteMapError),
+    "inf in prior bias": (
+        lambda form: weights_of(prior=prior_of(b3=with_first(ones(2), np.inf)), form=form),
+        NonFiniteMapError),
+    "nan in FcLayer weights": (lambda form: nn.FcLayer(with_first(ones(3, 2), np.nan), ones(3)),
                                NonFiniteMapError),
-    "inf in FcLayer weights": (lambda: nn.FcLayer(with_first(ones(3, 2), np.inf), ones(3)),
+    "inf in FcLayer weights": (lambda form: nn.FcLayer(with_first(ones(3, 2), np.inf), ones(3)),
                                NonFiniteMapError),
-    "-inf in FcLayer bias": (lambda: nn.FcLayer(ones(3, 2), with_first(ones(3), -np.inf)),
+    "-inf in FcLayer bias": (lambda form: nn.FcLayer(ones(3, 2), with_first(ones(3), -np.inf)),
                              NonFiniteMapError),
-    "nan gamma": (lambda: weights_of(norm=norm_of(gamma=with_first(ones(2), np.nan))),
-                  NonFiniteMapError),
-    "inf beta": (lambda: weights_of(norm=norm_of(beta=with_first(ones(2), np.inf))),
-                 NonFiniteMapError),
-    "-inf running_mean": (lambda: weights_of(norm=norm_of(running_mean=with_first(ones(2),
-                                                                                  -np.inf))),
-                          NonFiniteMapError),
-    "rank-2 gamma": (lambda: weights_of(norm=norm_of(gamma=ones(2, 1))), RankError),
-    "norm lengths differ": (lambda: weights_of(norm=norm_of(beta=ones(3))), ShapeMismatchError),
-    "norm channels != kernels": (lambda: weights_of(norm=norm_of(*[ones(3)] * 4)),
+    "nan gamma": (lambda form: weights_of(norm=norm_of(gamma=with_first(ones(2), np.nan)),
+                                          form=form), NonFiniteMapError),
+    "inf beta": (lambda form: weights_of(norm=norm_of(beta=with_first(ones(2), np.inf)),
+                                         form=form), NonFiniteMapError),
+    "-inf running_mean": (
+        lambda form: weights_of(norm=norm_of(running_mean=with_first(ones(2), -np.inf)),
+                                form=form), NonFiniteMapError),
+    "rank-2 gamma": (lambda form: weights_of(norm=norm_of(gamma=ones(2, 1)), form=form),
+                     RankError),
+    "norm lengths differ": (lambda form: weights_of(norm=norm_of(beta=ones(3)), form=form),
+                            ShapeMismatchError),
+    "norm channels != kernels": (lambda form: weights_of(norm=norm_of(*[ones(3)] * 4), form=form),
                                  ShapeMismatchError),
     # |gamma| / sqrt(0 + 1e-300) = 1e150 would overflow the float32 output.
     "folded norm scale beyond float32": (
-        lambda: weights_of(norm=norm_of(running_var=np.zeros(2, np.float32), eps=1e-300)),
+        lambda form: nn.BatchNormParams(*norm_of(running_var=np.zeros(2, np.float32)), eps=1e-300),
         ValueError),
-    "nan in z_term": (lambda: fusion.TemplateCache(with_first(ones(2, 1, 1), np.nan)),
+    "nan in z_term": (lambda form: fusion.TemplateCache(with_first(ones(2, 1, 1), np.nan)),
                       NonFiniteMapError),
-    "inf in prior_term": (lambda: fusion.TemplateCache(ones(2, 1, 1),
-                                                       with_first(ones(2, 1, 1), np.inf)),
+    "inf in prior_term": (lambda form: fusion.TemplateCache(ones(2, 1, 1),
+                                                            with_first(ones(2, 1, 1), np.inf)),
                           NonFiniteMapError),
-    "z_term not P x 1 x 1": (lambda: fusion.TemplateCache(ones(2, 2, 1)), ShapeMismatchError),
-    "prior_term shape != z_term": (lambda: fusion.TemplateCache(ones(2, 1, 1), ones(3, 1, 1)),
-                                   ShapeMismatchError),
-    "rank-2 prior input": (lambda: nn.mlp3_forward(ones(1, 2), prior_of()), RankError),
+    "z_term not P x 1 x 1": (lambda form: fusion.TemplateCache(ones(2, 2, 1)),
+                             ShapeMismatchError),
+    "prior_term shape != z_term": (
+        lambda form: fusion.TemplateCache(ones(2, 1, 1), ones(3, 1, 1)), ShapeMismatchError),
+    "rank-2 prior input": (lambda form: nn.mlp3_forward(ones(1, 2), prior_of()), RankError),
     "cache channels != weights": (
-        lambda: fusion.acm_apply_search(fusion.TemplateCache(ones(3, 1, 1), ones(3, 1, 1)),
-                                        ones(2, 7, 7), weights_of()),
+        lambda form: fusion.acm_apply_search(fusion.TemplateCache(ones(3, 1, 1), ones(3, 1, 1)),
+                                             ones(2, 7, 7), weights_of(form=form)),
         ShapeMismatchError),
     # A folded scale of 1e38 fits float32; 36 times it, from all-ones 3x3 kernels, does not.
     "response beyond float32": (
-        lambda: fusion.acm_forward(ones(2, 3, 3), ones(2, 5, 5), fusion.FusionWeights(
+        lambda form: fusion.acm_forward(ones(2, 3, 3), ones(2, 5, 5), fusion.FusionWeights(
             nn.ConvKernel(ones(2, 2, 3, 3)), nn.ConvKernel(ones(2, 2, 3, 3)),
-            norm=norm_of(running_var=np.zeros(2, np.float32), eps=1e-76))),
+            norm=nn.BatchNormParams(*norm_of(running_var=np.zeros(2, np.float32)), eps=1e-76))),
         NonFiniteMapError),
     # The same on the Winograd path (5x5 kernels, C = P = 32, a 29 x 29 map): one
     # pixel of 10 makes only the first output of each channel 10 times that scale.
     "response beyond float32, Winograd": (
-        lambda: fusion.acm_forward(
+        lambda form: fusion.acm_forward(
             np.zeros((32, 5, 5), np.float32), with_first(np.zeros((32, 29, 29)), 10.0),
-            fusion.FusionWeights(nn.ConvKernel(ones(32, 32, 5, 5)), nn.ConvKernel(ones(32, 32, 5, 5)),
-                                 norm=norm_of(ones(32), ones(32), np.zeros(32, np.float32),
-                                              np.zeros(32, np.float32), eps=1e-76))),
+            fusion.FusionWeights(
+                nn.ConvKernel(ones(32, 32, 5, 5)), nn.ConvKernel(ones(32, 32, 5, 5)),
+                norm=nn.BatchNormParams(ones(32), ones(32), np.zeros(32, np.float32),
+                                        np.zeros(32, np.float32), eps=1e-76))),
         NonFiniteMapError),
 }
 
@@ -659,16 +682,63 @@ class TestWeightContract:
     @pytest.mark.parametrize("row", WEIGHT_ROWS)
     def test_bad_weights_raise_their_class(self, row):
         build, error = WEIGHT_ROWS[row]
-        with pytest.raises(error):
-            build()
+        for form in ("struct", "raw"):
+            with pytest.raises(error):
+                build(form)
+
+    @pytest.mark.parametrize("layer", [ones(4, 2), (ones(4, 2),), (ones(4, 2), ones(4), ones(4)),
+                                       5.0, None], ids=["array", "1-tuple", "3-tuple", "float",
+                                                        "None"])
+    def test_a_raw_prior_layer_must_be_a_pair(self, layer):
+        with pytest.raises(ValueError, match="fc layer must be an FcLayer or a"):
+            weights_of(prior=(layer, *prior_of()[1:]), form="raw")
+
+    @pytest.mark.parametrize("norm", [(ones(2),) * 3, (ones(2),) * 5, 5.0],
+                             ids=["3 arrays", "5 parts", "float"])
+    def test_a_raw_norm_must_be_four_arrays(self, norm):
+        with pytest.raises(ValueError):
+            weights_of(norm=norm, form="raw")
+
+    # (C, kernel side, search side, P, search conv takes Winograd)
+    @pytest.mark.parametrize("channels,side,search,out_ch,winograd", [
+        (3, 3, 8, 4, False),
+        (32, 5, 29, 32, True),
+    ])
+    def test_raw_and_struct_forms_respond_alike(self, monkeypatch, channels, side, search,
+                                                out_ch, winograd):
+        fast_calls = []
+        real_fast = nn._winograd_conv
+        monkeypatch.setattr(nn, "_winograd_conv",
+                            lambda *args: fast_calls.append(1) or real_fast(*args))
+        rng = np.random.default_rng(channels)
+        kernel, dims = (out_ch, channels, side, side), (2, 16, 16, out_ch)
+        raw = {"theta_z": rand_f32(rng, kernel), "theta_x": rand_f32(rng, kernel),
+               "prior": [(rand_f32(rng, (dims[i + 1], dims[i])), rand_f32(rng, (dims[i + 1],)))
+                         for i in range(3)],
+               "norm": (rand_f32(rng, (out_ch,), 0.5, 1.5), rand_f32(rng, (out_ch,)),
+                        rand_f32(rng, (out_ch,)), rand_f32(rng, (out_ch,), 0.5, 1.5))}
+        struct = fusion.FusionWeights(
+            nn.ConvKernel(raw["theta_z"]), nn.ConvKernel(raw["theta_x"]),
+            [nn.FcLayer(*layer) for layer in raw["prior"]], nn.BatchNormParams(*raw["norm"]))
+        template = rand_f32(rng, (channels, side, side))
+        x = rand_f32(rng, (channels, search, search))
+        from_raw, from_struct = (fusion.acm_forward(template, x, weights, box=(30.0, 50.0))
+                                 for weights in (fusion.FusionWeights(**raw), struct))
+        assert from_raw.tobytes() == from_struct.tobytes()
+        assert len(fast_calls) == 2 * int(winograd)
+
+    def test_acm_blocks_keywords_are_the_weights_fields(self):
+        fields = {f.name for f in dataclasses.fields(fusion.FusionWeights)}
+        assert fields == {"theta_z", "theta_x", "prior", "norm"}
+        assert fields <= set(inspect.signature(fusion._acm_block).parameters)
 
     def test_good_weights_give_a_finite_response(self):
         out = fusion.acm_forward(ones(2, 5, 5), ones(2, 7, 7), weights_of(), box=(10.0, 20.0))
         assert out.shape == (2, 3, 3) and np.isfinite(out).all()
 
     def test_weights_keep_the_layers_they_are_given(self):
-        layers = prior_of()  # each FcLayer already owns read-only copies
-        kept = weights_of(prior=layers).prior
+        layers = [nn.FcLayer(*layer) for layer in prior_of()]  # each owns read-only copies
+        kept = fusion.FusionWeights(KERNEL, KERNEL, layers).prior
         assert len(kept) == 3 and all(kept[i] is layers[i] for i in range(3))
 
 
@@ -685,10 +755,19 @@ TAPED_BLOCK_GAP = 8e-6
 ORACLE_GAP = 6e-6
 
 
+def with_leaves(params, leaf):
+    """``params`` with ``leaf`` applied to each Parameter, inside its pairs and tuples too."""
+    def walk(value):
+        if isinstance(value, ag.Parameter):
+            return leaf(value)
+        return tuple(map(walk, value)) if isinstance(value, (list, tuple)) else value
+    return {name: walk(value) for name, value in params.items()}
+
+
 def taped_block_and_weights(rng, with_norm=True):
     """The taped block with every arm (the norm only ``with_norm``) over drawn
-    Parameters, and FusionWeights built from those Parameters' values:
-    (output node, weights, template, search, box)."""
+    Parameters, keyed by FusionWeights' fields, and the weights exported as
+    ``FusionWeights(**their values)``: (output node, weights, template, search, box)."""
     config = bench._random_config(rng)
     p = config.out_channels
 
@@ -696,32 +775,28 @@ def taped_block_and_weights(rng, with_norm=True):
         return ag.Parameter(rand_f32(rng, shape, lo, hi), name)
 
     kernel = (p, config.channels, config.eta, config.omega)
-    theta_z, theta_x = param("theta_z", kernel), param("theta_x", kernel)
     dims = (2, 16, 16, p)
-    layers = [(param(f"w{i}", (dims[i + 1], dims[i])), param(f"b{i}", (dims[i + 1],)))
-              for i in range(3)]
-    gamma, beta = param("gamma", (p,), 0.5, 1.5), param("beta", (p,), -0.5, 0.5)
-    mean, var = rand_f32(rng, (p,), -0.5, 0.5), rand_f32(rng, (p,), 0.5, 2.0)
+    params = {"theta_z": param("theta_z", kernel), "theta_x": param("theta_x", kernel),
+              "prior": [(param(f"w{i}", (dims[i + 1], dims[i])), param(f"b{i}", (dims[i + 1],)))
+                        for i in range(3)]}
+    norm = (param("gamma", (p,), 0.5, 1.5), param("beta", (p,), -0.5, 0.5),
+            rand_f32(rng, (p,), -0.5, 0.5), rand_f32(rng, (p,), 0.5, 2.0))
+    if with_norm:
+        params["norm"] = norm
     template = rand_f32(rng, (config.channels, config.eta, config.omega))
     search = rand_f32(rng, (config.channels, config.height, config.width))
     box = (float(rng.uniform(10.0, 200.0)), float(rng.uniform(10.0, 200.0)))
 
     tape = ag.Tape()
-    out = fusion._acm_block(
-        ag, tape.constant(search), tape.parameter(theta_x),
-        tape.constant(np.asarray(box) / fusion.BOX_SCALE),
-        [(tape.parameter(w), tape.parameter(b)) for w, b in layers],
-        tape.constant(template), tape.parameter(theta_z),
-        (tape.parameter(gamma), tape.parameter(beta), mean, var) if with_norm else None)
-    weights = fusion.FusionWeights(
-        nn.ConvKernel(theta_z.value), nn.ConvKernel(theta_x.value),
-        prior=tuple(nn.FcLayer(w.value, b.value) for w, b in layers),
-        norm=nn.BatchNormParams(gamma.value, beta.value, mean, var) if with_norm else None)
+    out = fusion._acm_block(ag, tape.constant(search), z=tape.constant(template),
+                            prior_in=tape.constant(fusion._prior_input(box)),
+                            **with_leaves(params, tape.parameter))
+    weights = fusion.FusionWeights(**with_leaves(params, lambda param: param.value))
     return out, weights, template, search, box
 
 
 class TestTapedBlock:
-    """The taped block's Parameters, copied into FusionWeights, run on the inference path."""
+    """The taped block's Parameters, exported to FusionWeights, run on the inference path."""
 
     def test_exported_weights_give_acm_forwards_response(self):
         worst = 0.0
@@ -734,12 +809,12 @@ class TestTapedBlock:
         assert worst <= TAPED_BLOCK_GAP <= bench.TOL
 
     def test_block_without_norm_matches_the_oracle(self):
-        """relu(naive_concat_corr + prior(box / BOX_SCALE)) on the same weights."""
+        """relu(naive_concat_corr + prior(_prior_input(box))) on the same weights."""
         worst = 0.0
         for seed in range(300):
             out, weights, template, search, box = taped_block_and_weights(
                 np.random.default_rng(seed), with_norm=False)
-            prior = nn.mlp3_forward(np.asarray(box) / fusion.BOX_SCALE, weights.prior)
+            prior = nn.mlp3_forward(fusion._prior_input(box), weights.prior)
             naive = fusion.naive_concat_corr(template, search, weights).astype(np.float64)
             oracle = np.maximum(naive + prior.astype(np.float64)[:, None, None], 0.0)
             assert out.value.shape == oracle.shape

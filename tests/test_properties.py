@@ -113,22 +113,18 @@ def test_fusion_with_prior_and_norm_equals_naive_concat(case, data):
     template = data.draw(f32(theta_x.shape[1:]))
     theta_z = data.draw(f32(theta_x.shape))
     hidden = data.draw(dims)
-    prior = tuple(nn.FcLayer(data.draw(f32((n_out, n_in))), data.draw(f32((n_out,))))
+    prior = tuple((data.draw(f32((n_out, n_in))), data.draw(f32((n_out,))))
                   for n_in, n_out in ((2, hidden), (hidden, hidden), (hidden, p)))
     running_var = hnp.arrays(np.float32, p, elements=st.floats(0.0, 4.0, width=32))
-    norm = nn.BatchNormParams(data.draw(f32(p)), data.draw(f32(p)), data.draw(f32(p)),
-                              data.draw(running_var))
+    norm = (data.draw(f32(p)), data.draw(f32(p)), data.draw(f32(p)), data.draw(running_var))
     box = data.draw(st.tuples(st.floats(1.0, 500.0), st.floats(1.0, 500.0)))
-    weights = fusion.FusionWeights(nn.ConvKernel(theta_z), nn.ConvKernel(theta_x),
-                                   prior=prior, norm=norm)
+    weights = fusion.FusionWeights(theta_z, theta_x, prior, norm)
     acm = fusion.acm_forward(template, search, weights, box)
 
-    scaled = np.array([box[0] / fusion.BOX_SCALE, box[1] / fusion.BOX_SCALE], np.float32)
-    prior_term = nn.mlp3_forward(scaled, prior).astype(np.float64)[:, None, None]
+    prior_term = nn.mlp3_forward(fusion._prior_input(box), prior).astype(np.float64)[:, None, None]
     pre = fusion.naive_concat_corr(template, search, weights).astype(np.float64) + prior_term
-    gamma, beta, mean, var = (a.astype(np.float64)[:, None, None] for a in (
-        norm.gamma, norm.beta, norm.running_mean, norm.running_var))
-    scale = gamma / np.sqrt(var + norm.eps)
+    gamma, beta, mean, var = (a.astype(np.float64)[:, None, None] for a in norm)
+    scale = gamma / np.sqrt(var + weights.norm.eps)
     shift = beta - mean * scale
     want = np.maximum(pre * scale + shift, 0.0)
     # With u = 2**-24 and K = C*kh*kw, each of theta_z*z and theta_x*x is at
