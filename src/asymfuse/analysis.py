@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyExteriorError, NonPositiveMaxError, ZeroVectorError
-from .tensor import (_as_map, _check_finite, _check_int, _unpack, as_tensor, cosine_similarity,
-                     l1_map)
+from .tensor import (_as_map, _check_bool, _check_finite, _check_int, _unpack, as_tensor,
+                     cosine_similarity, l1_map)
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,9 @@ def discriminability(
     The distractor is the strongest position strictly outside ``exclude_box``
     (which must contain ``target_pos``, else ValueError). Cosine uses the raw
     vectors; the Euclidean distance is taken after min-max rescaling the map
-    to [0, 1], jointly across channels by default.
+    to [0, 1], per channel if ``per_channel_norm`` (a bool) is True, else jointly.
     """
+    per_channel_norm = _check_bool(per_channel_norm, "per_channel_norm")
     distractor = find_distractor(corr, exclude_box)  # checks the map and the box
     corr = as_tensor(corr)
     (r0, c0, r1, c1), (row, col) = exclude_box, _unpack(target_pos, 2, "target_pos")

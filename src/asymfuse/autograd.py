@@ -310,9 +310,9 @@ def backward(tape: Tape, loss: Node) -> list[Parameter]:
 
 
 def sgd_step(params, lr: float) -> None:
-    """Plain SGD, in place: value -= lr * grad; grads stay as the last backward wrote them."""
-    T._check_positive(lr, "lr")
-    rate = np.float32(lr)
+    """Plain SGD, in place: value -= lr * grad, ``lr`` positive and finite (else ValueError);
+    grads stay as the last backward wrote them."""
+    rate = np.float32(T._check_real(lr, "lr"))
     for p in params:
         p.value -= rate * p.grad
 
@@ -320,11 +320,11 @@ def sgd_step(params, lr: float) -> None:
 def finite_diff_grad(f, p: Parameter, eps: float) -> np.ndarray:
     """Central-difference gradient of scalar ``f()`` w.r.t. every entry of p.
 
-    ``f`` must be a zero-argument callable that reads ``p.value``; each
-    entry is nudged by +-eps in place (and restored) around the stored
-    value. Returns a float64 array shaped like ``p.value``.
+    ``f`` must be a zero-argument callable that reads ``p.value``; each entry is
+    nudged in place by +-eps around its stored value and restored (``eps`` positive
+    and finite, else ValueError). Returns a float64 array shaped like ``p.value``.
     """
-    T._check_positive(eps, "eps")
+    eps = T._check_real(eps, "eps")
     base = p.value.copy()
     grad = np.zeros(base.shape, dtype=np.float64)
     for idx in np.ndindex(*base.shape):

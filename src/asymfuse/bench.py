@@ -137,7 +137,7 @@ def _gated_problems(configs, seed: int):
 
     Raises RuntimeError unless the problem's identity gap is <= TOL.
     """
-    for config, stream in zip(configs, np.random.SeedSequence(seed).spawn(len(configs))):
+    for config, stream in zip(configs, T._seed_sequence(seed).spawn(len(configs))):
         template, search, weights, box = _random_problem(config, np.random.default_rng(stream))
         cache, gap = _identity_gap(template, search, weights, box)
         if not gap <= TOL:
@@ -171,10 +171,10 @@ def _samples_ns(calls, reps: int) -> list[list[int]]:
 def bench_compare(configs=None, reps: int = MIN_REPS, seed: int = 0) -> list[BenchResult]:
     """Measure naive, decomposed, and cached fusion for each config.
 
-    Each problem carries a prior branch and a box. The template-side cache
-    is built outside the timed region for the cached path; the decomposed
-    and cached paths are timed round-robin. Raises RuntimeError, before
-    timing starts, if a problem fails the gate of :func:`_gated_problems`.
+    Each problem carries a prior branch and a box. The template-side cache is built outside
+    the timed region for the cached path; the decomposed and cached paths are timed
+    round-robin. ``seed`` is an integer of at least 0 or a SeedSequence (else ValueError).
+    Raises RuntimeError, before timing starts, if a problem fails :func:`_gated_problems`.
     """
     if configs is None:
         configs = default_configs()

@@ -48,9 +48,8 @@ def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
 
 def _cmd_eqcheck(args) -> int:
     T._check_int(args.trials, "--trials", 1)
-    if not 0 <= args.tol < np.inf:
-        raise ValueError(f"--tol must be non-negative and finite, got {args.tol}")
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    T._check_real(args.tol, "--tol", zero_ok=True)
+    rng = np.random.default_rng(T._seed_sequence(args.seed, "--seed"))
     gaps = []
     for trial in range(args.trials):
         c = bench._random_config(rng)

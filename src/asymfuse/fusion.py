@@ -190,7 +190,7 @@ def _prior_input(box) -> np.ndarray:
     try:  # np.asarray raises ValueError on a ragged box such as ((1, 2), 3)
         sides = np.asarray(box)
         if (sides.shape != (2,) or sides.dtype.kind not in "iuf"
-                or any(isinstance(side, (bool, np.bool_)) for side in box)):
+                or any(np.asarray(side).dtype.kind == "b" for side in box)):
             raise ValueError
     except ValueError:
         raise ShapeMismatchError(f"box must be two real numbers (width, height), "

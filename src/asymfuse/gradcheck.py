@@ -145,15 +145,15 @@ def gradient_check_suite(seed: int = 0, eps: float = EPS, tol: float = TOL,
                          inject_error: bool = False) -> list[CheckResult]:
     """Compare analytic and central-difference gradients for every op.
 
-    ``inject_error`` corrupts one analytic gradient on purpose, as a
-    negative control that the comparison can actually fail.
+    ``inject_error``, a bool, corrupts one analytic gradient on purpose, as a negative control
+    that the comparison can actually fail. ``seed`` is an integer of at least 0 or a
+    SeedSequence; ``eps`` and ``tol`` are positive and finite; else a ValueError.
     """
-    T._check_positive(eps, "eps")
-    T._check_positive(tol, "tol")
+    eps, tol = T._check_real(eps, "eps"), T._check_real(tol, "tol")
+    corrupt = T._check_bool(inject_error, "inject_error")
     margin = max(0.05, 4.0 * eps)
-    streams = np.random.SeedSequence(seed).spawn(len(_CASES))
+    streams = T._seed_sequence(seed).spawn(len(_CASES))
     results = []
-    corrupt = inject_error
     for case, stream in zip(_CASES, streams):
         params, consts, target, tape, out = _draw(case, np.random.default_rng(stream), margin)
         loss = ag.softmax_xent if isinstance(target, int) else ag.weighted_sum

@@ -49,7 +49,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import KernelTooLargeError, NonFiniteMapError, RankError, ShapeMismatchError
-from .tensor import DTYPE, _as_map, _check_finite, _check_positive, _read_only, as_tensor, relu
+from .tensor import DTYPE, _as_map, _check_finite, _check_real, _read_only, as_tensor, relu
 
 
 def _check_kernel(w: np.ndarray) -> np.ndarray:
@@ -158,7 +158,7 @@ def _batchnorm_fold(gamma, beta, running_mean, running_var, eps=1e-5) -> SimpleN
             raise RankError(f"{name} must be rank 1")
     if len({a.shape[0] for a in arrays.values()}) != 1:
         raise ShapeMismatchError("batch norm parameter lengths differ")
-    _check_positive(eps, "eps")
+    eps = _check_real(eps, "eps")
     if (arrays["running_var"] < 0).any():
         raise ValueError("running_var must be non-negative")
     gamma, beta, mean, var = (a.astype(np.float64)[:, None, None] for a in arrays.values())

@@ -89,10 +89,21 @@ def _unpack(value, count: int, what: str) -> tuple:
     return items
 
 
-def _check_positive(value, name: str) -> None:
-    """ValueError unless ``value`` is positive and finite."""
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+def _check_real(value, name: str, zero_ok: bool = False) -> float:
+    """``value`` as a float, else ValueError: the one rule of every real-valued setting. A Python
+    or NumPy int or float, not a bool, passes if finite and > 0 (>= 0 with ``zero_ok``)."""
+    is_real = isinstance(value, (int, float, np.integer, np.floating))
+    if is_real and not isinstance(value, bool) and 0 <= value < np.inf and (zero_ok or value != 0):
+        return float(value)
+    raise ValueError(f"{name} must be {'non-negative' if zero_ok else 'positive'} and finite, "
+                     f"got {value!r}")
+
+
+def _seed_sequence(seed, name: str = "seed") -> np.random.SeedSequence:
+    """The one seed rule: a SeedSequence passes through, else ``_check_int`` (at least 0)."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(_check_int(seed, name))
 
 
 def broadcast_add(a, b) -> np.ndarray:

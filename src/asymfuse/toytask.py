@@ -17,9 +17,10 @@ model's map of parameter arrays, so the two agree bit for bit.
 
 ``ToyTrainConfig``'s field defaults are the toy protocol; ``ToyModel``, ``gen_dataset``
 and ``asymfuse toytrain`` take theirs from it. Each input rule is checked in one place, by
-``tensor._check_int`` for every count, index and label (a float is refused, never
-truncated) and ``tensor._check_bool`` for ``ablate_index`` (only a bool passes):
-``ToyTrainConfig`` the run's counts, ``lr`` and arm, ``_check_classes`` the class count,
+``tensor._check_int`` for every count, index, label and seed (a float is refused, never
+truncated), ``tensor._check_real`` for ``lr`` and the noise std, ``tensor._check_bool`` for
+``ablate_index`` and ``tensor._seed_sequence`` wherever a seed is spawned: ``ToyTrainConfig``
+the run's counts, seed, ``lr``, noise std and arm, ``_check_classes`` the class count,
 ``glyph_bitmap`` the glyph size and ``ToyModel`` its layer widths, its glyph size of at
 least 4 and its arm, all before any data is drawn; ``one_hot`` the index;
 ``autograd.softmax_xent`` and ``prediction_accuracy`` the label.
@@ -39,6 +40,7 @@ from . import plain
 from . import tensor as T
 from .errors import EmptyDatasetError, LabelOutOfRangeError, TooManyClassesError
 from .fusion import _acm_block
+from .tensor import _seed_sequence
 
 MAX_CLASSES = 8
 GRID_POSITIONS = 4
@@ -92,16 +94,11 @@ def _check_classes(num_classes: int) -> None:
         raise TooManyClassesError(f"at most {MAX_CLASSES} glyph classes exist, got {num_classes}")
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 @dataclass(frozen=True)
 class ToyTrainConfig:
-    """One training run; ValueError unless both sample counts are at least 1,
-    ``epochs`` is non-negative, ``lr`` is positive and finite and ``ablate_index`` a bool."""
+    """One training run; ValueError unless both sample counts are at least 1, ``epochs`` and
+    ``seed`` at least 0, ``lr`` positive, ``noise_std`` non-negative (both finite) and
+    ``ablate_index`` a bool. Each is checked when the config is built."""
 
     seed: int = 0
     n_train: int = 2000
@@ -122,14 +119,16 @@ class ToyTrainConfig:
         T._check_int(self.n_train, "n_train", 1)
         T._check_int(self.n_test, "n_test", 1)
         T._check_int(self.epochs, "epochs")
-        T._check_positive(self.lr, "lr")
+        T._check_int(self.seed, "seed")
+        T._check_real(self.lr, "lr")
+        T._check_real(self.noise_std, "noise_std", zero_ok=True)
         T._check_bool(self.ablate_index, "ablate_index")
 
 
 def gen_dataset(seed, n: int, num_classes: int = ToyTrainConfig.num_classes,
                 glyph_size: int = ToyTrainConfig.glyph_size,
                 noise_std: float = ToyTrainConfig.noise_std) -> list[GridSample]:
-    """Draw ``n`` independent samples from one master seed.
+    """Draw ``n`` independent samples from ``seed``, an integer of at least 0 or a SeedSequence.
 
     Per sample, in this order: four uniform class labels (one per grid
     cell), the glyph render, Gaussian pixel noise clipped back to
@@ -138,8 +137,7 @@ def gen_dataset(seed, n: int, num_classes: int = ToyTrainConfig.num_classes,
     """
     n = T._check_int(n, "sample count")
     _check_classes(num_classes)
-    if not 0 <= noise_std < np.inf:
-        raise ValueError(f"noise std must be non-negative and finite, got {noise_std}")
+    noise_std = T._check_real(noise_std, "noise_std", zero_ok=True)
     glyphs = [glyph_bitmap(g, glyph_size) for g in range(num_classes)]
     samples = []
     for child in _seed_sequence(seed).spawn(n):
@@ -191,10 +189,10 @@ class ToyModel:
 
     The index branch is the template-side term of the fusion op: it maps
     the one-hot position through three FC layers into one bias per fused
-    channel. Weights are drawn uniformly in +-sqrt(6 / fan_in), each
-    tensor from its own spawned stream of the model seed. ``ablate_index``, a
-    bool, fixes the arm: the model then leaves the branch out and holds only
-    ``conv1``, ``conv2``, ``fuse``, ``head_w`` and ``head_b``, drawn as the
+    channel. Weights are drawn uniformly in +-sqrt(6 / fan_in), each tensor from
+    its own spawned stream of ``seed`` (an integer of at least 0 or a SeedSequence).
+    ``ablate_index``, a bool, fixes the arm: the model then leaves the branch out and
+    holds only ``conv1``, ``conv2``, ``fuse``, ``head_w`` and ``head_b``, drawn as the
     indexed arm draws them. The untaped forward reads them from one name -> array
     map built here; its arrays are the Parameters' own, which training updates in place.
     """
@@ -314,7 +312,7 @@ class ToyTrainResult:
 
 def heldout_set(config: ToyTrainConfig) -> list[GridSample]:
     """The test split a training run with ``config`` evaluates on."""
-    s_test = np.random.SeedSequence(config.seed).spawn(4)[2]
+    s_test = _seed_sequence(config.seed).spawn(4)[2]
     return gen_dataset(s_test, config.n_test, config.num_classes,
                        config.glyph_size, config.noise_std)
 
@@ -327,7 +325,7 @@ def toy_train(config: ToyTrainConfig = ToyTrainConfig()) -> ToyTrainResult:
     bit. ``config.ablate_index`` is handed to the model once, and the model
     keeps that arm for training and evaluation alike.
     """
-    s_model, s_train, _, s_shuffle = np.random.SeedSequence(config.seed).spawn(4)
+    s_model, s_train, _, s_shuffle = _seed_sequence(config.seed).spawn(4)
     model = ToyModel(config.num_classes, config.glyph_size, config.conv_channels,
                      config.fused_channels, config.index_hidden, seed=s_model,
                      ablate_index=config.ablate_index)

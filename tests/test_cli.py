@@ -88,6 +88,17 @@ class TestParsing:
             assert code == 0
             assert out == f"config: command={command} {rendered}\n"
 
+    @pytest.mark.parametrize("command, name", [
+        ("eqcheck", "--seed"), ("gradcheck", "seed"), ("bench", "seed"), ("toytrain", "seed")])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, command, name):
+        # Checked before any work: only the config echo is printed, and no --out-dir is made.
+        out_dir = ["--out-dir", str(tmp_path / "run")] if command == "toytrain" else []
+        code, out, err = run_cli(capsys, command, "--seed", "-1", *out_dir)
+        assert code == 2
+        assert err == f"error: {name} must be an integer of at least 0, got -1\n"
+        assert len(out.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
 
 class TestEqcheck:
     def test_passes_and_prints_per_trial_lines(self, capsys):

@@ -222,7 +222,7 @@ class TestAcmForward:
         template = rand_f32(rng, (2, 2, 2))
         for box in [(10.0, 20.0, 30.0), (10.0,), 5.0, "55", ((10.0, 20.0),),
                     ("5", "5"), (b"5", 5), ((1, 2), 3), (True, False), (True, 5),
-                    (np.True_, 5.0)]:
+                    (np.True_, 5.0), (np.array(True), 5), (5.0, np.array(False))]:
             with pytest.raises(ShapeMismatchError):
                 fusion.acm_cache_template(template, weights, box)
 
