@@ -14,8 +14,8 @@ replaces the per-window concatenation with two independent convolutions
 and an add, and lets the template side be cached across search maps.
 The template convolution rounds to float32 once, when it is cached. The
 search convolution does not: the optional batch norm (always before the
-ReLU) has its scale folded into the search operand, and the cached terms,
-the prior, its shift and the ReLU are the conv's per-channel epilogue.
+ReLU) has its scale folded into the search operand, the cached terms, the
+prior and its shift are the conv's bias, and the ReLU follows its rounding.
 
 The optional prior branch feeds (box width, box height), divided by
 :data:`BOX_SCALE` (255, SiamFC's search-image side) by :func:`_prior_input`,
@@ -25,11 +25,12 @@ the taped block, takes under the same keyword. Inputs are checked by the
 package's shared helpers: a template or search map of the wrong rank or
 size raises ShapeMismatchError (a RankError is one), a search map
 smaller than the kernels KernelTooLargeError, and a NaN or infinite map
-or weight, or a term or response beyond float32, NonFiniteMapError.
+or weight, or (by one guard) a term or response beyond float32, NonFiniteMapError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -202,6 +203,16 @@ def _prior_input(box) -> np.ndarray:
     return np.array(scaled, dtype=DTYPE)
 
 
+@contextlib.contextmanager
+def _within_float32(what: str):
+    """The body under ``over="raise"``; an overflow raises NonFiniteMapError naming ``what``."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise NonFiniteMapError(f"{what} exceeds the float32 range") from None
+
+
 def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCache:
     """Precompute the search-independent terms for one template.
 
@@ -221,13 +232,10 @@ def acm_cache_template(template, weights: FusionWeights, box=None) -> TemplateCa
         prior_in = _prior_input(box)
     elif box is not None:
         raise ValueError("a box was given but the weights have no prior branch")
-    try:  # under the default error state, a cast beyond float32 only warns
-        with np.errstate(over="raise"):
-            z_term = conv2d_valid(z, weights.theta_z)
-            if prior_in is not None:
-                prior_term = mlp3_forward(prior_in, weights.prior).reshape(-1, 1, 1)
-    except FloatingPointError:
-        raise NonFiniteMapError("the z term or the prior term exceeds the float32 range") from None
+    with _within_float32("the z term or the prior term"):
+        z_term = conv2d_valid(z, weights.theta_z)
+        if prior_in is not None:
+            prior_term = mlp3_forward(prior_in, weights.prior).reshape(-1, 1, 1)
     return TemplateCache(z_term=z_term, prior_term=prior_term)
 
 
@@ -239,9 +247,9 @@ def acm_apply_search(
     Runs exactly one convolution (the search side), on ``theta_x`` with the
     norm's scale folded into its float64 operand, which the weights build on
     their first search and keep. The cached terms, the norm's shift and the
-    activation are its ``epilogue``, and the response rounds to float32 once;
-    a response beyond the float32 range raises NonFiniteMapError, a non-bool
-    ``apply_relu`` ValueError.
+    activation are its ``epilogue``: the response rounds to float32 once, then
+    the ReLU runs. As for the cached terms, a response beyond float32 raises
+    NonFiniteMapError; a non-bool ``apply_relu`` raises ValueError.
     """
     apply_relu = _check_bool(apply_relu, "apply_relu")
     x = _check_search(search, weights)
@@ -258,7 +266,8 @@ def acm_apply_search(
     if weights.norm is not None:
         # norm(conv + bias) = conv * scale + (bias * scale + shift); the scale is in the operand
         bias = bias * weights.norm.scale.reshape(-1) + weights.norm.shift.reshape(-1)
-    return conv2d_valid(x, weights._search_kernel, epilogue=(bias, apply_relu))
+    with _within_float32("the fused response"):
+        return conv2d_valid(x, weights._search_kernel, epilogue=(bias, apply_relu))
 
 
 def _acm_block(ops, x, theta_x, prior_in=None, prior=None, z=None, theta_z=None, norm=None):

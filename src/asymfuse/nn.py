@@ -34,9 +34,9 @@ second axis writing the product layout itself. Everything else, raw-array
 kernels from the tape and the toy model included, takes the im2col GEMM.
 
 ``conv2d_valid``'s ``epilogue`` adds a per-output-channel bias to the
-float64 result and applies an optional ReLU with its one rounding. Fusion's
-response uses it on a ``_ScaledKernel``, whose cached operands carry the
-norm's scale, so the search conv, the norm and the ReLU round once.
+float64 result before its one rounding, then an optional ReLU on the float32
+result. Fusion's response uses it on a ``_ScaledKernel``, whose cached
+operands carry the norm's scale, so the search conv and the norm round once.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import KernelTooLargeError, NonFiniteMapError, RankError, ShapeMismatchError
+from .errors import KernelTooLargeError, RankError, ShapeMismatchError
 from .tensor import DTYPE, _as_map, _check_finite, _check_real, _read_only, as_tensor, relu
 
 
@@ -249,10 +249,10 @@ def conv2d_valid(inputs, kernel, *, epilogue=None, patches=None) -> np.ndarray:
 
     ``epilogue``, a ``(bias, relu)`` pair, adds the length-P float64 ``bias``
     per output channel before that one rounding (on the Winograd path, at the
-    transform point whose output column is all ones), and then a ReLU when
-    ``relu`` is true. A per-channel scale belongs in the kernel's operands
-    (:class:`_ScaledKernel`). With an epilogue, an output beyond the float32
-    range raises NonFiniteMapError.
+    transform point whose output column is all ones), then, if ``relu`` is true,
+    a ReLU on the rounded result. A per-channel scale belongs in the kernel's operands
+    (:class:`_ScaledKernel`). The rounding is one plain cast: beyond float32 it gives inf
+    and NumPy's RuntimeWarning, or FloatingPointError under the caller's ``over="raise"``.
     ``patches``, a list, receives the im2col path's patch matrix; no result changes.
 
     Raises:
@@ -264,43 +264,24 @@ def conv2d_valid(inputs, kernel, *, epilogue=None, patches=None) -> np.ndarray:
     out_ch, in_ch, kh, kw = w.shape
     _check_fit(x, in_ch, kh, kw)
     out_h, out_w = x.shape[1] - kh + 1, x.shape[2] - kw + 1
-    if not isinstance(kernel, ConvKernel):
-        matrix = w.reshape(out_ch, -1).astype(np.float64)
-    elif (4 <= min(kh, kw) and max(kh, kw) <= 7
-          and out_h >= _ALPHA + 1 - kh and out_w >= _ALPHA + 1 - kw
-          and out_h * out_w * w.size >= _WINOGRAD_MIN_MULTS):
-        return _winograd_conv(x, kernel, epilogue)
+    bias, apply_relu = (None, False) if epilogue is None else epilogue
+    if (isinstance(kernel, ConvKernel) and 4 <= min(kh, kw) and max(kh, kw) <= 7
+            and out_h >= _ALPHA + 1 - kh and out_w >= _ALPHA + 1 - kw
+            and out_h * out_w * w.size >= _WINOGRAD_MIN_MULTS):
+        out = _winograd_conv(x, kernel, bias)
     else:
-        matrix = kernel._gemm_matrix
-    cols = im2col(x, kh, kw)
-    if patches is not None:
-        patches.append(cols)
-    flat = _slab_gemm(matrix, cols) if out_ch * cols.size > _SLAB_MULTS else matrix @ cols
-    if epilogue is None:
-        return flat.reshape(out_ch, out_h, out_w).astype(DTYPE)
-    flat += epilogue[0][:, None]
-    return _to_float32(np.empty((out_ch, out_h, out_w), DTYPE), flat.reshape(out_ch, out_h, out_w),
-                       epilogue)
-
-
-def _to_float32(out: np.ndarray, acc: np.ndarray, epilogue) -> np.ndarray:
-    """The one rounding of conv2d_valid: float64 ``acc`` cast into float32 ``out``, returned.
-
-    With an epilogue, an output beyond the float32 range raises NonFiniteMapError,
-    and the ReLU then runs on ``out``: a ReLU fused into the cast (``np.maximum``
-    into float32) clears the overflow flag an earlier buffer's cast set. Without
-    one, no error state is entered: that costs ~2 us, which per-call-bound
-    callers such as the toy model would feel.
-    """
-    if epilogue is None:
-        np.copyto(out, acc)
-        return out
-    try:
-        with np.errstate(over="raise"):
-            np.copyto(out, acc)
-    except FloatingPointError:
-        raise NonFiniteMapError("the fused response exceeds the float32 range") from None
-    return np.maximum(out, 0.0, out=out) if epilogue[1] else out
+        matrix = (kernel._gemm_matrix if isinstance(kernel, ConvKernel)
+                  else w.reshape(out_ch, -1).astype(np.float64))
+        cols = im2col(x, kh, kw)
+        if patches is not None:
+            patches.append(cols)
+        flat = _slab_gemm(matrix, cols) if out_ch * cols.size > _SLAB_MULTS else matrix @ cols
+        if bias is not None:
+            flat += bias[:, None]
+        out = flat.reshape(out_ch, out_h, out_w).astype(DTYPE)
+    # Never fused into the cast: np.maximum into float32 clears the overflow flag an
+    # earlier buffer's cast set, so the caller's np.errstate would miss it.
+    return np.maximum(out, 0.0, out=out) if apply_relu else out
 
 
 # Winograd minimal filtering F(m, r) on tiles of _ALPHA = m + r - 1 = 9
@@ -397,7 +378,7 @@ def _row_windows(a: np.ndarray, count: int, step: int) -> np.ndarray:
         a, (count, _ALPHA, a.size // a.shape[0]), (step * row, row, a.itemsize), writeable=False)
 
 
-def _winograd_conv(x: np.ndarray, kernel: ConvKernel, epilogue=None) -> np.ndarray:
+def _winograd_conv(x: np.ndarray, kernel: ConvKernel, bias=None) -> np.ndarray:
     """conv2d_valid of a float32 map by Winograd F(m x m', kh x kw) tiles.
 
     Needs 2 <= kh, kw <= 8. The map is zero-padded to whole tiles and laid
@@ -406,9 +387,9 @@ def _winograd_conv(x: np.ndarray, kernel: ConvKernel, epilogue=None) -> np.ndarr
     tile is copied: tw GEMMs along x, one transposing copy to (y, b, tx, c),
     then 9 th GEMMs along y that write the (a, b, ty, tx, c) product layout
     through ``out=``. One batched ``V @ U`` over the 81 transform points
-    follows; the epilogue's bias is added at the point (1, 1), whose output
+    follows; ``bias``, if given, is added at the point (1, 1), whose output
     transform column is all ones, and A^T is applied per axis before the one
-    cast to float32 (:func:`_to_float32`).
+    cast to float32, whose margin is then cropped.
     """
     channels, height, width = x.shape
     out_ch = kernel.out_channels
@@ -445,8 +426,8 @@ def _winograd_conv(x: np.ndarray, kernel: ConvKernel, epilogue=None) -> np.ndarr
               out=grouped.transpose(2, 1, 0, 3))                    # ty, b, a, (tx, c)
     products = np.matmul(grouped.reshape(points, tiles, channels), kernel._winograd_kernel,
                          out=half(0, points, tiles, out_ch))
-    if epilogue is not None:
-        products[_POINTS.index(1.0) * (_ALPHA + 1)] += epilogue[0]
+    if bias is not None:
+        products[_POINTS.index(1.0) * (_ALPHA + 1)] += bias
     y = np.matmul(ath, products.reshape(_ALPHA, -1),                # i, (b, ty, tx, p)
                   out=half(1, mh, _ALPHA * tiles * out_ch))
     y = np.matmul(atw, y.reshape(mh, _ALPHA, -1),                   # i, j, (ty, tx, p)
@@ -456,7 +437,7 @@ def _winograd_conv(x: np.ndarray, kernel: ConvKernel, epilogue=None) -> np.ndarr
     y[out_h - mh * (th - 1):, :, -1] = 0.0
     y[:, out_w - mw * (tw - 1):, :, -1] = 0.0
     out = np.empty((out_ch, th, mh, tw, mw), DTYPE)
-    _to_float32(out.transpose(2, 4, 1, 3, 0), y, epilogue)
+    np.copyto(out.transpose(2, 4, 1, 3, 0), y)
     return np.ascontiguousarray(out.reshape(out_ch, th * mh, tw * mw)[:, :out_h, :out_w])
 
 

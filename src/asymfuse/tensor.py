@@ -8,6 +8,7 @@ accumulate in float64 and round to float32 once, at the end.
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from pathlib import Path
 
@@ -92,9 +93,10 @@ def _unpack(value, count: int, what: str) -> tuple:
 def _check_real(value, name: str, zero_ok: bool = False) -> float:
     """``value`` as a float, else ValueError: the one rule of every real-valued setting. A Python
     or NumPy int or float, not a bool, passes if finite and > 0 (>= 0 with ``zero_ok``)."""
-    is_real = isinstance(value, (int, float, np.integer, np.floating))
-    if is_real and not isinstance(value, bool) and 0 <= value < np.inf and (zero_ok or value != 0):
-        return float(value)
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    with contextlib.suppress(OverflowError):  # float() of a Python int beyond the float range
+        if real and 0 <= (number := float(value)) < np.inf and (zero_ok or number != 0):
+            return number
     raise ValueError(f"{name} must be {'non-negative' if zero_ok else 'positive'} and finite, "
                      f"got {value!r}")
 

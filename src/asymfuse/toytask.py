@@ -20,10 +20,9 @@ and ``asymfuse toytrain`` take theirs from it. Each input rule is checked in one
 ``tensor._check_int`` for every count, index, label and seed (a float is refused, never
 truncated), ``tensor._check_real`` for ``lr`` and the noise std, ``tensor._check_bool`` for
 ``ablate_index`` and ``tensor._seed_sequence`` wherever a seed is spawned: ``ToyTrainConfig``
-the run's counts, seed, ``lr``, noise std and arm, ``_check_classes`` the class count,
-``glyph_bitmap`` the glyph size and ``ToyModel`` its layer widths, its glyph size of at
-least 4 and its arm, all before any data is drawn; ``one_hot`` the index;
-``autograd.softmax_xent`` and ``prediction_accuracy`` the label.
+every field, with ``_check_shape`` (the class count, a glyph size of at least 4 and the layer
+widths, for ``ToyModel`` too) before any data is drawn; ``glyph_bitmap`` the glyph size,
+``one_hot`` the index, ``autograd.softmax_xent`` and ``prediction_accuracy`` the label.
 """
 
 from __future__ import annotations
@@ -94,11 +93,19 @@ def _check_classes(num_classes: int) -> None:
         raise TooManyClassesError(f"at most {MAX_CLASSES} glyph classes exist, got {num_classes}")
 
 
+def _check_shape(num_classes, glyph_size, conv_channels, fused_channels, index_hidden) -> tuple:
+    """The model's shape rule, for ToyModel and ToyTrainConfig alike; returns the four widths."""
+    _check_classes(num_classes)
+    T._check_int(glyph_size, "glyph size for three 3x3 convs", 4)  # 2g - 6 of 2g is left
+    widths = (*T._unpack(conv_channels, 2, "conv_channels"), fused_channels, index_hidden)
+    return tuple(T._check_int(width, "layer width", 1) for width in widths)
+
+
 @dataclass(frozen=True)
 class ToyTrainConfig:
-    """One training run; ValueError unless both sample counts are at least 1, ``epochs`` and
-    ``seed`` at least 0, ``lr`` positive, ``noise_std`` non-negative (both finite) and
-    ``ablate_index`` a bool. Each is checked when the config is built."""
+    """One training run, every field checked when it is built: ValueError unless both sample
+    counts are at least 1, ``epochs`` and ``seed`` at least 0, ``lr`` positive, ``noise_std``
+    non-negative (both finite), ``ablate_index`` a bool and the rest a ToyModel shape."""
 
     seed: int = 0
     n_train: int = 2000
@@ -123,6 +130,8 @@ class ToyTrainConfig:
         T._check_real(self.lr, "lr")
         T._check_real(self.noise_std, "noise_std", zero_ok=True)
         T._check_bool(self.ablate_index, "ablate_index")
+        _check_shape(self.num_classes, self.glyph_size, self.conv_channels, self.fused_channels,
+                     self.index_hidden)
 
 
 def gen_dataset(seed, n: int, num_classes: int = ToyTrainConfig.num_classes,
@@ -202,13 +211,10 @@ class ToyModel:
                  conv_channels: tuple[int, int] = ToyTrainConfig.conv_channels,
                  fused_channels: int = ToyTrainConfig.fused_channels,
                  index_hidden: int = ToyTrainConfig.index_hidden, seed=0, ablate_index=False):
-        _check_classes(num_classes)
-        T._check_int(glyph_size, "glyph size for three 3x3 convs", 4)  # 2g - 6 of 2g is left
+        rows = _param_rows(num_classes, *_check_shape(num_classes, glyph_size, conv_channels,
+                                                      fused_channels, index_hidden))
         self.num_classes = num_classes
         self.ablate_index = T._check_bool(ablate_index, "ablate_index")
-        widths = (*T._unpack(conv_channels, 2, "conv_channels"), fused_channels, index_hidden)
-        c1, c2, p, h = (T._check_int(width, "layer width", 1) for width in widths)
-        rows = _param_rows(num_classes, c1, c2, p, h)
         streams = _seed_sequence(seed).spawn(len(rows))  # one per row in both arms
         self._values = {}  # name -> its Parameter's own value array
         for (name, shape, fan_in), stream in zip(rows, streams):

@@ -99,6 +99,19 @@ class TestParsing:
         assert len(out.splitlines()) == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--classes", "0", "class count must be an integer of at least 1, got 0"),
+        ("--glyph-size", "3", "glyph size for three 3x3 convs must be an integer of at least 4, "
+                              "got 3")])
+    def test_bad_model_shape_is_usage_error(self, capsys, tmp_path, flag, value, message):
+        # The model's shape is checked with the config, before --out-dir is made.
+        code, out, err = run_cli(capsys, "toytrain", flag, value, "--epochs", "0",
+                                 "--out-dir", str(tmp_path / "run"))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert len(out.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
 
 class TestEqcheck:
     def test_passes_and_prints_per_trial_lines(self, capsys):

@@ -62,6 +62,11 @@ SITES = {
     "ToyTrainConfig n_train": (lambda v: toy_train(n_train=v), ValueError, 2),
     "ToyTrainConfig n_test": (lambda v: toy_train(n_test=v), ValueError, 2),
     "ToyTrainConfig epochs": (lambda v: toy_train(epochs=v), ValueError, 2),
+    "ToyTrainConfig class count": (lambda v: toy_train(num_classes=v), ValueError, 2),
+    "ToyTrainConfig glyph_size": (lambda v: toy_train(glyph_size=v), ValueError, 5),
+    "ToyTrainConfig conv width": (lambda v: toy_train(conv_channels=(2, v)), ValueError, 2),
+    "ToyTrainConfig fused width": (lambda v: toy_train(fused_channels=v), ValueError, 2),
+    "ToyTrainConfig index width": (lambda v: toy_train(index_hidden=v), ValueError, 2),
     "ToyModel glyph_size": (lambda v: tt.ToyModel(glyph_size=v), ValueError, 5),
     "ToyModel conv width": (lambda v: tt.ToyModel(conv_channels=(2, v)), ValueError, 2),
     "ToyModel fused width": (lambda v: tt.ToyModel(fused_channels=v), ValueError, 2),

@@ -373,9 +373,37 @@ class TestConvPaths:
                 # The first two tile rows never see map row 14: each output is the bias, or 0.
                 assert (out[:, :8] == (0.0 if epilogue[1] else -1.0)).all()
                 x[:, 13] = 1e37  # now the last valid output row overflows
-                with pytest.raises(NonFiniteMapError):
+                with np.errstate(over="raise"), pytest.raises(FloatingPointError):
                     nn.conv2d_valid(x, kernel, epilogue=epilogue)
         assert len(fast_calls) == 5
+
+    # Like every nn op, a conv's cast follows NumPy's rule on both paths, with or
+    # without an epilogue: inf and a RuntimeWarning by default, FloatingPointError
+    # under the caller's errstate, never a library error. Output (p, 0, 0) alone
+    # overflows: the im2col row sums 2 x 2e38, the Winograd row 32 x 1e38.
+    @pytest.mark.parametrize("epilogue", [None, (-1.0, False), (-1.0, True)],
+                             ids=["no epilogue", "bias", "bias and ReLU"])
+    @pytest.mark.parametrize("winograd", [False, True], ids=["im2col", "Winograd"])
+    def test_overflow_follows_numpys_cast_rule(self, monkeypatch, winograd, epilogue):
+        fast_calls = []
+        real = nn._winograd_conv
+        monkeypatch.setattr(nn, "_winograd_conv",
+                            lambda *args: fast_calls.append(1) or real(*args))
+        channels, side, k = (32, 29, 5) if winograd else (2, 6, 3)
+        x = np.zeros((channels, side, side), np.float32)
+        x[:, 0, 0] = 1e38
+        kernel = nn.ConvKernel(np.full((channels, channels, k, k), 1.0 if winograd else 2.0,
+                                       np.float32))
+        if epilogue is not None:
+            epilogue = (np.full(channels, epilogue[0]), epilogue[1])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            out = nn.conv2d_valid(x, kernel, epilogue=epilogue)
+        assert np.isposinf(out[:, 0, 0]).all()
+        assert np.isfinite(out.reshape(channels, -1)[:, 1:]).all()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as caught:
+            nn.conv2d_valid(x, kernel, epilogue=epilogue)
+        assert caught.type is FloatingPointError
+        assert len(fast_calls) == 2 * winograd
 
     @pytest.mark.parametrize("side", [5, 3])
     @pytest.mark.parametrize("source", ["array", "memoryview"])

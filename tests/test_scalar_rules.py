@@ -105,11 +105,13 @@ SETTINGS = {
     "eqcheck --tol": (lambda v: eqcheck(tol=v), "--tol", bench.TOL, True),
 }
 
-BAD_SETTINGS = [True, np.True_, None, "0.1", 1 + 0j, math.nan, math.inf, -1]
+# 10**400 and -10**400 are beyond the float range: float() of them overflows.
+BAD_SETTINGS = [True, np.True_, None, "0.1", 1 + 0j, math.nan, math.inf, -1, 10**400, -10**400]
+SHORT_IDS = {10**400: "10**400", -10**400: "-10**400"}
 
 
 @pytest.mark.parametrize("site, value", [
-    pytest.param(site, value, id=f"{site}-{value!r}")
+    pytest.param(site, value, id=f"{site}-{SHORT_IDS.get(value, repr(value))}")
     for site, (*_, zero_ok) in SETTINGS.items()
     for value in BAD_SETTINGS + ([] if zero_ok else [0])])
 def test_bad_setting_is_refused(site, value, nothing_drawn):

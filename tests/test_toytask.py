@@ -188,8 +188,9 @@ class TestToyModel:
 
     @pytest.mark.parametrize("build", [
         lambda v: tt.ToyModel(conv_channels=v),
-        lambda v: tt.toy_train(tt.ToyTrainConfig(conv_channels=v, epochs=0, n_test=1))],
-        ids=["ToyModel", "toy_train"])
+        lambda v: tt.toy_train(tt.ToyTrainConfig(conv_channels=v, epochs=0, n_test=1)),
+        lambda v: tt.ToyTrainConfig(conv_channels=v)],
+        ids=["ToyModel", "toy_train", "ToyTrainConfig"])
     @pytest.mark.parametrize("conv_channels", [(8,), (8, 16, 4), 8, None],
                              ids=["one width", "three widths", "int", "None"])
     def test_conv_channels_must_be_two_widths(self, build, conv_channels):
@@ -214,6 +215,23 @@ class TestToyModel:
         assert model.ablate_index is bool(ablate_index)
         assert len(model.parameters()) == (5 if ablate_index else 11)
         assert tt.ToyTrainConfig(ablate_index=ablate_index).ablate_index == ablate_index
+
+    # A config is checked by the model's shape rule when it is built: each row
+    # raises ToyModel's class and message, before a weight is drawn.
+    @pytest.mark.parametrize("field, value, error", [
+        pytest.param(field, value, error, id=f"{field}={value!r}") for field, value, error in [
+            ("num_classes", 0, ValueError), ("num_classes", 9, TooManyClassesError),
+            ("glyph_size", 3, ValueError), ("conv_channels", (0, 8), ValueError),
+            ("conv_channels", (8,), ValueError), ("fused_channels", 0, ValueError),
+            ("index_hidden", 0, ValueError)]])
+    def test_config_checks_the_models_shape(self, field, value, error, monkeypatch):
+        with pytest.raises(error) as from_model:
+            tt.ToyModel(**{field: value})
+        monkeypatch.setattr(tt, "_uniform_init", lambda *a: pytest.fail("drew a weight"))
+        with pytest.raises(error) as from_config:
+            tt.ToyTrainConfig(**{field: value})
+        assert from_model.type is from_config.type is error
+        assert str(from_config.value) == str(from_model.value)
 
     def test_glyph_size_too_small_for_three_convs(self):
         # A 2x3-sided image shrinks to 0x0 under three valid 3x3 convs.
