@@ -9,7 +9,7 @@ levels mean the backward rules are right. A deliberately corrupted
 gradient shows the harness actually discriminates.
 """
 
-from asymfuse import gradient_check_suite
+from asymfuse.gradcheck import gradient_check_suite
 
 results = gradient_check_suite(seed=0, eps=1e-2, tol=1e-2)
 

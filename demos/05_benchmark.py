@@ -10,9 +10,9 @@ cached prior term must match the cached decomposed path, so the numbers
 below are for implementations known to agree.
 """
 
-from asymfuse import bench, bench_compare, naive_scaling_slope, write_json
+from asymfuse.bench import bench_compare, default_configs, naive_scaling_slope, write_json
 
-configs = bench.default_configs()[:3]  # the 64-channel fourth config takes seconds
+configs = default_configs()[:3]  # the 64-channel fourth config takes seconds
 
 print("timing (median ns per call, 20 reps after warm-up)...")
 results = bench_compare(configs, reps=20, seed=0)

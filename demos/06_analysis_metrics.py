@@ -11,7 +11,7 @@ CSV and PGM.
 
 import numpy as np
 
-from asymfuse import channel_diversity, discriminability, heatmap_export
+from asymfuse.analysis import channel_diversity, discriminability, heatmap_export
 
 rng = np.random.default_rng(3)
 

@@ -7,25 +7,13 @@ template/search matching can be replaced by two independent convolutions
 plus a broadcast add. The package carries both routes (the naive one as
 the oracle), the correlation ops the fused form replaces, a small
 reverse-mode tape to train through it, and measurement tools.
+
+The measurement tools are submodules that this package does not load:
+import them by path (``from asymfuse.bench import bench_compare``, and
+likewise ``asymfuse.gradcheck`` and ``asymfuse.analysis``).
 """
 
-from .analysis import (
-    ChannelDiversity,
-    DiscriminabilityReport,
-    channel_diversity,
-    discriminability,
-    find_distractor,
-    heatmap_export,
-)
 from .autograd import Parameter, Tape, backward, finite_diff_grad, sgd_step
-from .bench import (
-    BenchConfig,
-    BenchResult,
-    PathTiming,
-    bench_compare,
-    naive_scaling_slope,
-    write_json,
-)
 from .errors import NonFiniteMapError
 from .fusion import (
     FusionWeights,
@@ -35,7 +23,6 @@ from .fusion import (
     acm_forward,
     naive_concat_corr,
 )
-from .gradcheck import CheckResult, gradient_check_suite
 from .nn import (
     BatchNormParams,
     ConvKernel,

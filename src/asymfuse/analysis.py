@@ -93,9 +93,10 @@ def discriminability(
     to [0, 1], per channel if ``per_channel_norm`` (a bool) is True, else jointly.
     """
     per_channel_norm = _check_bool(per_channel_norm, "per_channel_norm")
-    distractor = find_distractor(corr, exclude_box)  # checks the map and the box
+    box = _unpack(exclude_box, 4, "exclude_box")  # read once: it may be an iterator
+    distractor = find_distractor(corr, box)  # checks the map and the box
     corr = as_tensor(corr)
-    (r0, c0, r1, c1), (row, col) = exclude_box, _unpack(target_pos, 2, "target_pos")
+    (r0, c0, r1, c1), (row, col) = box, _unpack(target_pos, 2, "target_pos")
     target = (_check_int(row, "target row inside the box", r0, r1 + 1),
               _check_int(col, "target column inside the box", c0, c1 + 1))
     target_vec = corr[:, target[0], target[1]]

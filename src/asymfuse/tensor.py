@@ -41,10 +41,12 @@ def as_tensor(values) -> np.ndarray:
 
 
 def _as_map(x, what: str) -> np.ndarray:
-    """``x`` as a float32 C x H x W map; the one rank-3 check of the package."""
+    """``x`` as a float32 C x H x W map with no empty axis; the one rank-3 check of the package."""
     x = as_tensor(x)
     if x.ndim != 3:
         raise RankError(f"{what} must be rank 3 (C x H x W), got rank {x.ndim}")
+    if x.size == 0:
+        raise ShapeMismatchError(f"{what} has an empty axis: shape {x.shape}")
     return x
 
 

@@ -134,6 +134,11 @@ class TestDiscriminability:
             with pytest.raises(ValueError, match="exclude_box must be 4 integers"):
                 analysis.find_distractor(crafted_map(), box)
 
+    def test_box_is_read_once(self):
+        """An iterator box gives the tuple's report: the box is unpacked once."""
+        expected = analysis.discriminability(crafted_map(), (1, 1), (0, 0, 1, 1))
+        assert analysis.discriminability(crafted_map(), (1, 1), iter((0, 0, 1, 1))) == expected
+
     def test_rank_enforced(self):
         with pytest.raises(RankError):
             analysis.discriminability(np.zeros((3, 3)), (0, 0), (0, 0, 1, 1))
@@ -218,6 +223,8 @@ class TestHeatmapExport:
 ANALYSIS_CALLS = {
     "find_distractor": lambda m, tmp: analysis.find_distractor(m, (0, 0, 1, 1)),
     "discriminability": lambda m, tmp: analysis.discriminability(m, (0, 0), (0, 0, 1, 1)),
+    "discriminability, box iterator": (
+        lambda m, tmp: analysis.discriminability(m, (0, 0), iter((0, 0, 1, 1)))),
     "channel_diversity": lambda m, tmp: analysis.channel_diversity(m),
     "heatmap_export": lambda m, tmp: analysis.heatmap_export(m, tmp / "map"),
 }

@@ -3,8 +3,10 @@
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,3 +419,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("config: command=eqcheck")
+
+    def test_import_loads_only_what_the_workloads_run(self):
+        """``import asymfuse`` loads the seven modules the benchmark's workloads run, and
+        no tool; the tools import by path. Bytecode writing is off, so nothing is cached."""
+        script = ("import sys, asymfuse\n"
+                  "print(*sorted(n for n in sys.modules if n.split('.')[0] == 'asymfuse'))\n"
+                  "from asymfuse.bench import bench_compare\n"
+                  "from asymfuse.gradcheck import gradient_check_suite\n"
+                  "from asymfuse.analysis import heatmap_export\n")
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        modules = ["autograd", "errors", "fusion", "nn", "plain", "tensor", "toytask"]
+        assert proc.stdout.split() == ["asymfuse"] + [f"asymfuse.{m}" for m in modules]

@@ -1,6 +1,7 @@
 """Tensor core: broadcasting, norms, cosine, and .tsr round trips."""
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -324,3 +325,53 @@ class TestCoercion:
         values = np.ones((2, 3, 3), np.float32)
         assert T.as_tensor(values) is values
         assert ag.Parameter(values[0], "p").value.base is values  # a view, still aliased
+
+
+# _as_map is every rank-3 entry point's map check, and it refuses a map with an
+# empty axis. Each row gives the map's shape, a call on that map whose other
+# operands fit it, so the empty axis is its one fault, and the name the error
+# gives the map.
+CACHE = fusion.acm_cache_template(ones(2, 2, 2), FUSION)
+EMPTY_MAPS = {
+    "l1_map": ((2, 0, 3), T.l1_map, "l1_map input"),
+    "conv2d_valid": ((2, 3, 0), lambda m: nn.conv2d_valid(m, ones(1, 2, 1, 1)), "conv input"),
+    "xcorr search": ((2, 0, 3), lambda m: nn.xcorr(m, ones(2, 1, 1)), "conv input"),
+    "xcorr template": ((2, 0, 1), lambda m: nn.xcorr(ones(2, 3, 3), m), "template"),
+    "depthwise_corr search": ((0, 3, 3), lambda m: nn.depthwise_corr(m, ones(0, 2, 2)),
+                              "search map"),
+    "depthwise_corr template": ((2, 0, 2), lambda m: nn.depthwise_corr(ones(2, 3, 3), m),
+                                "template"),
+    "head1x1": ((2, 3, 0), lambda m: nn.head1x1(m, ones(1, 2, 1, 1)), "conv input"),
+    "batchnorm_infer": ((2, 0, 3), lambda m: nn.batchnorm_infer(m, NORM), "batch norm input"),
+    "global_avg_pool": ((2, 0, 3), nn.global_avg_pool, "pool input"),
+    "TemplateCache": ((0, 1, 1), fusion.TemplateCache, "z_term"),
+    "acm_cache_template": ((2, 0, 2), lambda m: fusion.acm_cache_template(m, FUSION),
+                           "template"),
+    "acm_apply_search": ((2, 0, 3), lambda m: fusion.acm_apply_search(CACHE, m, FUSION),
+                         "search map"),
+    "acm_forward template": ((0, 2, 2), lambda m: fusion.acm_forward(m, ones(2, 3, 3), FUSION),
+                             "template"),
+    "acm_forward search": ((2, 3, 0), lambda m: fusion.acm_forward(ones(2, 2, 2), m, FUSION),
+                           "search map"),
+    "naive_concat_corr template": (
+        (2, 2, 0), lambda m: fusion.naive_concat_corr(m, ones(2, 3, 3), FUSION), "template"),
+    "naive_concat_corr search": (
+        (0, 3, 3), lambda m: fusion.naive_concat_corr(ones(2, 2, 2), m, FUSION), "search map"),
+    "find_distractor": ((0, 3, 3), lambda m: analysis.find_distractor(m, (0, 0, 0, 0)),
+                        "response map"),
+    "discriminability": ((0, 3, 3), lambda m: analysis.discriminability(m, (0, 0), (0, 0, 0, 0)),
+                         "response map"),
+    "channel_diversity": ((2, 0, 2), analysis.channel_diversity, "response map"),
+    "heatmap_export": ((0, 3, 3), lambda m: analysis.heatmap_export(m, "map"), "response map"),
+}
+
+
+class TestEmptyAxes:
+    @pytest.mark.parametrize("entry", EMPTY_MAPS)
+    def test_map_with_an_empty_axis_is_refused(self, entry, tmp_path, monkeypatch):
+        shape, call, what = EMPTY_MAPS[entry]
+        monkeypatch.chdir(tmp_path)  # heatmap_export's prefix is relative
+        with pytest.raises(ShapeMismatchError,
+                           match=re.escape(f"{what} has an empty axis: shape {shape}")):
+            call(np.ones(shape, np.float32))
+        assert not any(tmp_path.iterdir())
